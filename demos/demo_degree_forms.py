@@ -4,10 +4,11 @@
 The top intersection form c q(eta)^n and its polarized version (a sum
 over all (2n)! permutations of paired q-values) are tied together by the
 hafnian: the permutation sum equals 2^n n! times the sum over perfect
-matchings.  The AM-GM rigidity check is the computational core of the
+matchings, which is how the library computes it.  The AM-GM rigidity check is the computational core of the
 fact that a rank-one restriction forces proportional Kaehler classes.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -18,25 +19,26 @@ from parabolic_lab import (
     HermitianForm,
     amgm_mixed_ratios,
     amgm_rigidity_check,
-    fujiki_polarized_bruteforce,
+    fujiki_polarized,
     fujiki_top,
     hafnian,
     hyperbolic_plane,
 )
-from parabolic_lab.hodge import matching_sum
 
 U = hyperbolic_plane()
 structure = FujikiStructure(U, n=2, c=Fraction(1), k=Fraction(1))
 eta = (1, 1)
 print("q(eta) =", U.q(eta))
 print("top form c q(eta)^n =", fujiki_top(structure, eta))
-pol = fujiki_polarized_bruteforce(structure, [eta] * 4)
+pol = fujiki_polarized(structure, [eta] * 4)
 print("polarized sum over S_4 =", pol, "=", math.factorial(4), "* q^2  (constant (2n)! when c = K = 1)")
 
 print("\nhafnian collapses the permutation sum to perfect matchings:")
-q = [[U.bbf(a, b) for b in [(1, 0), (0, 1), (1, 1), (1, -1)]] for a in [(1, 0), (0, 1), (1, 1), (1, -1)]]
+vecs = [(1, 0), (0, 1), (1, 1), (1, -1)]
+q = [[U.bbf(a, b) for b in vecs] for a in vecs]
+perm_sum = sum(q[s[0]][s[1]] * q[s[2]][s[3]] for s in itertools.permutations(range(4)))
 print("  pairing matrix:", q)
-print("  matching_sum =", matching_sum(q), " = 2^2 2! hafnian =", 8 * hafnian(q))
+print("  sum over S_4 =", perm_sum, " = 2^2 2! hafnian =", 8 * hafnian(q))
 
 print("\nHermitian rigidity: mean 1 and det 1 force equality")
 h2 = HermitianForm(np.array([[2.0, 0.3 + 0.1j], [0.3 - 0.1j, 1.0]]))

@@ -14,14 +14,13 @@ from parabolic_lab import (
     k3_lattice,
     represents_in_range,
     scan_orthogonal_negatives,
-    signature,
 )
 
 U = hyperbolic_plane()
-print("hyperbolic plane U:", U.gram, "signature", signature(U))
+print("hyperbolic plane U:", U.gram, "signature", U.signature)
 
 K3 = k3_lattice()
-print("U^3 + E8(-1)^2: rank", K3.rank, "signature", signature(K3),
+print("U^3 + E8(-1)^2: rank", K3.rank, "signature", K3.signature,
       "determinant", K3.determinant)
 
 print("\nisotropic vectors of U in the unit box:", find_isotropic(U, 1))
@@ -40,7 +39,7 @@ lat = marked.lattice
 print("\nseed lattice for (a_sq, N) = (2, 5):")
 for row in lat.gram:
     print("   ", row)
-print("signature:", signature(lat))
+print("signature:", lat.signature)
 print("q(y) =", lat.q(marked.y), " q(x) =", lat.q(marked.x),
       " q(x, y) =", lat.bbf(marked.x, marked.y))
 

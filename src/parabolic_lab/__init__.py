@@ -27,18 +27,15 @@ from .errors import (
 from .lattice import (
     MarkedLattice,
     QuadLattice,
-    bbf_eval,
     build_parabolic_seed_lattice,
     diagonal_lattice,
     e8_lattice,
     find_isotropic,
     hyperbolic_plane,
-    is_isotropic,
     is_primitive,
     k3_lattice,
     represents_in_range,
     scan_orthogonal_negatives,
-    signature,
 )
 from .isometry import (
     Elliptic,
@@ -72,7 +69,7 @@ from .hodge import (
     RigidityVerdict,
     amgm_mixed_ratios,
     amgm_rigidity_check,
-    fujiki_polarized_bruteforce,
+    fujiki_polarized,
     fujiki_top,
     hafnian,
 )

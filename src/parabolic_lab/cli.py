@@ -40,7 +40,7 @@ from .hodge import (
     HermitianForm,
     amgm_mixed_ratios,
     amgm_rigidity_check,
-    fujiki_polarized_bruteforce,
+    fujiki_polarized,
     fujiki_top,
     hafnian,
 )
@@ -79,7 +79,7 @@ SEED_ENV = "PARABOLIC_LAB_SEED"
 
 def _fmt_float(x: float) -> str:
     if x != x:
-        return "NaN"
+        return '"NaN"'
     if x in (float("inf"), float("-inf")):
         return '"Infinity"' if x > 0 else '"-Infinity"'
     return format(x, ".17g")
@@ -126,7 +126,7 @@ def emit(args, config: dict, result, csv_rows=None, csv_header=None) -> None:
     h = config_hash(config)
     out = sys.stdout if args.out is None else open(args.out, "w")
     try:
-        if args.format == "csv" and csv_rows is not None:
+        if getattr(args, "format", "json") == "csv" and csv_rows is not None:
             out.write(f"# config_sha256={h}\n")
             out.write(f"# seed={config.get('seed')}\n")
             out.write(",".join(csv_header) + "\n")
@@ -146,8 +146,10 @@ def emit(args, config: dict, result, csv_rows=None, csv_header=None) -> None:
 
 
 def _load_json_file(path: str) -> dict:
+    """A JSON input file; an artifact written by `emit` yields its result."""
     with open(path) as fh:
-        return json.load(fh)
+        d = json.load(fh)
+    return d["result"] if isinstance(d, dict) and "config_sha256" in d else d
 
 
 def _int_vector(text: str) -> tuple[int, ...]:
@@ -160,6 +162,8 @@ def _int_vector(text: str) -> tuple[int, ...]:
 def _load_lattice(spec) -> QuadLattice:
     if isinstance(spec, str):
         spec = _load_json_file(spec)
+    if "gram" not in spec and "lattice" in spec:  # a `lattice seed` result
+        spec = spec["lattice"]
     return QuadLattice.from_json_dict(spec)
 
 
@@ -167,6 +171,12 @@ def _load_isometry(path: str) -> LatticeIsometry:
     d = _load_json_file(path)
     lat = _load_lattice(d["lattice"])
     return LatticeIsometry(lat, tuple(tuple(int(x) for x in row) for row in d["matrix"]))
+
+
+def _require_positive(args, *names: str) -> None:
+    for name in names:
+        if getattr(args, name) < 1:
+            raise PreconditionError(f"--{name} must be >= 1")
 
 
 def _complex_matrix(rows) -> np.ndarray:
@@ -425,7 +435,7 @@ def cmd_hodge_fujiki(args) -> None:
         result["q_eta"] = lat.q(eta)
     if args.etas:
         etas = [_int_vector(part) for part in args.etas.split(";")]
-        result["polarized"] = float(fujiki_polarized_bruteforce(structure, etas))
+        result["polarized"] = float(fujiki_polarized(structure, etas))
     if not result:
         raise PreconditionError("provide --eta and/or --etas")
     emit(args, config, result)
@@ -473,6 +483,7 @@ def _point_dict(p: s2.SurfacePoint) -> dict:
 
 
 def cmd_k3_sample(args) -> None:
+    _require_positive(args, "n")
     surface = _surface_from_args(args)
     config = {
         "subcommand": "k3 sample",
@@ -494,6 +505,7 @@ def cmd_k3_sample(args) -> None:
 
 
 def cmd_k3_involve(args) -> None:
+    _require_positive(args, "n")
     surface = _surface_from_args(args)
     config = {
         "subcommand": "k3 involve",
@@ -549,6 +561,7 @@ def _chart_coords(pair) -> tuple[int, float, float]:
 
 
 def cmd_k3_orbit(args) -> None:
+    _require_positive(args, "n", "fibers")
     surface = _surface_from_args(args)
     pair = tuple(args.pair)
     if pair not in s2.PAIRS:
@@ -648,9 +661,11 @@ def cmd_k3_ergo(args) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="master seed (default: env PARABOLIC_LAB_SEED or 0)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--workers", type=int, default=1)
+
+
+def _add_format(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -712,6 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", default=None)
     p.add_argument("--n", type=int, default=100)
     _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_torus_orbit)
     p = tor.add_parser("hull")
     p.add_argument("--coords", required=True)
@@ -768,7 +784,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10**4)
     p.add_argument("--grid", type=int, default=16)
     p.add_argument("--fibers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1)
     _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_k3_orbit)
     p = k3.add_parser("ergo")
     p.add_argument("--surface", default=None)

@@ -3,15 +3,16 @@
 Two faces of the same quadratic-form calculus:
 
 * the top-degree identity  integral(eta^(2n)) = c q(eta, eta)^n  and its
-  polarized companion, a sum over all (2n)! permutations of paired
-  q-products.  The permutation sum collapses to perfect matchings:
+  polarized companion, K times a sum over all (2n)! permutations of
+  paired q-products.  The permutation sum collapses to perfect matchings:
 
       sum_sigma prod_i q(eta_{sigma(2i-1)}, eta_{sigma(2i)})
           = 2^n n! haf(Q),   Q_ij = q(eta_i, eta_j),
 
-  with haf the hafnian (sum over perfect matchings).  The constants c and
-  K are configuration with default 1; the ratio polarized/top is measured
-  by tests, never hard-coded.
+  with haf the hafnian (sum over perfect matchings), which is how the
+  polarized sum is computed; the permutation sum itself is kept only as
+  a test oracle.  The constants c and K are configuration with default
+  1; the ratio polarized/top is measured by tests, never hard-coded.
 
 * the AM-GM rigidity statement for positive Hermitian forms: if
   Tr(H1 H2^-1)/n = 1 and det(H1 H2^-1) = 1 then H1 = H2.  The check
@@ -29,7 +30,7 @@ analyzable.
 from __future__ import annotations
 
 import enum
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,7 +40,7 @@ from .errors import PreconditionError
 from .lattice import QuadLattice
 
 RIGIDITY_CONSTANT = 4.0
-MAX_POLARIZED_VECTORS = 8  # 2n <= 8 for the (2n)! brute force
+MAX_POLARIZED_VECTORS = 8  # 2n <= 8 keeps the (2n-1)!! hafnian recursion small
 
 _HERMITIAN_TOL = 1e-12
 
@@ -113,25 +114,19 @@ def fujiki_top(structure: FujikiStructure, eta):
     return structure.c * q**structure.n
 
 
-def fujiki_polarized_bruteforce(structure: FujikiStructure, etas):
-    """K * sum over all (2n)! permutations of paired q-products, by brute force."""
+def fujiki_polarized(structure: FujikiStructure, etas):
+    """K * the (2n)!-permutation sum of paired q-products, as K 2^n n! haf(Q)."""
     etas = list(etas)
-    if len(etas) != 2 * structure.n:
-        raise PreconditionError(f"need exactly {2 * structure.n} vectors")
+    n = structure.n
+    if len(etas) != 2 * n:
+        raise PreconditionError(f"need exactly {2 * n} vectors")
     if len(etas) > MAX_POLARIZED_VECTORS:
         raise PreconditionError(
-            f"brute force limited to {MAX_POLARIZED_VECTORS} vectors"
+            f"polarized sum limited to {MAX_POLARIZED_VECTORS} vectors"
         )
     lat = structure.lattice
-    m = len(etas)
-    q = [[_q_value(lat, etas[i], etas[j]) for j in range(m)] for i in range(m)]
-    total = 0
-    for sigma in itertools.permutations(range(m)):
-        term = 1
-        for i in range(0, m, 2):
-            term *= q[sigma[i]][sigma[i + 1]]
-        total += term
-    return structure.k * total
+    q = [[_q_value(lat, u, v) for v in etas] for u in etas]
+    return structure.k * 2**n * math.factorial(n) * hafnian(q)
 
 
 def hafnian(a):
@@ -159,18 +154,6 @@ def hafnian(a):
         return total
 
     return rec(tuple(range(m)))
-
-
-def matching_sum(q):
-    """The full permutation sum; equals 2^n n! hafnian(q) (tested both ways)."""
-    m = len(q)
-    total = 0
-    for sigma in itertools.permutations(range(m)):
-        term = 1
-        for i in range(0, m, 2):
-            term *= q[sigma[i]][sigma[i + 1]]
-        total += term
-    return total
 
 
 def amgm_mixed_ratios(h1: HermitianForm, h2: HermitianForm) -> tuple[float, float]:

@@ -50,6 +50,7 @@ from .linalg_exact import (
     mat_pow,
     mat_sub,
     mat_vec,
+    primitive_vector,
     transpose,
 )
 from .polynomials import (
@@ -206,9 +207,7 @@ def _fixed_isotropic_vector(g: LatticeIsometry) -> Vector:
         )
     coeffs = radical[0]
     v = [sum(c * kernel[i][j] for i, c in enumerate(coeffs)) for j in range(n)]
-    from .lattice import _primitive
-
-    v = _primitive(v)
+    v = primitive_vector(v)
     if g.lattice.q(v) != 0 or g.apply(v) != v:
         raise ContractError("extracted fixed vector fails its invariants (bug)")
     return v

@@ -31,7 +31,7 @@ from functools import cached_property
 from math import gcd
 
 from .errors import DegenerateLatticeError, DimensionMismatchError, PreconditionError
-from .linalg_exact import det_exact
+from .linalg_exact import det_exact, primitive_vector
 
 Vector = tuple[int, ...]
 
@@ -165,7 +165,7 @@ def _diagonalize(gram) -> tuple[int, int, Vector | None]:
         if d > 0:
             pos += 1
             if witness is None:
-                witness = _primitive(basis[i])
+                witness = primitive_vector(basis[i])
         else:
             neg += 1
         for k in range(i + 1, n):
@@ -174,38 +174,9 @@ def _diagonalize(gram) -> tuple[int, int, Vector | None]:
     return pos, neg, witness
 
 
-def _primitive(v) -> Vector:
-    fracs = [Fraction(x) for x in v]
-    den = 1
-    for x in fracs:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def bbf_eval(lattice: QuadLattice, u, v) -> int:
-    return lattice.bbf(u, v)
-
-
-def signature(lattice: QuadLattice) -> tuple[int, int]:
-    return lattice.signature
-
-
-def is_isotropic(lattice: QuadLattice, v) -> bool:
-    return lattice.q(v) == 0
-
 
 def is_primitive(v) -> bool:
     g = 0

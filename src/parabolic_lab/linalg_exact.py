@@ -1,9 +1,12 @@
 """Exact linear algebra over the integers and rationals.
 
 Matrices are lists (or tuples) of rows; entries are Python ints or
-Fractions.  Everything here is deterministic and exact: Gaussian
-elimination with Fraction pivots, Hermite normal form with extended-gcd row
-operations, and a classical LLL reduction with rational Gram-Schmidt data.
+Fractions.  Everything here is deterministic and exact: one fraction-free
+(Bareiss) Gauss-Jordan elimination on Python ints behind the determinant,
+inverse, rank, kernel and solve routines (Fraction rows are scaled to
+integers first, so only the final results are divided), Hermite normal
+form with extended-gcd row operations, and a classical LLL reduction with
+rational Gram-Schmidt data.
 These kernels back the signature, kernel-extraction and integer-relation
 machinery, so no floating point is allowed in this module.
 """
@@ -11,7 +14,7 @@ machinery, so no floating point is allowed in this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 Matrix = list[list]
 
@@ -54,47 +57,75 @@ def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def det_exact(a):
-    """Determinant by fraction-free-ish Gaussian elimination (exact)."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
+def _integer_rows(a) -> tuple[list[list[int]], list[int]]:
+    """Rows of `a` scaled to integers, and the scales (lcm of each row's denominators)."""
+    rows, scales = [], []
+    for row in a:
+        row = [x if isinstance(x, int) else Fraction(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+        scales.append(den)
+    return rows, scales
+
+
+def _gauss_jordan(m: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer matrix, in place.
+
+    Pivots are chosen in the first `ncols` columns, leftmost first; row
+    operations act on whole rows, so augmented columns are carried along.
+    Each step replaces every other row by (p * row - f * pivot_row) / d,
+    where p is the new pivot and d the previous one; the division is exact
+    (Sylvester's identity; Bareiss, Math. Comp. 22, 1968), so all entries
+    stay integral.  On return every pivot entry equals d, the last pivot,
+    and every other entry of a pivot column is 0.  Returns (pivot columns,
+    d, sign of the row permutation).
+    """
+    rows = len(m)
+    pivots: list[int] = []
+    d, sign = 1, 1
+    for col in range(ncols):
+        r = len(pivots)
+        if r == rows:
+            break
+        pivot = next((i for i in range(r, rows) if m[i][col]), None)
         if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        p, prow = m[r][col], m[r]
+        for i in range(rows):
+            if i != r:
+                f = m[i][col]
+                m[i] = [(p * x - f * y) // d for x, y in zip(m[i], prow)]
+        d = p
+        pivots.append(col)
+    return pivots, d, sign
+
+
+def det_exact(a):
+    """Determinant by fraction-free elimination; an int for integer input."""
+    n = len(a)
+    m, scales = _integer_rows(a)
+    pivots, d, sign = _gauss_jordan(m, n)
+    if len(pivots) < n:
+        return 0
     if all(isinstance(x, int) for row in a for x in row):
-        assert det.denominator == 1
-        return det.numerator
-    return det
+        return sign * d
+    return Fraction(sign * d, prod(scales))
 
 
 def inverse_exact(a) -> Matrix:
-    """Exact inverse via Gauss-Jordan; raises on singular input."""
+    """Exact inverse (Fractions) via Gauss-Jordan; raises on singular input."""
     n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+    m, scales = _integer_rows(a)
+    # [S a | S] with S the row scales, so the right block ends as d * a^-1
+    for i, (row, scale) in enumerate(zip(m, scales)):
+        row.extend(scale if j == i else 0 for j in range(n))
+    pivots, d, _ = _gauss_jordan(m, n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("matrix is singular")
+    return [[Fraction(x, d) for x in row[n:]] for row in m]
 
 
 def inverse_unimodular(a) -> Matrix:
@@ -111,42 +142,22 @@ def inverse_unimodular(a) -> Matrix:
 def rank_exact(a) -> int:
     if not a:
         return 0
-    m = [[Fraction(x) for x in row] for row in a]
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(rows):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    m, _ = _integer_rows(a)
+    return len(_gauss_jordan(m, len(m[0]))[0])
 
 
-def _vector_primitive(v: list) -> list[int]:
-    """Clear denominators and divide by the content; fix the sign."""
-    fracs = [Fraction(x) for x in v]
-    den = 1
-    for x in fracs:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+def primitive_vector(v) -> tuple[int, ...]:
+    """Clear denominators, divide by the content and make the first nonzero entry positive."""
+    v = [x if isinstance(x, int) else Fraction(x) for x in v]
+    den = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     lead = next((x for x in ints if x), 0)
     if lead < 0:
         ints = [-x for x in ints]
-    return ints
+    return tuple(ints)
 
 
 def kernel_basis(a) -> list[list[int]]:
@@ -158,61 +169,32 @@ def kernel_basis(a) -> list[list[int]]:
     """
     if not a:
         return []
-    rows, cols = len(a), len(a[0])
-    m = [[Fraction(x) for x in row] for row in a]
-    pivot_col: list[int] = []
-    r = 0
-    for col in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivot_col.append(col)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivot_col]
+    m, _ = _integer_rows(a)
+    cols = len(m[0])
+    pivots, d, _ = _gauss_jordan(m, cols)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivot_col):
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        # row i reads d * x[pivots[i]] + m[i][fc] * x[fc] = 0 once the other free entries are 0
+        v = [0] * cols
+        v[fc] = d
+        for i, pc in enumerate(pivots):
             v[pc] = -m[i][fc]
-        basis.append(_vector_primitive(v))
+        basis.append(list(primitive_vector(v)))
     return basis
 
 
 def solve_exact(a, b):
     """One rational solution of a x = b, or None if inconsistent."""
     rows, cols = len(a), len(a[0])
-    m = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(a, b)]
-    pivot_col = []
-    r = 0
-    for col in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivot_col.append(col)
-        r += 1
-    for i in range(r, rows):
-        if m[i][cols]:
-            return None
+    m, _ = _integer_rows([list(row) + [bv] for row, bv in zip(a, b)])
+    pivots, d, _ = _gauss_jordan(m, cols)
+    if any(row[cols] for row in m[len(pivots):]):
+        return None
     x = [Fraction(0)] * cols
-    for i, pc in enumerate(pivot_col):
-        x[pc] = m[i][cols]
+    for i, pc in enumerate(pivots):
+        x[pc] = Fraction(m[i][cols], d)
     return x
 
 

@@ -39,10 +39,6 @@ def poly_neg(p: Poly) -> Poly:
     return tuple(-c for c in p)
 
 
-def poly_sub(p: Poly, q: Poly) -> Poly:
-    return poly_add(p, poly_neg(q))
-
-
 def poly_mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return ()

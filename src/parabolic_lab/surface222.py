@@ -786,6 +786,8 @@ def birkhoff_ergodicity_test(
     """
     if fid not in TEST_FUNCTIONS:
         raise PreconditionError(f"unknown test function {fid!r}")
+    if trials < 2:
+        raise PreconditionError("trials must be >= 2 to estimate the time-average spread")
     maps = [
         (lambda p, pr=pr: parabolic_map(surface, pr, p)) for pr in pairs
     ]

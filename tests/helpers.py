@@ -6,17 +6,23 @@ interval, semisimplicity by evaluating the squarefree part of the
 characteristic polynomial on the matrix, elliptic orders by brute-force
 powering.  The library's route (cyclotomic factor stripping plus minimal
 polynomial squarefreeness) never enters.
+
+The exact linear algebra the oracles need (determinant, inverse, rank,
+kernel, solve) is a frozen Fraction Gauss-Jordan elimination, kept apart
+from the library's fraction-free integer routine so that each checks the
+other.  The degree-form oracles are the literal (2n)!-permutation sums.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 from parabolic_lab.lattice import QuadLattice, diagonal_lattice, hyperbolic_plane
 from parabolic_lab.isometry import LatticeIsometry, eichler_transvection
 from parabolic_lab.linalg_exact import (
-    det_exact,
     identity_matrix,
     mat_eq,
     mat_mul,
@@ -38,7 +44,7 @@ def oracle_tag(g: LatticeIsometry) -> tuple[str, int | None]:
     """(tag, elliptic order or None) by the independent route."""
     m = [list(r) for r in g.matrix]
     n = len(m)
-    det = det_exact(m)
+    det = frozen_det(m)
     w = g.lattice.positive_witness
     time_preserving = g.lattice.bbf(g.apply(w), w) > 0
     if det != 1 or not time_preserving:
@@ -66,8 +72,6 @@ def oracle_tag(g: LatticeIsometry) -> tuple[str, int | None]:
 
 def parabolic_payload_ok(g: LatticeIsometry, v) -> bool:
     """Property check of a claimed parabolic fixed vector (no re-extraction)."""
-    from math import gcd
-
     gv = 0
     for x in v:
         gv = gcd(gv, abs(x))
@@ -150,7 +154,7 @@ def planted_relation_instance(rng: random.Random, max_n: int = 6, max_height: in
     """
     import mpmath as mp
 
-    from parabolic_lab.linalg_exact import hnf, kernel_basis, solve_exact
+    from parabolic_lab.linalg_exact import hnf
 
     while True:
         n = rng.randint(2, max_n)
@@ -167,10 +171,10 @@ def planted_relation_instance(rng: random.Random, max_n: int = 6, max_height: in
                     base[i] = cand
         a = [row[:n] for row in base]
         b = [-row[n] for row in base]
-        part = solve_exact(a, b)
+        part = frozen_solve(a, b)
         if part is None:
             continue
-        hom = kernel_basis(a)
+        hom = frozen_kernel(a)
         if len(hom) != n - r:
             continue
         with mp.workprec(160):
@@ -188,3 +192,125 @@ def planted_relation_instance(rng: random.Random, max_n: int = 6, max_height: in
         if max(abs(c) for row in want for c in row) > max_height:
             continue
         return tuple(x), 160, want
+
+
+# ---------------------------------------------------------------------------
+# frozen Fraction elimination (oracle for linalg_exact)
+# ---------------------------------------------------------------------------
+
+def _fraction_rref(rows, ncols: int):
+    """Reduced row echelon form over Fractions, pivots in the first ncols columns.
+
+    Returns (matrix, pivot columns, sign of the row permutation, product of
+    the pivots before normalization).
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots, sign, pivot_product = [], 1, Fraction(1)
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        pivot_product *= m[r][col]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+    return m, pivots, sign, pivot_product
+
+
+def frozen_det(a):
+    n = len(a)
+    _, pivots, sign, pivot_product = _fraction_rref(a, n)
+    if len(pivots) < n:
+        return 0
+    det = sign * pivot_product
+    if all(isinstance(x, int) for row in a for x in row):
+        assert det.denominator == 1
+        return det.numerator
+    return det
+
+
+def frozen_inverse(a):
+    n = len(a)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    m, pivots, _, _ = _fraction_rref(aug, n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("matrix is singular")
+    return [row[n:] for row in m]
+
+
+def frozen_rank(a) -> int:
+    return len(_fraction_rref(a, len(a[0]))[1]) if a else 0
+
+
+def frozen_kernel(a) -> list[list[int]]:
+    if not a:
+        return []
+    cols = len(a[0])
+    m, pivots, _, _ = _fraction_rref(a, cols)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -m[i][fc]
+        den = 1
+        for x in v:
+            den = den * x.denominator // gcd(den, x.denominator)
+        ints = [int(x * den) for x in v]
+        g = 0
+        for x in ints:
+            g = gcd(g, abs(x))
+        ints = [x // g for x in ints]
+        if next(x for x in ints if x) < 0:
+            ints = [-x for x in ints]
+        basis.append(ints)
+    return basis
+
+
+def frozen_solve(a, b):
+    cols = len(a[0])
+    m, pivots, _, _ = _fraction_rref([list(row) + [bv] for row, bv in zip(a, b)], cols)
+    if any(row[cols] for row in m[len(pivots):]):
+        return None
+    x = [Fraction(0)] * cols
+    for i, pc in enumerate(pivots):
+        x[pc] = m[i][cols]
+    return x
+
+
+# ---------------------------------------------------------------------------
+# permutation-sum oracles for the degree forms
+# ---------------------------------------------------------------------------
+
+def matching_sum(q):
+    """The full permutation sum of paired entries; equals 2^n n! hafnian(q)."""
+    m = len(q)
+    total = 0
+    for sigma in itertools.permutations(range(m)):
+        term = 1
+        for i in range(0, m, 2):
+            term *= q[sigma[i]][sigma[i + 1]]
+        total += term
+    return total
+
+
+def fujiki_polarized_bruteforce(structure, etas):
+    """K * the permutation sum of paired q-products, by brute force over (2n)!."""
+    gram = structure.lattice.gram
+    q = [
+        [sum(Fraction(u[i]) * gram[i][j] * Fraction(v[j])
+             for i in range(len(gram)) for j in range(len(gram)))
+         for v in etas]
+        for u in etas
+    ]
+    return structure.k * matching_sum(q)

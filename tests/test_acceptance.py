@@ -16,6 +16,8 @@ import pytest
 
 from helpers import (
     classification_lattices,
+    fujiki_polarized_bruteforce,
+    matching_sum,
     oracle_tag,
     parabolic_payload_ok,
     planted_relation_instance,
@@ -29,10 +31,9 @@ from parabolic_lab.hodge import (
     RigidityVerdict,
     amgm_mixed_ratios,
     amgm_rigidity_check,
-    fujiki_polarized_bruteforce,
+    fujiki_polarized,
     fujiki_top,
     hafnian,
-    matching_sum,
 )
 from parabolic_lab.isometry import (
     Elliptic,
@@ -48,7 +49,6 @@ from parabolic_lab.lattice import (
     diagonal_lattice,
     hyperbolic_plane,
     scan_orthogonal_negatives,
-    signature,
 )
 from parabolic_lab.torus import TranslationVector, rational_hull
 from parabolic_lab.exact import parse_real
@@ -95,7 +95,7 @@ def test_criterion_2_seed_lattice_grid():
         for big_n in (1, 2, 3, 4, 5):
             marked = build_parabolic_seed_lattice(a_sq, big_n)
             lat = marked.lattice
-            assert signature(lat) == (1, 2)
+            assert lat.signature == (1, 2)
             assert lat.q(marked.y) == 0
             assert lat.q(marked.x) <= -big_n
             assert lat.bbf(marked.x, marked.y) == 0
@@ -197,6 +197,7 @@ def test_criterion_5_hafnian_and_fujiki_constant():
         exact += matching_sum(q) == 2 ** (m // 2) * math.factorial(m // 2) * hafnian(q)
     u = hyperbolic_plane()
     constants = set()
+    checked = brute_agree = 0
     for _ in range(50):
         n = rng.choice((1, 2))
         f = FujikiStructure(u, n=n, c=Fraction(3, 2), k=Fraction(2, 7))
@@ -204,7 +205,9 @@ def test_criterion_5_hafnian_and_fujiki_constant():
         top = fujiki_top(f, eta)
         if top == 0:
             continue
-        pol = fujiki_polarized_bruteforce(f, [eta] * (2 * n))
+        checked += 1
+        pol = fujiki_polarized(f, [eta] * (2 * n))
+        brute_agree += pol == fujiki_polarized_bruteforce(f, [eta] * (2 * n))
         constants.add((n, Fraction(pol) / Fraction(top)))
     # exact arithmetic: the measured constant is literally identical per n
     by_n = {}
@@ -218,9 +221,10 @@ def test_criterion_5_hafnian_and_fujiki_constant():
     )
     elapsed = time.time() - t0
     report(
-        exact == total and spread_ok and expected,
+        exact == total and spread_ok and expected and brute_agree == checked,
         "criterion 5: matching-sum identity and polarized constant",
-        f"{exact}/{total} identities, constant spread 0 (K(2n)!/c), {elapsed:.1f}s",
+        f"{exact}/{total} identities, {brute_agree}/{checked} polarized sums equal "
+        f"the permutation sum, constant spread 0 (K(2n)!/c), {elapsed:.1f}s",
     )
 
 

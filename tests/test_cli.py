@@ -1,10 +1,12 @@
+import argparse
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from parabolic_lab.cli import main, render_json
+from parabolic_lab.cli import build_parser, main, render_json
 
 
 def run_cli(args, capsys):
@@ -44,20 +46,19 @@ def test_classify_pipeline(tmp_path, capsys):
     lat = {"rank": 3, "gram": [[0, 1, 0], [1, 0, 0], [0, 0, -2]]}
     lat_file = tmp_path / "lat.json"
     lat_file.write_text(json.dumps(lat))
-    code, out = run_cli(
-        ["isometry", "transvect", "-i", str(lat_file), "--e", "1,0,0", "--v", "0,0,1"],
+    iso_file = tmp_path / "iso.json"
+    code, _ = run_cli(
+        ["isometry", "transvect", "-i", str(lat_file), "--e", "1,0,0", "--v", "0,0,1",
+         "--out", str(iso_file)],
         capsys,
     )
     assert code == 0
-    art = json.loads(out)
+    art = json.loads(iso_file.read_text())
     assert art["result"]["classification"] == {
         "fixed_vector": [1, 0, 0],
         "tag": "Parabolic",
     }
-    iso_file = tmp_path / "iso.json"
-    iso_file.write_text(
-        json.dumps({"lattice": art["result"]["lattice"], "matrix": art["result"]["matrix"]})
-    )
+    # the transvect artifact feeds classify and limit as written
     code, out = run_cli(["isometry", "classify", "-i", str(iso_file)], capsys)
     assert code == 0
     assert json.loads(out)["result"] == {"fixed_vector": [1, 0, 0], "tag": "Parabolic"}
@@ -65,6 +66,23 @@ def test_classify_pipeline(tmp_path, capsys):
     assert code == 0
     d = json.loads(out)["result"]["direction"]
     assert abs(d[0] - 1) < 1e-9 and abs(d[1]) < 1e-9 and abs(d[2]) < 1e-9
+
+
+def test_seed_transvect_classify_limit_chain(tmp_path, capsys):
+    seed_file, iso_file = tmp_path / "lattice.json", tmp_path / "isometry.json"
+    assert main(["lattice", "seed", "--a-sq", "2", "--N", "5", "--out", str(seed_file)]) == 0
+    code, out = run_cli(["lattice", "signature", "-i", str(seed_file)], capsys)
+    assert code == 0 and json.loads(out)["result"] == {"pos": 1, "neg": 2}
+    # y = (0,0,1) is the seed lattice's isotropic mark; x = (0,1,0) is orthogonal to it
+    assert main(["isometry", "transvect", "-i", str(seed_file), "--e", "0,0,1",
+                 "--v", "0,1,0", "--out", str(iso_file)]) == 0
+    code, out = run_cli(["isometry", "classify", "-i", str(iso_file)], capsys)
+    assert code == 0
+    assert json.loads(out)["result"] == {"fixed_vector": [0, 0, 1], "tag": "Parabolic"}
+    code, out = run_cli(["isometry", "limit", "-i", str(iso_file), "--w", "1,0,0"], capsys)
+    assert code == 0
+    d = json.loads(out)["result"]["direction"]
+    assert abs(d[0]) < 1e-9 and abs(d[1]) < 1e-9 and abs(d[2] - 1) < 1e-9
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -165,3 +183,46 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["verification"]["signature"] == [1, 2]
+
+
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_nonfinite_floats_are_strict_json():
+    text = render_json({"a": math.nan, "b": math.inf, "c": -math.inf, "d": 0.5})
+    assert json.loads(text, parse_constant=_no_constant) == {
+        "a": "NaN", "b": "Infinity", "c": "-Infinity", "d": 0.5,
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["k3", "sample", "--n", "0"],
+    ["k3", "involve", "--n", "0"],
+    ["k3", "orbit", "--n", "0"],
+    ["k3", "orbit", "--fibers", "0", "--n", "10"],
+    ["k3", "ergo", "--trials", "1", "--l", "10", "--mc", "100"],
+], ids=["sample-n0", "involve-n0", "orbit-n0", "orbit-fibers0", "ergo-trials1"])
+def test_degenerate_counts_are_preconditions(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "precondition violation" in err and "Traceback" not in err
+
+
+def _subparsers(parser) -> dict:
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def test_workers_and_format_only_where_used(capsys):
+    leaves = [(group, cmd, {opt for action in p._actions for opt in action.option_strings})
+              for group, gp in _subparsers(build_parser()).items()
+              for cmd, p in _subparsers(gp).items()]
+    assert len(leaves) == 19
+    for group, cmd, opts in leaves:
+        assert {"--seed", "--out"} <= opts
+        assert ("--workers" in opts) == ((group, cmd) == ("k3", "orbit"))
+        assert ("--format" in opts) == (cmd == "orbit")
+    assert main(["lattice", "seed", "--a-sq", "2", "--N", "5", "--format", "csv"]) == 1
+    assert main(["torus", "hull", "--coords", "sqrt2", "--workers", "2"]) == 1
+    capsys.readouterr()

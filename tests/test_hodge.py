@@ -13,12 +13,13 @@ from parabolic_lab.hodge import (
     RigidityVerdict,
     amgm_mixed_ratios,
     amgm_rigidity_check,
-    fujiki_polarized_bruteforce,
+    fujiki_polarized,
     fujiki_top,
     hafnian,
-    matching_sum,
 )
 from parabolic_lab.lattice import diagonal_lattice, hyperbolic_plane
+
+from helpers import fujiki_polarized_bruteforce, matching_sum
 
 U = hyperbolic_plane()
 
@@ -35,16 +36,26 @@ def test_fujiki_top_examples():
 
 def test_polarized_examples():
     f1 = FujikiStructure(U, n=1)
-    assert fujiki_polarized_bruteforce(f1, [(1, 0), (0, 1)]) == 2 * U.bbf((1, 0), (0, 1))
+    assert fujiki_polarized(f1, [(1, 0), (0, 1)]) == 2 * U.bbf((1, 0), (0, 1))
     # any argument isotropic and orthogonal to the others kills every term
-    assert fujiki_polarized_bruteforce(f1, [(1, 0), (1, 0)]) == 0
+    assert fujiki_polarized(f1, [(1, 0), (1, 0)]) == 0
     # all arguments equal: the combinatorial constant is (2n)!
     for n in (1, 2):
         f = FujikiStructure(U, n=n)
-        val = fujiki_polarized_bruteforce(f, [(1, 1)] * (2 * n))
+        val = fujiki_polarized(f, [(1, 1)] * (2 * n))
         assert val == math.factorial(2 * n) * U.q((1, 1)) ** n
+    # the hafnian form equals the literal permutation sum, Fraction vectors included
+    rng = random.Random(9)
+    lat = diagonal_lattice(2, -3, 5)
+    for n in (1, 2, 3, 4):
+        f = FujikiStructure(lat, n=n, k=Fraction(3, 7))
+        etas = [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3))
+                for _ in range(2 * n)]
+        assert fujiki_polarized(f, etas) == fujiki_polarized_bruteforce(f, etas)
     with pytest.raises(PreconditionError):
-        fujiki_polarized_bruteforce(f1, [(1, 0)])
+        fujiki_polarized(f1, [(1, 0)])
+    with pytest.raises(PreconditionError):
+        fujiki_polarized(FujikiStructure(U, n=5), [(1, 0)] * 10)
 
 
 def test_hafnian_small():

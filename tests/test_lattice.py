@@ -7,31 +7,28 @@ import pytest
 from parabolic_lab.errors import DegenerateLatticeError, DimensionMismatchError, PreconditionError
 from parabolic_lab.lattice import (
     QuadLattice,
-    bbf_eval,
     build_parabolic_seed_lattice,
     diagonal_lattice,
     e8_lattice,
     find_isotropic,
     hyperbolic_plane,
-    is_isotropic,
     is_primitive,
     k3_lattice,
     lattice_from_json,
     lattice_to_json,
     represents_in_range,
     scan_orthogonal_negatives,
-    signature,
 )
 
 U = hyperbolic_plane()
 
 
 def test_bbf_examples():
-    assert bbf_eval(U, (1, 0), (1, 0)) == 0
-    assert bbf_eval(U, (1, 1), (1, 1)) == 2
-    assert bbf_eval(diagonal_lattice(2, -10), (0, 1), (0, 1)) == -10
+    assert U.bbf((1, 0), (1, 0)) == 0
+    assert U.bbf((1, 1), (1, 1)) == 2
+    assert diagonal_lattice(2, -10).bbf((0, 1), (0, 1)) == -10
     with pytest.raises(DimensionMismatchError):
-        bbf_eval(U, (1, 0, 0), (1, 0))
+        U.bbf((1, 0, 0), (1, 0))
 
 
 def test_bbf_bilinear_symmetric():
@@ -46,10 +43,10 @@ def test_bbf_bilinear_symmetric():
 
 
 def test_signatures():
-    assert signature(U) == (1, 1)
-    assert signature(diagonal_lattice(1, -1, -1)) == (1, 2)
-    assert signature(e8_lattice(negative=False)) == (8, 0)
-    assert signature(k3_lattice()) == (3, 19)
+    assert U.signature == (1, 1)
+    assert diagonal_lattice(1, -1, -1).signature == (1, 2)
+    assert e8_lattice(negative=False).signature == (8, 0)
+    assert k3_lattice().signature == (3, 19)
     assert k3_lattice().rank == 22
 
 
@@ -58,8 +55,8 @@ def test_signature_additive_on_direct_sums():
     pool = [U, diagonal_lattice(2, -1), diagonal_lattice(-2), e8_lattice()]
     for _ in range(10):
         a, b = rng.choice(pool), rng.choice(pool)
-        sa, sb = signature(a), signature(b)
-        ssum = signature(a.direct_sum(b))
+        sa, sb = a.signature, b.signature
+        ssum = a.direct_sum(b).signature
         assert ssum == (sa[0] + sb[0], sa[1] + sb[1])
 
 
@@ -68,12 +65,12 @@ def test_degenerate_detection():
         QuadLattice(((1, 0), (0, 0)))
     lat = QuadLattice(((1, 0, 0), (0, 0, 0), (0, 0, -1)), allow_degenerate=True)
     with pytest.raises(DegenerateLatticeError):
-        signature(lat)
+        lat.signature
 
 
 def test_isotropic_primitive_predicates():
-    assert is_isotropic(U, (1, 0))
-    assert not is_isotropic(U, (1, 1))
+    assert U.q((1, 0)) == 0
+    assert U.q((1, 1)) != 0
     assert not is_primitive((2, 4, 6))
     assert is_primitive((2, 3))
 
@@ -127,11 +124,11 @@ def test_seed_lattice_guarantees():
     marked = build_parabolic_seed_lattice(2, 5)
     lat = marked.lattice
     assert lat.gram == ((2, 0, 1), (0, -10, 0), (1, 0, 0))
-    assert signature(lat) == (1, 2)
+    assert lat.signature == (1, 2)
     assert lat.q(marked.y) == 0
     assert lat.bbf(marked.x, marked.y) == 0
     assert lat.q(marked.x) == -10
-    assert is_primitive(marked.y) and is_isotropic(lat, marked.y)
+    assert is_primitive(marked.y) and lat.q(marked.y) == 0
     small = build_parabolic_seed_lattice(2, 1)
     assert small.lattice.q(small.x) == -2 <= -1
 

@@ -18,6 +18,8 @@ from parabolic_lab.linalg_exact import (
     solve_exact,
 )
 
+from helpers import frozen_det, frozen_inverse, frozen_kernel, frozen_rank, frozen_solve
+
 
 def test_det_and_inverse():
     assert det_exact([[2, 0], [0, 3]]) == 6
@@ -45,6 +47,75 @@ def test_kernel_and_rank():
 def test_solve():
     assert solve_exact([[2, 0], [0, 3]], [4, 9]) == [Fraction(2), Fraction(3)]
     assert solve_exact([[1, 1], [1, 1]], [0, 1]) is None
+
+
+def _random_matrix(rng, rows, cols, fractions, rank):
+    """rows x cols with rank <= `rank`: integer combinations of `rank` random rows."""
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if fractions else rng.randint(-9, 9)
+
+    base = [[entry() for _ in range(cols)] for _ in range(rank)]
+    m = []
+    for _ in range(rows):
+        c = [rng.randint(-3, 3) for _ in range(rank)]
+        m.append([sum((ci * b[j] for ci, b in zip(c, base)), 0) for j in range(cols)])
+    if rows > 1 and rng.random() < 0.2:
+        m[rng.randrange(rows)] = [0] * cols
+    return m
+
+
+def test_elimination_matches_fraction_oracle():
+    """All five elimination routines against the frozen Fraction Gauss-Jordan."""
+    rng = random.Random(2024)
+    seen = dict.fromkeys(
+        ("fraction", "non_square", "rank_deficient", "zero_row", "no_free_column",
+         "singular_inverse", "inconsistent", "swap"), 0)
+    for trial in range(400):
+        fractions = trial % 2 == 1
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        if trial % 3 == 0:
+            cols = rows
+        a = _random_matrix(rng, rows, cols, fractions, rng.randint(0, min(rows, cols) + 1))
+        rank = rank_exact(a)
+        assert rank == frozen_rank(a)
+        kernel = kernel_basis(a)
+        assert kernel == frozen_kernel(a)
+        assert len(kernel) == cols - rank
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for v in kernel for row in a)
+        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(cols)]
+        for b in ([sum(r * xi for r, xi in zip(row, x)) for row in a],
+                  [rng.randint(-5, 5) for _ in range(rows)]):
+            sol = solve_exact(a, b)
+            assert sol == frozen_solve(a, b)
+            if sol is None:
+                seen["inconsistent"] += 1
+            else:
+                assert [sum(r * xi for r, xi in zip(row, sol)) for row in a] == b
+        seen["fraction"] += fractions
+        seen["non_square"] += rows != cols
+        seen["rank_deficient"] += rank < min(rows, cols)
+        seen["zero_row"] += any(not any(row) for row in a)
+        seen["no_free_column"] += not kernel
+        if rows != cols:
+            continue
+        det = det_exact(a)
+        assert det == frozen_det(a)
+        assert isinstance(det, int) or fractions
+        if rows > 1:
+            i, j = rng.sample(range(rows), 2)
+            swapped = [row[:] for row in a]
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            assert det_exact(swapped) == -det
+            seen["swap"] += det != 0
+        if det == 0:
+            with pytest.raises(ZeroDivisionError):
+                inverse_exact(a)
+            seen["singular_inverse"] += 1
+        else:
+            inv = inverse_exact(a)
+            assert inv == frozen_inverse(a)
+            assert mat_eq(mat_mul(a, inv), identity_matrix(rows))
+    assert all(seen.values()), seen
 
 
 def test_hnf_canonical():
