@@ -10,8 +10,9 @@ Two faces of the same quadratic-form calculus:
           = 2^n n! haf(Q),   Q_ij = q(eta_i, eta_j),
 
   with haf the hafnian (sum over perfect matchings), which is how the
-  polarized sum is computed; the permutation sum itself is kept only as
-  a test oracle.  The constants c and K are configuration with default
+  polarized sum is computed, by the matching recursion memoized on the
+  set of indices left; the permutation sum itself is kept only as a test
+  oracle.  The constants c and K are configuration with default
   1; the ratio polarized/top is measured by tests, never hard-coded.
 
 * the AM-GM rigidity statement for positive Hermitian forms: if
@@ -40,7 +41,7 @@ from .errors import PreconditionError
 from .lattice import QuadLattice
 
 RIGIDITY_CONSTANT = 4.0
-MAX_POLARIZED_VECTORS = 8  # 2n <= 8 keeps the (2n-1)!! hafnian recursion small
+MAX_POLARIZED_VECTORS = 16  # the memoized hafnian keeps 1596 index sets at 2n = 16
 
 _HERMITIAN_TOL = 1e-12
 
@@ -132,9 +133,13 @@ def fujiki_polarized(structure: FujikiStructure, etas):
 def hafnian(a):
     """Sum over perfect matchings of a symmetric matrix.
 
-    Recursive pairing of the first index: (2n-1)!! terms, exact on
-    Fraction/int inputs, fine for the 2n <= 8 scales used here.  Odd
-    dimension is an error; the empty matrix has hafnian 1.
+    Pairs the first remaining index with each later one and recurses on
+    what is left, memoized on the tuple of remaining indices (the subset
+    view of Bjorklund, SODA 2012): a 14 x 14 matrix has 609 such states
+    where the plain recursion expands 135135 matchings.  Each state sums
+    its terms in the same order as the plain recursion, so float results
+    are unchanged and Fraction/int results stay exact.
+    Odd dimension is an error; the empty matrix has hafnian 1.
     """
     rows = [list(r) for r in (a.tolist() if isinstance(a, np.ndarray) else a)]
     m = len(rows)
@@ -143,14 +148,17 @@ def hafnian(a):
     if m % 2:
         raise PreconditionError("hafnian needs even dimension")
 
+    memo: dict[tuple[int, ...], object] = {(): 1}
+
     def rec(idx: tuple[int, ...]):
-        if not idx:
-            return 1
+        if idx in memo:
+            return memo[idx]
         first, rest = idx[0], idx[1:]
         total = 0
         for pos, j in enumerate(rest):
             sub = rest[:pos] + rest[pos + 1 :]
             total += rows[first][j] * rec(sub)
+        memo[idx] = total
         return total
 
     return rec(tuple(range(m)))

@@ -25,12 +25,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
 from .errors import DegenerateLatticeError, DimensionMismatchError, PreconditionError
+from .exact import ParseError
 from .linalg_exact import det_exact, primitive_vector
 
 Vector = tuple[int, ...]
@@ -46,7 +49,7 @@ class QuadLattice:
     allow_degenerate: bool = False
 
     def __post_init__(self):
-        g = tuple(tuple(int(x) for x in row) for row in self.gram)
+        g = tuple(tuple(_gram_entry(x) for x in row) for row in self.gram)
         object.__setattr__(self, "gram", g)
         n = len(g)
         if any(len(row) != n for row in g):
@@ -120,11 +123,29 @@ class QuadLattice:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "QuadLattice":
-        gram = tuple(tuple(int(x) for x in row) for row in d["gram"])
-        lat = cls(gram)
+        lat = cls(tuple(tuple(row) for row in d["gram"]))
         if "rank" in d and int(d["rank"]) != lat.rank:
             raise PreconditionError("declared rank does not match gram size")
         return lat
+
+
+def _gram_entry(x) -> int:
+    """A Gram entry as an int, never truncated.
+
+    Integral numbers pass (2.0 and Fraction(4, 2) included) and other
+    numbers are a precondition violation.  Strings must be an optional '-'
+    and ASCII digits, the JSON form of entries beyond 2^53; any other
+    string, or an entry that is no number, is a parse error.
+    """
+    if isinstance(x, str):
+        if not re.fullmatch(r"-?[0-9]+", x):
+            raise ParseError(f"Gram entry {x!r} is not an integer")
+        return int(x)
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        raise ParseError(f"Gram entry {x!r} is not a number")
+    if x % 1 != 0:
+        raise PreconditionError(f"Gram entry {x!r} is not an integer")
+    return int(x)
 
 
 def _json_int(x: int):
@@ -277,11 +298,13 @@ def scan_orthogonal_negatives(
     (-2N, 0).
     """
     lat = marked.lattice
+    y = lat.check_vector(marked.y)
+    gy = [sum(r * x for r, x in zip(row, y)) for row in lat.gram]
     out = []
     for v in _box(lat.rank, box_bound):
         if not any(v):
             continue
-        if lat.bbf(v, marked.y) != 0:
+        if sum(a * b for a, b in zip(v, gy)) != 0:
             continue
         qv = lat.q(v)
         if qv < 0:

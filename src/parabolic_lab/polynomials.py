@@ -3,15 +3,20 @@
 Polynomials are tuples of Fractions in ascending degree order with no
 trailing zeros (the zero polynomial is the empty tuple).  The module
 supplies what the isometry trichotomy needs done exactly: characteristic
-polynomials (Faddeev-LeVerrier), minimal polynomials (Krylov), cyclotomic
-factor stripping, squarefree parts, and Sturm-chain root counting.
+polynomials (Faddeev-LeVerrier, in Python ints for integer matrices),
+minimal polynomials (Krylov), cyclotomic factor stripping, squarefree
+parts, and Sturm-chain root counting.  Largest-root isolation counts with
+the Sturm chain only until the root is alone in its interval and then
+bisects on the sign of the squarefree part, in integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
+from .errors import ContractError
 from .linalg_exact import mat_mul
 
 Poly = tuple[Fraction, ...]
@@ -122,20 +127,29 @@ def evaluate_matrix(p: Poly, m) -> list[list[Fraction]]:
 
 
 def charpoly(m) -> Poly:
-    """Characteristic polynomial det(x I - M), monic, via Faddeev-LeVerrier."""
+    """Characteristic polynomial det(x I - M), monic, via Faddeev-LeVerrier.
+
+    M is scaled once by the lcm D of its entries' denominators, so the
+    recursion runs in Python ints and divides each trace by k exactly (a
+    nonzero remainder is a bug and raises ContractError).  The coefficient
+    of x^(n-k) for D M is D^k times the one for M.
+    """
     n = len(m)
-    mf = [[Fraction(x) for x in row] for row in m]
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = [row[:] for row in mf]
+    entries = [[x if isinstance(x, int) else Fraction(x) for x in row] for row in m]
+    d = lcm(*(x.denominator for row in entries for x in row))
+    mi = [[x.numerator * (d // x.denominator) for x in row] for row in entries]
+    coeffs = [0] * n + [1]
+    mk = [row[:] for row in mi]
     for k in range(1, n + 1):
-        ck = -sum(mk[i][i] for i in range(n)) / k
+        ck, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
+        if rem:
+            raise ContractError(f"trace of M_{k} is not divisible by {k}")
         coeffs[n - k] = ck
         if k < n:
             for i in range(n):
                 mk[i][i] += ck
-            mk = mat_mul(mf, mk)
-    return tuple(coeffs)
+            mk = mat_mul(mi, mk)
+    return tuple(Fraction(coeffs[n - k], d**k) for k in range(n, -1, -1))
 
 
 def minimal_polynomial(m) -> Poly:
@@ -274,8 +288,16 @@ def isolate_largest_root_above(p: Poly, lower: Fraction = Fraction(1)) -> tuple[
     Returns None when there is no real root in (lower, cauchy bound].
     Bisection keeps everything in exact rationals; callers refine the
     interval numerically afterwards.
+
+    Sturm counts on the squarefree part isolate the root; the refinement
+    to width 2^-80 then needs only the sign of that part at each
+    midpoint, since its root in (lo, hi] is simple: the root lies above
+    a nonzero mid exactly when the signs at mid and hi differ, which
+    covers a root at hi itself (sign 0 there); a root at mid moves hi
+    onto it.
     """
-    chain = sturm_chain(squarefree_part(p))
+    sqf = squarefree_part(p)
+    chain = sturm_chain(sqf)
 
     def roots_in(a: Fraction, b: Fraction) -> int:
         return _sign_variations(chain, a) - _sign_variations(chain, b)
@@ -291,11 +313,27 @@ def isolate_largest_root_above(p: Poly, lower: Fraction = Fraction(1)) -> tuple[
             lo = mid
         else:
             hi = mid
-    # then shrink until tight enough for numeric polishing
-    while hi - lo > Fraction(1, 2**80):
-        mid = (lo + hi) / 2
-        if roots_in(mid, hi) == 1:
-            lo = mid
+    # then shrink until tight enough for numeric polishing, in integers:
+    # lo = a / den, hi = b / den, and den doubles with every halving
+    den = lo.denominator * hi.denominator
+    a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    scale = lcm(*(c.denominator for c in sqf))
+    ints = [c.numerator * (scale // c.denominator) for c in sqf]
+    sign_hi = _homogeneous_sign(ints, b, den)
+    while (b - a) << 80 > den:
+        mid, den, a, b = a + b, 2 * den, 2 * a, 2 * b
+        sign_mid = _homogeneous_sign(ints, mid, den)
+        if sign_mid and sign_mid != sign_hi:
+            a = mid
         else:
-            hi = mid
-    return lo, hi
+            b, sign_hi = mid, sign_mid
+    return Fraction(a, den), Fraction(b, den)
+
+
+def _homogeneous_sign(coeffs: list[int], num: int, den: int) -> int:
+    """Sign of p(num / den) for den > 0, from den^deg p(num / den) in integers."""
+    acc, power = coeffs[-1], 1
+    for c in reversed(coeffs[:-1]):
+        power *= den
+        acc = acc * num + c * power
+    return (acc > 0) - (acc < 0)

@@ -11,6 +11,11 @@ The exact linear algebra the oracles need (determinant, inverse, rank,
 kernel, solve) is a frozen Fraction Gauss-Jordan elimination, kept apart
 from the library's fraction-free integer routine so that each checks the
 other.  The degree-form oracles are the literal (2n)!-permutation sums.
+The characteristic polynomial, the hafnian and the largest-root isolation
+are frozen in their plain forms (Fraction Faddeev-LeVerrier, the
+(2n-1)!! matching recursion, bisection by Sturm counts at every step), so
+the library's integer, memoized and sign-only kernels are checked against
+code they do not share.
 """
 
 from __future__ import annotations
@@ -30,11 +35,12 @@ from parabolic_lab.linalg_exact import (
 )
 from parabolic_lab.polynomials import (
     cauchy_root_bound,
-    charpoly,
     count_real_roots,
+    evaluate,
     evaluate_matrix,
     poly,
     squarefree_part,
+    sturm_chain,
 )
 
 MAX_BRUTE_ORDER = 1000
@@ -49,7 +55,7 @@ def oracle_tag(g: LatticeIsometry) -> tuple[str, int | None]:
     time_preserving = g.lattice.bbf(g.apply(w), w) > 0
     if det != 1 or not time_preserving:
         return "OutsideSOPlus", None
-    p = charpoly(m)
+    p = frozen_charpoly(m)
     bound = cauchy_root_bound(p)
     reflected = poly([c * (-1) ** i for i, c in enumerate(p)])
     off_circle = count_real_roots(p, Fraction(1), bound) + count_real_roots(
@@ -314,3 +320,70 @@ def fujiki_polarized_bruteforce(structure, etas):
         for u in etas
     ]
     return structure.k * matching_sum(q)
+
+
+# ---------------------------------------------------------------------------
+# frozen plain kernels (oracles for charpoly, hafnian, isolation)
+# ---------------------------------------------------------------------------
+
+def frozen_charpoly(m):
+    """det(x I - M), monic, by Faddeev-LeVerrier over Fractions."""
+    n = len(m)
+    mf = [[Fraction(x) for x in row] for row in m]
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    mk = [row[:] for row in mf]
+    for k in range(1, n + 1):
+        ck = -sum(mk[i][i] for i in range(n)) / k
+        coeffs[n - k] = ck
+        if k < n:
+            for i in range(n):
+                mk[i][i] += ck
+            mk = mat_mul(mf, mk)
+    return tuple(coeffs)
+
+
+def frozen_hafnian(a):
+    """Sum over perfect matchings by pairing the first index: (2n-1)!! terms."""
+    rows = [list(r) for r in a]
+
+    def rec(idx):
+        if not idx:
+            return 1
+        first, rest = idx[0], idx[1:]
+        total = 0
+        for pos, j in enumerate(rest):
+            total += rows[first][j] * rec(rest[:pos] + rest[pos + 1:])
+        return total
+
+    return rec(tuple(range(len(rows))))
+
+
+def frozen_isolate(p, lower=Fraction(1)):
+    """Largest root above `lower` by bisection on Sturm counts down to width 2^-80."""
+    chain = sturm_chain(squarefree_part(p))
+
+    def variations(x):
+        signs = [v > 0 for v in (evaluate(c, x) for c in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    def roots_in(a, b):
+        return variations(a) - variations(b)
+
+    hi = cauchy_root_bound(p)
+    if roots_in(lower, hi) == 0:
+        return None
+    lo = lower
+    while roots_in(lo, hi) > 1:
+        mid = (lo + hi) / 2
+        if roots_in(mid, hi) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    while hi - lo > Fraction(1, 2**80):
+        mid = (lo + hi) / 2
+        if roots_in(mid, hi) == 1:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi

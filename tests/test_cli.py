@@ -85,6 +85,19 @@ def test_seed_transvect_classify_limit_chain(tmp_path, capsys):
     assert abs(d[0]) < 1e-9 and abs(d[1]) < 1e-9 and abs(d[2] - 1) < 1e-9
 
 
+def test_non_integral_gram_entries(tmp_path, capsys):
+    # a fractional entry is not truncated to an integer: precondition violation
+    frac = tmp_path / "frac.json"
+    frac.write_text('{"gram": [[1.5, 0], [0, -1]]}')
+    assert main(["lattice", "signature", "-i", str(frac)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    # a non-numeric entry is a parse error
+    word = tmp_path / "word.json"
+    word.write_text('{"gram": [["a", 0], [0, -1]]}')
+    assert main(["lattice", "signature", "-i", str(word)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -19,7 +19,7 @@ from parabolic_lab.hodge import (
 )
 from parabolic_lab.lattice import diagonal_lattice, hyperbolic_plane
 
-from helpers import fujiki_polarized_bruteforce, matching_sum
+from helpers import frozen_hafnian, fujiki_polarized_bruteforce, matching_sum
 
 U = hyperbolic_plane()
 
@@ -52,10 +52,19 @@ def test_polarized_examples():
         etas = [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3))
                 for _ in range(2 * n)]
         assert fujiki_polarized(f, etas) == fujiki_polarized_bruteforce(f, etas)
+    # beyond the permutation sum's reach, against the frozen matching recursion
+    for n in (5, 6):
+        f = FujikiStructure(lat, n=n, k=Fraction(3, 7))
+        etas = [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3))
+                for _ in range(2 * n)]
+        q = [[sum(u[i] * lat.gram[i][i] * v[i] for i in range(3)) for v in etas]
+             for u in etas]  # lat is diagonal
+        want = f.k * 2**n * math.factorial(n) * frozen_hafnian(q)
+        assert fujiki_polarized(f, etas) == want
     with pytest.raises(PreconditionError):
         fujiki_polarized(f1, [(1, 0)])
     with pytest.raises(PreconditionError):
-        fujiki_polarized(FujikiStructure(U, n=5), [(1, 0)] * 10)
+        fujiki_polarized(FujikiStructure(U, n=9), [(1, 0)] * 18)
 
 
 def test_hafnian_small():
@@ -63,6 +72,22 @@ def test_hafnian_small():
     assert hafnian([[1] * 4] * 4) == 3  # K4 has three perfect matchings
     with pytest.raises(PreconditionError):
         hafnian([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def test_hafnian_matches_frozen_recursion():
+    rng = random.Random(21)
+    draws = (
+        lambda: rng.randint(-9, 9),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+        lambda: rng.uniform(-2.0, 2.0),
+    )
+    for draw in draws:
+        for m in range(0, 13, 2):
+            q = [[0] * m for _ in range(m)]
+            for i in range(m):
+                for j in range(i, m):
+                    q[i][j] = q[j][i] = draw()
+            assert hafnian(q) == frozen_hafnian(q)  # floats too: same summation order
 
 
 def test_hafnian_vs_explicit_matchings_4x4():

@@ -1,10 +1,12 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from parabolic_lab.errors import DegenerateLatticeError, DimensionMismatchError, PreconditionError
+from parabolic_lab.exact import ParseError
 from parabolic_lab.lattice import (
     QuadLattice,
     build_parabolic_seed_lattice,
@@ -161,3 +163,18 @@ def test_json_roundtrip_big_ints():
     assert json.loads(text)["gram"][0][0] == str(2**60)
     back, marks = lattice_from_json(text)
     assert back.gram == lat.gram and marks == {"y": (0, 1)}
+
+
+def test_gram_entries_must_be_integral():
+    for bad in (1.5, Fraction(3, 2), float("nan"), float("inf")):
+        with pytest.raises(PreconditionError):
+            QuadLattice(((bad, 0), (0, -1)))
+    for bad in ("a", "1_000", " 7", "7\n", "+7", "", None, [1], True):
+        with pytest.raises(ParseError):
+            QuadLattice(((bad, 0), (0, -1)))
+    # integral values of any numeric type, and decimal strings, are kept exactly
+    lat = QuadLattice(((2.0, Fraction(4, 4)), ("1", -3)))
+    assert lat.gram == ((2, 1), (1, -3)) and all(type(x) is int for r in lat.gram for x in r)
+    assert QuadLattice.from_json_dict({"gram": [[1.0, 0], [0, "-1"]]}).gram == ((1, 0), (0, -1))
+    with pytest.raises(PreconditionError):
+        QuadLattice.from_json_dict({"gram": [[1.5, 0], [0, -1]]})

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
-from parabolic_lab.linalg_exact import det_exact
+from parabolic_lab.isometry import eichler_transvection
+from parabolic_lab.lattice import e8_lattice, hyperbolic_plane
+from parabolic_lab.linalg_exact import det_exact, mat_mul
 from parabolic_lab.polynomials import (
     cauchy_root_bound,
     charpoly,
@@ -24,6 +26,8 @@ from parabolic_lab.polynomials import (
     strip_cyclotomic_factors,
 )
 
+from helpers import frozen_charpoly, frozen_isolate
+
 
 def test_charpoly_matches_determinant():
     rng = random.Random(1)
@@ -35,6 +39,68 @@ def test_charpoly_matches_determinant():
         for x in (0, 1, -2, 3):
             shifted = [[x * (i == j) - m[i][j] for j in range(n)] for i in range(n)]
             assert evaluate(p, x) == det_exact(shifted)
+
+
+def _transvection_words(copies: int, rng: random.Random, count: int):
+    """Words of 1-3 Eichler transvections on U + E8(-1)^copies, along both axes of U."""
+    lat = hyperbolic_plane()
+    for _ in range(copies):
+        lat = lat.direct_sum(e8_lattice())
+    n = lat.rank
+    unit = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    words = []
+    for _ in range(count):
+        m = [list(r) for r in unit]
+        for _ in range(rng.randint(1, 3)):
+            t = eichler_transvection(lat, unit[rng.randrange(2)], unit[rng.randrange(2, n)])
+            m = mat_mul(m, [list(r) for r in t.matrix])
+        words.append(m)
+    return words
+
+
+def test_charpoly_matches_frozen_fraction_version():
+    rng = random.Random(12)
+    mats = [
+        [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)] for n in range(2, 19)
+    ]
+    mats += _transvection_words(1, rng, 4) + _transvection_words(2, rng, 2)
+    for m in mats:
+        p = charpoly(m)
+        assert p == frozen_charpoly(m)
+        assert all(type(c) is Fraction for c in p)
+    for n in (1, 2, 5, 9):  # Fractions and floats mixed with ints, scaled to ints
+        m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.7
+              else rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        assert charpoly(m) == frozen_charpoly(m)
+        m = [[rng.randint(-20, 20) / 8 if rng.random() < 0.5 else x for x in row] for row in m]
+        assert charpoly(m) == frozen_charpoly(m)
+
+
+def test_isolate_matches_frozen_bisection():
+    rng = random.Random(13)
+    cases = []
+    for _ in range(60):  # random integer polynomials, most with no root above 1
+        cases.append((poly([rng.randint(-9, 9) for _ in range(rng.randint(2, 9))]), Fraction(1)))
+    for m in _transvection_words(1, rng, 6):
+        cases.append((charpoly(m), Fraction(1)))
+    # non-squarefree, and several roots above 1
+    cases.append((poly_mul(poly([-3, 0, 1]), poly([-3, 0, 1])), Fraction(1)))
+    cases.append((poly_mul(poly([-2, 1]), poly_mul(poly([-2, 1]), poly([-5, 0, 1]))), Fraction(1)))
+    cases.append((poly_mul(poly([-6, 11, -6, 1]), poly([-7, 0, 1])), Fraction(1)))
+    # a root r = 1 + m 2^-k at a bisection midpoint: with lower = (r - t B) / (1 - t)
+    # for a dyadic t, r is a dyadic point of (lower, B], B the Cauchy bound
+    for k, m, extra, t in ((1, 1, (1, 0, 1), Fraction(1, 2)), (3, 5, (-1, 1), Fraction(3, 4)),
+                           (4, 9, (2, 0, 1), Fraction(5, 8)), (2, 7, (3, 1), Fraction(1, 4)),
+                           (5, 1, (-1, 0, 1), Fraction(13, 16))):
+        r = 1 + Fraction(m, 2**k)
+        p = poly_mul(poly([-r, 1]), poly(extra))
+        lower = (r - t * cauchy_root_bound(p)) / (1 - t)
+        got = isolate_largest_root_above(p, lower)
+        assert got[1] == r  # the root ended at hi exactly
+        cases.append((p, lower))
+    assert isolate_largest_root_above(poly([-2, 1]), Fraction(1))[1] == 2  # first midpoint
+    for p, lower in cases:
+        assert isolate_largest_root_above(p, lower) == frozen_isolate(p, lower)
 
 
 def test_minimal_polynomial():
