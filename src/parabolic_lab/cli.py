@@ -8,12 +8,21 @@ Subcommands mirror the library:
     hodge    {fujiki, hafnian, amgm}
     k3       {sample, involve, orbit, ergo}
 
+One table, :data:`COMMANDS`, gives each subcommand its handler and its
+options; the parser is built from it, and every subcommand also takes
+``--seed`` and ``--out``.  A handler returns its result (or :class:`Csv`
+rows for ``--format csv``) and :func:`main` writes the artifact.
+
 Every artifact embeds the resolved configuration, its SHA-256 hash and
-the seed; floats are rendered with 17 significant digits, so identical
-configurations produce byte-identical outputs (multi-worker runs merge
-in task order and use per-task RNG streams derived from the master
-seed).  Exit codes: 0 success, 1 usage or malformed input, 2
-precondition violation, 3 numerical-contract failure.
+the seed.  The configuration is derived in one place: ``{"subcommand":
+"<group> <cmd>"}`` plus every resolved option except ``--out`` (so
+``torus orbit`` and ``k3 orbit`` record ``format``, and ``torus orbit``
+records its ``start`` default of zeros).  Floats are rendered with 17
+significant digits, so identical configurations produce byte-identical
+outputs (multi-worker runs merge in task order and use per-task RNG
+streams derived from the master seed).  Exit codes: 0 success, 1 usage
+or malformed input, 2 precondition violation, 3 numerical-contract
+failure.
 
 Real-valued inputs accept exact expressions (rationals, sqrtD, sums,
 products, parenthesized groups), e.g. ``--coords "sqrt2,2*sqrt2"`` or
@@ -29,6 +38,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +69,7 @@ from .lattice import (
     QuadLattice,
     build_parabolic_seed_lattice,
     find_isotropic,
+    integral_rows,
     represents_in_range,
     scan_orthogonal_negatives,
 )
@@ -121,16 +132,23 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(render_json(config).encode()).hexdigest()
 
 
-def emit(args, config: dict, result, csv_rows=None, csv_header=None) -> None:
-    """Write the artifact (json, or csv when rows are supplied and asked for)."""
+class Csv(NamedTuple):
+    """A handler result to be written as CSV rows under a header line."""
+
+    header: list[str]
+    rows: list[list]
+
+
+def emit(path: str | None, config: dict, result) -> None:
+    """Write the artifact to path (stdout if None): CSV for a :class:`Csv` result, else JSON."""
     h = config_hash(config)
-    out = sys.stdout if args.out is None else open(args.out, "w")
+    out = sys.stdout if path is None else open(path, "w")
     try:
-        if getattr(args, "format", "json") == "csv" and csv_rows is not None:
+        if isinstance(result, Csv):
             out.write(f"# config_sha256={h}\n")
             out.write(f"# seed={config.get('seed')}\n")
-            out.write(",".join(csv_header) + "\n")
-            for row in csv_rows:
+            out.write(",".join(result.header) + "\n")
+            for row in result.rows:
                 out.write(
                     ",".join(
                         _fmt_float(v) if isinstance(v, float) else str(v) for v in row
@@ -146,10 +164,14 @@ def emit(args, config: dict, result, csv_rows=None, csv_header=None) -> None:
 
 
 def _load_json_file(path: str) -> dict:
-    """A JSON input file; an artifact written by `emit` yields its result."""
+    """A JSON object from a file; an artifact written by `emit` yields its result."""
     with open(path) as fh:
         d = json.load(fh)
-    return d["result"] if isinstance(d, dict) and "config_sha256" in d else d
+    if isinstance(d, dict) and "config_sha256" in d:
+        d = d["result"]
+    if not isinstance(d, dict):
+        raise ParseError(f"{path}: expected a JSON object, not {type(d).__name__}")
+    return d
 
 
 def _int_vector(text: str) -> tuple[int, ...]:
@@ -162,15 +184,19 @@ def _int_vector(text: str) -> tuple[int, ...]:
 def _load_lattice(spec) -> QuadLattice:
     if isinstance(spec, str):
         spec = _load_json_file(spec)
-    if "gram" not in spec and "lattice" in spec:  # a `lattice seed` result
+    if isinstance(spec, dict) and "gram" not in spec and "lattice" in spec:  # a `lattice seed` result
         spec = spec["lattice"]
     return QuadLattice.from_json_dict(spec)
 
 
-def _load_isometry(path: str) -> LatticeIsometry:
+def _load_isometry(path: str) -> tuple[QuadLattice, object]:
+    """An isometry file's lattice and its matrix as read, not yet checked.
+
+    The lattice may be inline, a path, or a `lattice seed` result, which
+    :meth:`LatticeIsometry.from_json_dict` cannot follow.
+    """
     d = _load_json_file(path)
-    lat = _load_lattice(d["lattice"])
-    return LatticeIsometry(lat, tuple(tuple(int(x) for x in row) for row in d["matrix"]))
+    return _load_lattice(d["lattice"]), d["matrix"]
 
 
 def _require_positive(args, *names: str) -> None:
@@ -192,19 +218,12 @@ def _complex_matrix(rows) -> np.ndarray:
 # lattice subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_lattice_seed(args) -> None:
-    config = {
-        "subcommand": "lattice seed",
-        "a_sq": args.a_sq,
-        "N": args.N,
-        "scan_bound": args.scan_bound,
-        "seed": args.seed,
-    }
+def cmd_lattice_seed(args) -> dict:
     marked = build_parabolic_seed_lattice(args.a_sq, args.N)
     lat = marked.lattice
     negatives = scan_orthogonal_negatives(marked, args.scan_bound)
     largest_negative = max((q for _, q in negatives), default=None)
-    result = {
+    return {
         "lattice": marked.to_json_dict(),
         "verification": {
             "signature": list(lat.signature),
@@ -218,56 +237,30 @@ def cmd_lattice_seed(args) -> None:
             "no_negatives_above_minus_2N": all(q <= -2 * args.N for _, q in negatives),
         },
     }
-    emit(args, config, result)
 
 
-def cmd_lattice_signature(args) -> None:
-    lat = _load_lattice(args.input)
-    config = {"subcommand": "lattice signature", "input": args.input, "seed": args.seed}
-    pos, neg = lat.signature
-    emit(args, config, {"pos": pos, "neg": neg})
+def cmd_lattice_signature(args) -> dict:
+    pos, neg = _load_lattice(args.input).signature
+    return {"pos": pos, "neg": neg}
 
 
-def cmd_lattice_isotropic(args) -> None:
-    lat = _load_lattice(args.input)
-    config = {
-        "subcommand": "lattice isotropic",
-        "input": args.input,
-        "bound": args.bound,
-        "seed": args.seed,
-    }
-    vecs = find_isotropic(lat, args.bound)
-    emit(args, config, {"count": len(vecs), "vectors": [list(v) for v in vecs]})
+def cmd_lattice_isotropic(args) -> dict:
+    vecs = find_isotropic(_load_lattice(args.input), args.bound)
+    return {"count": len(vecs), "vectors": [list(v) for v in vecs]}
 
 
-def cmd_lattice_represent(args) -> None:
-    lat = _load_lattice(args.input)
-    config = {
-        "subcommand": "lattice represent",
-        "input": args.input,
-        "lo": args.lo,
-        "hi": args.hi,
-        "bound": args.bound,
-        "seed": args.seed,
-    }
-    vals = represents_in_range(lat, args.lo, args.hi, args.bound)
-    emit(
-        args,
-        config,
-        {"values": [{"value": v, "witness": list(w)} for v, w in vals]},
-    )
+def cmd_lattice_represent(args) -> dict:
+    vals = represents_in_range(_load_lattice(args.input), args.lo, args.hi, args.bound)
+    return {"values": [{"value": v, "witness": list(w)} for v, w in vals]}
 
 
 # ---------------------------------------------------------------------------
 # isometry subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_isometry_verify(args) -> None:
-    d = _load_json_file(args.input)
-    lat = _load_lattice(d["lattice"])
-    config = {"subcommand": "isometry verify", "input": args.input, "seed": args.seed}
-    ok = verify_isometry(lat, d["matrix"])
-    emit(args, config, {"is_isometry": ok})
+def cmd_isometry_verify(args) -> dict:
+    lat, matrix = _load_isometry(args.input)
+    return {"is_isometry": verify_isometry(lat, integral_rows(matrix, "matrix"))}
 
 
 def _class_payload(cls) -> dict:
@@ -291,128 +284,60 @@ def _class_payload(cls) -> dict:
     raise ContractError(f"unknown classification {cls!r}")
 
 
-def cmd_isometry_classify(args) -> None:
-    g = _load_isometry(args.input)
-    config = {"subcommand": "isometry classify", "input": args.input, "seed": args.seed}
-    emit(args, config, _class_payload(classify(g)))
+def cmd_isometry_classify(args) -> dict:
+    return _class_payload(classify(LatticeIsometry(*_load_isometry(args.input))))
 
 
-def cmd_isometry_transvect(args) -> None:
-    lat = _load_lattice(args.input)
-    e = _int_vector(args.e)
-    v = _int_vector(args.v)
-    config = {
-        "subcommand": "isometry transvect",
-        "input": args.input,
-        "e": list(e),
-        "v": list(v),
-        "seed": args.seed,
-    }
-    t = eichler_transvection(lat, e, v)
+def cmd_isometry_transvect(args) -> dict:
+    t = eichler_transvection(_load_lattice(args.input), args.e, args.v)
     result = t.to_json_dict()
     result["classification"] = _class_payload(classify(t))
-    emit(args, config, result)
+    return result
 
 
-def cmd_isometry_limit(args) -> None:
-    g = _load_isometry(args.input)
-    w = _int_vector(args.w)
-    config = {
-        "subcommand": "isometry limit",
-        "input": args.input,
-        "w": list(w),
-        "iters": args.iters,
-        "seed": args.seed,
-    }
-    direction = limit_nef_class(g, w, iters=args.iters)
-    emit(args, config, {"direction": list(direction)})
+def cmd_isometry_limit(args) -> dict:
+    g = LatticeIsometry(*_load_isometry(args.input))
+    return {"direction": list(limit_nef_class(g, args.w, iters=args.iters))}
 
 
 # ---------------------------------------------------------------------------
 # torus subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_torus_orbit(args) -> None:
+def cmd_torus_orbit(args) -> dict | Csv:
     coords = parse_real_vector(args.coords)
-    start = (
-        parse_real_vector(args.start)
-        if args.start
-        else tuple(Fraction(0) for _ in coords)
-    )
-    config = {
-        "subcommand": "torus orbit",
-        "coords": args.coords,
-        "start": args.start or "0" + ",0" * (len(coords) - 1),
-        "n": args.n,
-        "seed": args.seed,
-    }
+    args.start = args.start or ",".join("0" * len(coords))  # recorded in the config
     x = TranslationVector(coords)
-    pts = iterate(x, [s.to_mpf(x.precision) for s in map(_as_quad, start)], args.n)
-    header = ["k"] + [f"x{i+1}" for i in range(len(coords))]
-    rows = [[k + 1] + [float(c) for c in p] for k, p in enumerate(pts)]
-    emit(
-        args,
-        config,
-        {"points": [[float(c) for c in p] for p in pts]},
-        csv_rows=rows,
-        csv_header=header,
-    )
+    start = [s.to_mpf(x.precision) for s in parse_real_vector(args.start)]
+    pts = iterate(x, start, args.n)
+    if args.format == "csv":
+        header = ["k"] + [f"x{i+1}" for i in range(len(coords))]
+        return Csv(header, [[k + 1] + [float(c) for c in p] for k, p in enumerate(pts)])
+    return {"points": [[float(c) for c in p] for p in pts]}
 
 
-def _as_quad(v):
-    from .exact import QuadExpr
-
-    return v if isinstance(v, QuadExpr) else QuadExpr.coerce(v)
-
-
-def cmd_torus_hull(args) -> None:
+def cmd_torus_hull(args) -> dict:
     coords = parse_real_vector(args.coords)
-    config = {
-        "subcommand": "torus hull",
-        "coords": args.coords,
-        "height_bound": args.height_bound,
-        "tol": args.tol,
-        "seed": args.seed,
-    }
-    hull = rational_hull(TranslationVector(coords), args.height_bound, args.tol)
-    emit(args, config, hull.to_json_dict())
+    return rational_hull(TranslationVector(coords), args.height_bound, args.tol).to_json_dict()
 
 
-def cmd_torus_weyl(args) -> None:
+def cmd_torus_weyl(args) -> dict:
     coords = parse_real_vector(args.coords)
-    k = _int_vector(args.k)
-    config = {
-        "subcommand": "torus weyl",
-        "coords": args.coords,
-        "k": list(k),
-        "n": args.n,
-        "seed": args.seed,
-    }
-    mag = weyl_sum(TranslationVector(coords), k, args.n)
-    emit(args, config, {"magnitude": mag})
+    return {"magnitude": weyl_sum(TranslationVector(coords), args.k, args.n)}
 
 
-def cmd_torus_scan(args) -> None:
+def cmd_torus_scan(args) -> dict:
     spec = _load_json_file(args.family)
     family = [[parse_real(c) for c in coeffs] for coeffs in spec["coords"]]
     grid = parse_real_vector(args.grid)
-    config = {
-        "subcommand": "torus scan",
-        "family": args.family,
-        "grid": args.grid,
-        "height_bound": args.height_bound,
-        "tol": args.tol,
-        "seed": args.seed,
-    }
-    report = semicontinuity_scan(family, grid, args.height_bound, args.tol)
-    emit(args, config, report.to_json_dict())
+    return semicontinuity_scan(family, grid, args.height_bound, args.tol).to_json_dict()
 
 
 # ---------------------------------------------------------------------------
 # hodge subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_hodge_fujiki(args) -> None:
+def cmd_hodge_fujiki(args) -> dict:
     spec = _load_json_file(args.input)
     lat = QuadLattice.from_json_dict(spec)
     structure = FujikiStructure(
@@ -421,13 +346,6 @@ def cmd_hodge_fujiki(args) -> None:
         c=Fraction(str(spec.get("c", 1))),
         k=Fraction(str(spec.get("K", 1))),
     )
-    config = {
-        "subcommand": "hodge fujiki",
-        "input": args.input,
-        "eta": args.eta,
-        "etas": args.etas,
-        "seed": args.seed,
-    }
     result = {}
     if args.eta:
         eta = _int_vector(args.eta)
@@ -438,29 +356,20 @@ def cmd_hodge_fujiki(args) -> None:
         result["polarized"] = float(fujiki_polarized(structure, etas))
     if not result:
         raise PreconditionError("provide --eta and/or --etas")
-    emit(args, config, result)
+    return result
 
 
-def cmd_hodge_hafnian(args) -> None:
-    spec = _load_json_file(args.input)
-    config = {"subcommand": "hodge hafnian", "input": args.input, "seed": args.seed}
-    value = hafnian(spec["matrix"])
-    emit(args, config, {"hafnian": float(value)})
+def cmd_hodge_hafnian(args) -> dict:
+    return {"hafnian": float(hafnian(_load_json_file(args.input)["matrix"]))}
 
 
-def cmd_hodge_amgm(args) -> None:
+def cmd_hodge_amgm(args) -> dict:
     spec = _load_json_file(args.input)
     h1 = HermitianForm(_complex_matrix(spec["h1"]))
     h2 = HermitianForm(_complex_matrix(spec["h2"]))
-    config = {
-        "subcommand": "hodge amgm",
-        "input": args.input,
-        "tol": args.tol,
-        "seed": args.seed,
-    }
     mean, det = amgm_mixed_ratios(h1, h2)
     verdict = amgm_rigidity_check(h1, h2, args.tol)
-    emit(args, config, {"mean": mean, "detratio": det, "verdict": verdict.value})
+    return {"mean": mean, "detratio": det, "verdict": verdict.value}
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +377,7 @@ def cmd_hodge_amgm(args) -> None:
 # ---------------------------------------------------------------------------
 
 def _surface_from_args(args) -> s2.Surface222:
-    if getattr(args, "surface", None):
+    if args.surface:
         return s2.Surface222.from_json_dict(_load_json_file(args.surface))
     return s2.random_surface(args.seed)
 
@@ -482,38 +391,21 @@ def _point_dict(p: s2.SurfacePoint) -> dict:
     }
 
 
-def cmd_k3_sample(args) -> None:
+def cmd_k3_sample(args) -> dict:
     _require_positive(args, "n")
     surface = _surface_from_args(args)
-    config = {
-        "subcommand": "k3 sample",
-        "surface": args.surface,
-        "n": args.n,
-        "seed": args.seed,
-    }
     rng = np.random.default_rng([args.seed, 0xA5])
     pts = [s2.sample_point(surface, rng) for _ in range(args.n)]
-    emit(
-        args,
-        config,
-        {
-            "surface": surface.to_json_dict(),
-            "points": [_point_dict(p) for p in pts],
-            "max_residual": max(p.residual for p in pts),
-        },
-    )
+    return {
+        "surface": surface.to_json_dict(),
+        "points": [_point_dict(p) for p in pts],
+        "max_residual": max(p.residual for p in pts),
+    }
 
 
-def cmd_k3_involve(args) -> None:
+def cmd_k3_involve(args) -> dict:
     _require_positive(args, "n")
     surface = _surface_from_args(args)
-    config = {
-        "subcommand": "k3 involve",
-        "surface": args.surface,
-        "axis": args.axis,
-        "n": args.n,
-        "seed": args.seed,
-    }
     rng = np.random.default_rng([args.seed, 0x17])
     rows = []
     worst_residual = 0.0
@@ -528,15 +420,11 @@ def cmd_k3_involve(args) -> None:
         worst_residual = max(worst_residual, q.residual)
         worst_roundtrip = max(worst_roundtrip, s2.point_distance(back, p))
         rows.append({"before": _point_dict(p), "after": _point_dict(q)})
-    emit(
-        args,
-        config,
-        {
-            "pairs": rows,
-            "max_residual": worst_residual,
-            "max_roundtrip_distance": worst_roundtrip,
-        },
-    )
+    return {
+        "pairs": rows,
+        "max_residual": worst_residual,
+        "max_roundtrip_distance": worst_roundtrip,
+    }
 
 
 def _orbit_task(payload):
@@ -560,23 +448,12 @@ def _chart_coords(pair) -> tuple[int, float, float]:
     return chart, t.real, t.imag
 
 
-def cmd_k3_orbit(args) -> None:
+def cmd_k3_orbit(args) -> dict | Csv:
     _require_positive(args, "n", "fibers")
     surface = _surface_from_args(args)
     pair = tuple(args.pair)
     if pair not in s2.PAIRS:
         raise PreconditionError(f"pair must be one of {[''.join(p) for p in s2.PAIRS]}")
-    config = {
-        "subcommand": "k3 orbit",
-        "surface": args.surface,
-        "pair": args.pair,
-        "n": args.n,
-        "grid": args.grid,
-        "fibers": args.fibers,
-        "workers": args.workers,
-        "format": args.format,
-        "seed": args.seed,
-    }
     if args.format == "csv":
         # orbit trace dump for the first fiber: chart coordinates + flags
         rng = np.random.default_rng([args.seed, 0x0F, 0])
@@ -591,19 +468,13 @@ def cmd_k3_orbit(args) -> None:
             cy, yre, yim = _chart_coords(pt.coord(first))
             cz, zre, zim = _chart_coords(pt.coord(second))
             rows.append([step, yre, yim, zre, zim, cy, cz])
-        emit(
-            args,
-            config,
-            None,
-            csv_rows=rows,
-            csv_header=[
-                "step",
-                f"{first}_re", f"{first}_im",
-                f"{second}_re", f"{second}_im",
-                f"chart_{first}", f"chart_{second}",
-            ],
-        )
-        return
+        header = [
+            "step",
+            f"{first}_re", f"{first}_im",
+            f"{second}_re", f"{second}_im",
+            f"chart_{first}", f"chart_{second}",
+        ]
+        return Csv(header, rows)
     payloads = [
         (i, surface.to_json_dict(), pair, args.n, args.grid, args.seed)
         for i in range(args.fibers)
@@ -616,56 +487,137 @@ def cmd_k3_orbit(args) -> None:
     results.sort(key=lambda t: t[0])
     reports = [r for _, r in results]
     coverages = [r["coverage"] for r in reports]
-    emit(
-        args,
-        config,
-        {
-            "reports": reports,
-            "coverage_min": min(coverages),
-            "coverage_mean": sum(coverages) / len(coverages),
-        },
+    return {
+        "reports": reports,
+        "coverage_min": min(coverages),
+        "coverage_mean": sum(coverages) / len(coverages),
+    }
+
+
+def cmd_k3_ergo(args) -> dict:
+    surface = _surface_from_args(args)
+    if args.contrast:
+        return s2.ergodicity_contrast(
+            surface, ("y", "z"), args.f, word_length=args.l, seed=args.seed
+        )
+    return s2.birkhoff_ergodicity_test(
+        surface,
+        args.f,
+        word_length=args.l,
+        trials=args.trials,
+        mc_samples=args.mc,
+        seed=args.seed,
     )
 
 
-def cmd_k3_ergo(args) -> None:
-    surface = _surface_from_args(args)
-    config = {
-        "subcommand": "k3 ergo",
-        "surface": args.surface,
-        "f": args.f,
-        "l": args.l,
-        "trials": args.trials,
-        "mc": args.mc,
-        "contrast": args.contrast,
-        "seed": args.seed,
-    }
-    if args.contrast:
-        result = s2.ergodicity_contrast(
-            surface, ("y", "z"), args.f, word_length=args.l, seed=args.seed
-        )
-    else:
-        result = s2.birkhoff_ergodicity_test(
-            surface,
-            args.f,
-            word_length=args.l,
-            trials=args.trials,
-            mc_samples=args.mc,
-            seed=args.seed,
-        )
-    emit(args, config, result)
-
-
 # ---------------------------------------------------------------------------
-# parser
+# the command table and the parser built from it
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="master seed (default: env PARABOLIC_LAB_SEED or 0)")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+def _opt(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    """One option: its flags and the keyword arguments of ``add_argument``."""
+    return flags, kwargs
 
 
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+_INPUT = _opt("-i", "--input", required=True)
+_SURFACE = _opt("--surface", default=None, help="surface JSON (default: seeded random)")
+_FORMAT = _opt("--format", choices=("json", "csv"), default="json")
+_COMMON = [
+    _opt("--seed", type=int, default=None, help="master seed (default: env PARABOLIC_LAB_SEED or 0)"),
+    _opt("--out", default=None, help="output path (default stdout)"),
+]
+
+# (group, cmd) -> (handler, its own options); every subcommand also takes _COMMON
+COMMANDS = {
+    ("lattice", "seed"): (cmd_lattice_seed, [
+        _opt("--a-sq", type=int, required=True),
+        _opt("--N", type=int, required=True),
+        _opt("--scan-bound", type=int, default=10),
+    ]),
+    ("lattice", "signature"): (cmd_lattice_signature, [_INPUT]),
+    ("lattice", "isotropic"): (cmd_lattice_isotropic, [
+        _INPUT,
+        _opt("--bound", type=int, default=5),
+    ]),
+    ("lattice", "represent"): (cmd_lattice_represent, [
+        _INPUT,
+        _opt("--lo", type=int, required=True),
+        _opt("--hi", type=int, required=True),
+        _opt("--bound", type=int, default=5),
+    ]),
+    ("isometry", "verify"): (cmd_isometry_verify, [_INPUT]),
+    ("isometry", "classify"): (cmd_isometry_classify, [_INPUT]),
+    ("isometry", "transvect"): (cmd_isometry_transvect, [
+        _opt("-i", "--input", required=True, help="lattice JSON file"),
+        _opt("--e", type=_int_vector, required=True, help="isotropic vector, e.g. 1,0,0"),
+        _opt("--v", type=_int_vector, required=True, help="orthogonal vector with even square"),
+    ]),
+    ("isometry", "limit"): (cmd_isometry_limit, [
+        _INPUT,
+        _opt("--w", type=_int_vector, required=True, help="positive-cone start vector"),
+        _opt("--iters", type=int, default=2**40),
+    ]),
+    ("torus", "orbit"): (cmd_torus_orbit, [
+        _opt("--coords", required=True),
+        _opt("--start", default=None),
+        _opt("--n", type=int, default=100),
+        _FORMAT,
+    ]),
+    ("torus", "hull"): (cmd_torus_hull, [
+        _opt("--coords", required=True),
+        _opt("--height-bound", type=int, default=10**6),
+        _opt("--tol", type=float, default=1e-24),
+    ]),
+    ("torus", "weyl"): (cmd_torus_weyl, [
+        _opt("--coords", required=True),
+        _opt("--k", type=_int_vector, required=True),
+        _opt("--n", type=int, default=10**4),
+    ]),
+    ("torus", "scan"): (cmd_torus_scan, [
+        _opt("--family", required=True, help="JSON file with coords coefficient lists"),
+        _opt("--grid", required=True, help="comma separated exact expressions"),
+        _opt("--height-bound", type=int, default=10**6),
+        _opt("--tol", type=float, default=1e-24),
+    ]),
+    ("hodge", "fujiki"): (cmd_hodge_fujiki, [
+        _opt("-i", "--input", required=True, help="lattice JSON with n, c, K fields"),
+        _opt("--eta", default=None),
+        _opt("--etas", default=None, help="semicolon separated vectors for the polarized sum"),
+    ]),
+    ("hodge", "hafnian"): (cmd_hodge_hafnian, [
+        _opt("-i", "--input", required=True, help="JSON with a 'matrix' field"),
+    ]),
+    ("hodge", "amgm"): (cmd_hodge_amgm, [
+        _opt("-i", "--input", required=True, help="JSON with 'h1' and 'h2'"),
+        _opt("--tol", type=float, default=1e-9),
+    ]),
+    ("k3", "sample"): (cmd_k3_sample, [
+        _SURFACE,
+        _opt("--n", type=int, default=10),
+    ]),
+    ("k3", "involve"): (cmd_k3_involve, [
+        _SURFACE,
+        _opt("--axis", choices=("x", "y", "z"), default="z"),
+        _opt("--n", type=int, default=10),
+    ]),
+    ("k3", "orbit"): (cmd_k3_orbit, [
+        _SURFACE,
+        _opt("--pair", choices=("yz", "xz", "xy"), default="yz"),
+        _opt("--n", type=int, default=10**4),
+        _opt("--grid", type=int, default=16),
+        _opt("--fibers", type=int, default=1),
+        _opt("--workers", type=int, default=1),
+        _FORMAT,
+    ]),
+    ("k3", "ergo"): (cmd_k3_ergo, [
+        _SURFACE,
+        _opt("--f", default="x_abs2", choices=sorted(s2.TEST_FUNCTIONS)),
+        _opt("--l", type=int, default=10**4),
+        _opt("--trials", type=int, default=16),
+        _opt("--mc", type=int, default=10**6),
+        _opt("--contrast", action="store_true"),
+    ]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -673,130 +625,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="parabolic-lab",
         description="lattice/isometry kernels and torus/surface dynamics diagnostics",
     )
-    sub = ap.add_subparsers(dest="group", required=True)
-
-    lat = sub.add_parser("lattice").add_subparsers(dest="cmd", required=True)
-    p = lat.add_parser("seed")
-    p.add_argument("--a-sq", dest="a_sq", type=int, required=True)
-    p.add_argument("--N", dest="N", type=int, required=True)
-    p.add_argument("--scan-bound", dest="scan_bound", type=int, default=10)
-    _add_common(p)
-    p.set_defaults(func=cmd_lattice_seed)
-    p = lat.add_parser("signature")
-    p.add_argument("-i", "--input", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_lattice_signature)
-    p = lat.add_parser("isotropic")
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("--bound", type=int, default=5)
-    _add_common(p)
-    p.set_defaults(func=cmd_lattice_isotropic)
-    p = lat.add_parser("represent")
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("--lo", type=int, required=True)
-    p.add_argument("--hi", type=int, required=True)
-    p.add_argument("--bound", type=int, default=5)
-    _add_common(p)
-    p.set_defaults(func=cmd_lattice_represent)
-
-    iso = sub.add_parser("isometry").add_subparsers(dest="cmd", required=True)
-    p = iso.add_parser("verify")
-    p.add_argument("-i", "--input", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_isometry_verify)
-    p = iso.add_parser("classify")
-    p.add_argument("-i", "--input", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_isometry_classify)
-    p = iso.add_parser("transvect")
-    p.add_argument("-i", "--input", required=True, help="lattice JSON file")
-    p.add_argument("--e", required=True, help="isotropic vector, e.g. 1,0,0")
-    p.add_argument("--v", required=True, help="orthogonal vector with even square")
-    _add_common(p)
-    p.set_defaults(func=cmd_isometry_transvect)
-    p = iso.add_parser("limit")
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("--w", required=True, help="positive-cone start vector")
-    p.add_argument("--iters", type=int, default=2**40)
-    _add_common(p)
-    p.set_defaults(func=cmd_isometry_limit)
-
-    tor = sub.add_parser("torus").add_subparsers(dest="cmd", required=True)
-    p = tor.add_parser("orbit")
-    p.add_argument("--coords", required=True)
-    p.add_argument("--start", default=None)
-    p.add_argument("--n", type=int, default=100)
-    _add_common(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_torus_orbit)
-    p = tor.add_parser("hull")
-    p.add_argument("--coords", required=True)
-    p.add_argument("--height-bound", dest="height_bound", type=int, default=10**6)
-    p.add_argument("--tol", type=float, default=1e-24)
-    _add_common(p)
-    p.set_defaults(func=cmd_torus_hull)
-    p = tor.add_parser("weyl")
-    p.add_argument("--coords", required=True)
-    p.add_argument("--k", required=True)
-    p.add_argument("--n", type=int, default=10**4)
-    _add_common(p)
-    p.set_defaults(func=cmd_torus_weyl)
-    p = tor.add_parser("scan")
-    p.add_argument("--family", required=True, help="JSON file with coords coefficient lists")
-    p.add_argument("--grid", required=True, help="comma separated exact expressions")
-    p.add_argument("--height-bound", dest="height_bound", type=int, default=10**6)
-    p.add_argument("--tol", type=float, default=1e-24)
-    _add_common(p)
-    p.set_defaults(func=cmd_torus_scan)
-
-    hod = sub.add_parser("hodge").add_subparsers(dest="cmd", required=True)
-    p = hod.add_parser("fujiki")
-    p.add_argument("-i", "--input", required=True, help="lattice JSON with n, c, K fields")
-    p.add_argument("--eta", default=None)
-    p.add_argument("--etas", default=None, help="semicolon separated vectors for the polarized sum")
-    _add_common(p)
-    p.set_defaults(func=cmd_hodge_fujiki)
-    p = hod.add_parser("hafnian")
-    p.add_argument("-i", "--input", required=True, help="JSON with a 'matrix' field")
-    _add_common(p)
-    p.set_defaults(func=cmd_hodge_hafnian)
-    p = hod.add_parser("amgm")
-    p.add_argument("-i", "--input", required=True, help="JSON with 'h1' and 'h2'")
-    p.add_argument("--tol", type=float, default=1e-9)
-    _add_common(p)
-    p.set_defaults(func=cmd_hodge_amgm)
-
-    k3 = sub.add_parser("k3").add_subparsers(dest="cmd", required=True)
-    p = k3.add_parser("sample")
-    p.add_argument("--surface", default=None, help="surface JSON (default: seeded random)")
-    p.add_argument("--n", type=int, default=10)
-    _add_common(p)
-    p.set_defaults(func=cmd_k3_sample)
-    p = k3.add_parser("involve")
-    p.add_argument("--surface", default=None)
-    p.add_argument("--axis", choices=("x", "y", "z"), default="z")
-    p.add_argument("--n", type=int, default=10)
-    _add_common(p)
-    p.set_defaults(func=cmd_k3_involve)
-    p = k3.add_parser("orbit")
-    p.add_argument("--surface", default=None)
-    p.add_argument("--pair", choices=("yz", "xz", "xy"), default="yz")
-    p.add_argument("--n", type=int, default=10**4)
-    p.add_argument("--grid", type=int, default=16)
-    p.add_argument("--fibers", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
-    _add_common(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_k3_orbit)
-    p = k3.add_parser("ergo")
-    p.add_argument("--surface", default=None)
-    p.add_argument("--f", default="x_abs2", choices=sorted(s2.TEST_FUNCTIONS))
-    p.add_argument("--l", type=int, default=10**4)
-    p.add_argument("--trials", type=int, default=16)
-    p.add_argument("--mc", type=int, default=10**6)
-    p.add_argument("--contrast", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_k3_ergo)
+    groups = ap.add_subparsers(dest="group", required=True)
+    commands = {}
+    for (group, cmd), (_, options) in COMMANDS.items():
+        if group not in commands:
+            commands[group] = groups.add_parser(group).add_subparsers(dest="cmd", required=True)
+        p = commands[group].add_parser(cmd)
+        for flags, kwargs in options + _COMMON:
+            p.add_argument(*flags, **kwargs)
     return ap
 
 
@@ -809,8 +645,13 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     if args.seed is None:
         args.seed = int(os.environ.get(SEED_ENV, "0"))
+    handler, _ = COMMANDS[args.group, args.cmd]
     try:
-        args.func(args)
+        result = handler(args)
+        # after the handler, which may resolve a default (torus orbit --start)
+        config = {k: v for k, v in vars(args).items() if k not in ("group", "cmd", "out")}
+        config["subcommand"] = f"{args.group} {args.cmd}"
+        emit(args.out, config, result)
     except (ParseError, json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -40,7 +40,7 @@ from math import lcm
 import mpmath as mp
 
 from .errors import ContractError, DimensionMismatchError, PreconditionError
-from .lattice import QuadLattice, Vector
+from .lattice import QuadLattice, Vector, integral_rows
 from .linalg_exact import (
     identity_matrix,
     inverse_unimodular,
@@ -76,7 +76,7 @@ class LatticeIsometry:
     matrix: IntMatrix
 
     def __post_init__(self):
-        m = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        m = integral_rows(self.matrix, "matrix")
         object.__setattr__(self, "matrix", m)
         n = self.lattice.rank
         if len(m) != n or any(len(row) != n for row in m):
@@ -102,8 +102,7 @@ class LatticeIsometry:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LatticeIsometry":
-        lat = QuadLattice.from_json_dict(d["lattice"])
-        return cls(lat, tuple(tuple(int(x) for x in row) for row in d["matrix"]))
+        return cls(QuadLattice.from_json_dict(d["lattice"]), d["matrix"])
 
 
 # -- classification payloads -------------------------------------------------

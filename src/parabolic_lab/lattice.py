@@ -49,7 +49,7 @@ class QuadLattice:
     allow_degenerate: bool = False
 
     def __post_init__(self):
-        g = tuple(tuple(_gram_entry(x) for x in row) for row in self.gram)
+        g = integral_rows(self.gram, "Gram")
         object.__setattr__(self, "gram", g)
         n = len(g)
         if any(len(row) != n for row in g):
@@ -72,7 +72,7 @@ class QuadLattice:
         return det_exact([list(r) for r in self.gram])
 
     def check_vector(self, v) -> Vector:
-        v = tuple(int(x) for x in v)
+        v = tuple(integral(x, "vector entry") for x in v)
         if len(v) != self.rank:
             raise DimensionMismatchError(
                 f"vector length {len(v)} != lattice rank {self.rank}"
@@ -123,29 +123,45 @@ class QuadLattice:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "QuadLattice":
-        lat = cls(tuple(tuple(row) for row in d["gram"]))
-        if "rank" in d and int(d["rank"]) != lat.rank:
+        if not isinstance(d, dict):
+            raise ParseError(f"a lattice must be a JSON object, not {type(d).__name__}")
+        lat = cls(d["gram"])
+        if "rank" in d and integral(d["rank"], "declared rank") != lat.rank:
             raise PreconditionError("declared rank does not match gram size")
         return lat
 
 
-def _gram_entry(x) -> int:
-    """A Gram entry as an int, never truncated.
+def integral(x, what: str) -> int:
+    """An entry (of a Gram matrix, vector or isometry) as an int, never truncated.
 
     Integral numbers pass (2.0 and Fraction(4, 2) included) and other
     numbers are a precondition violation.  Strings must be an optional '-'
     and ASCII digits, the JSON form of entries beyond 2^53; any other
-    string, or an entry that is no number, is a parse error.
+    string, or an entry that is no number, is a parse error.  ``what``
+    names the entry in the error message.
     """
+    if type(x) is int:  # the common case, kept as cheap as int(x)
+        return x
     if isinstance(x, str):
         if not re.fullmatch(r"-?[0-9]+", x):
-            raise ParseError(f"Gram entry {x!r} is not an integer")
+            raise ParseError(f"{what} {x!r} is not an integer")
         return int(x)
     if not isinstance(x, numbers.Real) or isinstance(x, bool):
-        raise ParseError(f"Gram entry {x!r} is not a number")
+        raise ParseError(f"{what} {x!r} is not a number")
     if x % 1 != 0:
-        raise PreconditionError(f"Gram entry {x!r} is not an integer")
+        raise PreconditionError(f"{what} {x!r} is not an integer")
     return int(x)
+
+
+def integral_rows(rows, what: str) -> tuple[tuple[int, ...], ...]:
+    """A matrix as int rows, each entry read by :func:`integral`.
+
+    Anything but a list or tuple of lists or tuples is a parse error.
+    """
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+        raise ParseError(f"{what} must be a list of rows")
+    entry = f"{what} entry"
+    return tuple(tuple(integral(x, entry) for x in row) for row in rows)
 
 
 def _json_int(x: int):
@@ -362,7 +378,5 @@ def lattice_to_json(lattice: QuadLattice, marks: dict[str, Vector] | None = None
 def lattice_from_json(text: str) -> tuple[QuadLattice, dict[str, Vector]]:
     d = json.loads(text)
     lat = QuadLattice.from_json_dict(d)
-    marks = {
-        k: tuple(int(x) for x in v) for k, v in d.get("marks", {}).items()
-    }
+    marks = {k: lat.check_vector(v) for k, v in d.get("marks", {}).items()}
     return lat, marks

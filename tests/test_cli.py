@@ -1,8 +1,10 @@
 import argparse
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +98,36 @@ def test_non_integral_gram_entries(tmp_path, capsys):
     word.write_text('{"gram": [["a", 0], [0, -1]]}')
     assert main(["lattice", "signature", "-i", str(word)]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry,code", [(1.5, 2), ("a", 1)], ids=["fraction", "word"])
+@pytest.mark.parametrize("argv", [
+    ["isometry", "classify"],
+    ["isometry", "limit", "--w", "1,0,0"],
+    ["isometry", "verify"],
+], ids=["classify", "limit", "verify"])
+def test_non_integral_matrix_entries(argv, entry, code, tmp_path, capsys):
+    # the matrix is not truncated to the identity: 1.5 is a precondition violation
+    iso = tmp_path / "iso.json"
+    iso.write_text(json.dumps({"lattice": {"gram": [[2, 0, 1], [0, -10, 0], [1, 0, 0]]},
+                               "matrix": [[entry, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+    assert main(argv[:2] + ["-i", str(iso)] + argv[2:]) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['{"gram": 5}', '{"gram": [1, 2]}', "[1, 2]", "5"],
+                         ids=["gram-int", "gram-flat", "top-list", "top-int"])
+def test_malformed_lattice_json_is_a_parse_error(text, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    iso = tmp_path / "iso.json"
+    iso.write_text('{"lattice": %s, "matrix": [[1, 0], [0, 1]]}' % text)
+    for argv in (["lattice", "signature", "-i", str(bad)],
+                 ["isometry", "classify", "-i", str(bad)],
+                 ["isometry", "classify", "-i", str(iso)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -239,3 +271,55 @@ def test_workers_and_format_only_where_used(capsys):
     assert main(["lattice", "seed", "--a-sq", "2", "--N", "5", "--format", "csv"]) == 1
     assert main(["torus", "hull", "--coords", "sqrt2", "--workers", "2"]) == 1
     capsys.readouterr()
+
+
+def _readme_commands() -> list[list[str]]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [argv for argv in argvs if argv]
+
+
+# Run at README size these add ~20 s and four worker processes to the suite,
+# so they are only parsed; the tests above run the same subcommands small.
+_PARSE_ONLY = {("k3", "orbit"), ("k3", "ergo")}
+
+
+def test_readme_command_block(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PARABOLIC_LAB_SEED", raising=False)
+    (tmp_path / "form.json").write_text(
+        json.dumps({"rank": 2, "gram": [[0, 1], [1, 0]], "n": 1, "c": "1", "K": "1"}))
+    (tmp_path / "matrix.json").write_text(json.dumps({"matrix": [[1, 1, 1, 1]] * 4}))
+    (tmp_path / "pair.json").write_text(json.dumps({"h1": [[2, 0], [0, 0.5]],
+                                                    "h2": [[1, 0], [0, 1]]}))
+    commands = _readme_commands()
+    assert len(commands) == 14
+    ap = build_parser()
+    for argv in commands:
+        assert argv[0] == "parabolic-lab"
+        ap.parse_args(argv[1:])
+        if tuple(argv[1:3]) not in _PARSE_ONLY:
+            assert main(argv[1:]) == 0, argv
+            capsys.readouterr()
+
+
+# Config hashes of artifacts (seed 0 by default): a change here changes
+# every artifact the subcommand writes with these options.
+@pytest.mark.parametrize("argv,sha", [
+    (["lattice", "seed", "--a-sq", "2", "--N", "5"],
+     "5e328379f4244515b991983afc397d9ab696569595965458f0b72d4e237737aa"),
+    (["torus", "weyl", "--coords", "(sqrt5-1)/2", "--k", "1", "--n", "100"],
+     "2a08fd6e5c1f71a9b17db5c14b4b2fe7224e6c7eac4f95169dac7ae1cfc008f5"),
+    (["k3", "orbit", "--pair", "yz", "--n", "200", "--grid", "4"],
+     "d7739b8e18cabd0b2198fb0116370d01eaa5886cfe42789d14c1040d12575b3e"),
+    (["torus", "orbit", "--coords", "1/2", "--n", "4"],
+     "3c793c3dfd2dcd8a9158027a7172089f55bac1e0d2630d15627eb7d002b0e5c8"),
+], ids=["lattice-seed", "torus-weyl", "k3-orbit", "torus-orbit"])
+def test_config_hashes_pinned(argv, sha, monkeypatch, capsys):
+    monkeypatch.delenv("PARABOLIC_LAB_SEED", raising=False)
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    art = json.loads(out)
+    assert art["config_sha256"] == sha
+    assert art["config"]["subcommand"] == " ".join(argv[:2])

@@ -33,6 +33,20 @@ def test_bbf_examples():
         U.bbf((1, 0, 0), (1, 0))
 
 
+def test_vector_entries_must_be_integral():
+    # fractional entries are refused, not truncated to (1, 0) or (0, 0)
+    with pytest.raises(PreconditionError):
+        U.bbf((1.5, 0), (0, 1))
+    with pytest.raises(PreconditionError):
+        U.q((0.9, 0.9))
+    with pytest.raises(ParseError):
+        U.q(("a", 1))
+    assert U.check_vector((2.0, Fraction(3, 1))) == (2, 3)
+    # marks read from a lattice file go through the same check
+    with pytest.raises(PreconditionError):
+        lattice_from_json('{"gram": [[0, 1], [1, 0]], "marks": {"y": [0.5, 1]}}')
+
+
 def test_bbf_bilinear_symmetric():
     rng = random.Random(0)
     lat = QuadLattice(((2, 1, 0), (1, -4, 3), (0, 3, -1)))
