@@ -69,6 +69,7 @@ from .lattice import (
     QuadLattice,
     build_parabolic_seed_lattice,
     find_isotropic,
+    integral,
     integral_rows,
     represents_in_range,
     scan_orthogonal_negatives,
@@ -337,14 +338,22 @@ def cmd_torus_scan(args) -> dict:
 # hodge subcommands
 # ---------------------------------------------------------------------------
 
+def _fraction(x, what: str) -> Fraction:
+    """A form constant as an exact Fraction; anything that is no number is a parse error."""
+    try:
+        return Fraction(str(x))
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{what} {x!r} is not a number") from None
+
+
 def cmd_hodge_fujiki(args) -> dict:
     spec = _load_json_file(args.input)
     lat = QuadLattice.from_json_dict(spec)
     structure = FujikiStructure(
         lat,
-        n=int(spec.get("n", 1)),
-        c=Fraction(str(spec.get("c", 1))),
-        k=Fraction(str(spec.get("K", 1))),
+        n=integral(spec.get("n", 1), "n"),
+        c=_fraction(spec.get("c", 1), "c"),
+        k=_fraction(spec.get("K", 1), "K"),
     )
     result = {}
     if args.eta:
@@ -360,7 +369,14 @@ def cmd_hodge_fujiki(args) -> dict:
 
 
 def cmd_hodge_hafnian(args) -> dict:
-    return {"hafnian": float(hafnian(_load_json_file(args.input)["matrix"]))}
+    rows = _load_json_file(args.input)["matrix"]
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list)
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)
+        for row in rows
+    ):
+        raise ParseError("matrix must be a list of rows of numbers")
+    return {"hafnian": float(hafnian(rows))}
 
 
 def cmd_hodge_amgm(args) -> dict:
@@ -643,10 +659,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse uses exit 2 for usage errors; the harness contract says 1
         return 0 if exc.code in (0, None) else 1
-    if args.seed is None:
-        args.seed = int(os.environ.get(SEED_ENV, "0"))
     handler, _ = COMMANDS[args.group, args.cmd]
     try:
+        if args.seed is None:
+            args.seed = integral(os.environ.get(SEED_ENV, "0"), SEED_ENV)
         result = handler(args)
         # after the handler, which may resolve a default (torus orbit --start)
         config = {k: v for k, v in vars(args).items() if k not in ("group", "cmd", "out")}

@@ -38,6 +38,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,6 +53,7 @@ SAMPLE_RESIDUAL_TOL = 1e-12
 BRANCH_DISC_REL = 1e-8
 LEAD_COEFF_REL = 1e-10
 MODERATE_CHART = 0.2  # |c0| below this means "too close to infinity" for affine work
+BIN_BLOCK = 1 << 16  # orbit points held for array cell binning at a time (~10 MB)
 
 REFERENCE_SEED = 20220222
 
@@ -188,7 +190,10 @@ def _monomials(pair) -> tuple[complex, complex, complex]:
 
 
 def axis_quadratic(surface: Surface222, point: SurfacePoint, axis: str):
-    """Coefficients (A, B, C) of F as A t1^2 + B t1 t0 + C t0^2 in `axis`."""
+    """Coefficients (A, B, C) of F as A t1^2 + B t1 t0 + C t0^2 in `axis`.
+
+    The other two coordinates may hold arrays, giving arrays of coefficients.
+    """
     ai = AXES.index(axis)
     table = surface._tables[ai]
     u, v = _OTHERS[axis]
@@ -288,19 +293,48 @@ def parabolic_inverse(surface: Surface222, pair, point: SurfacePoint) -> Surface
     return involution(surface, first, involution(surface, second, point))
 
 
-def _stable_roots(a, b, c):
-    """Both roots of a t^2 + b t + c as projective pairs, product-form stable.
+def _sample_root(surface: Surface222, probe: SurfacePoint, axis: str, rng):
+    """`probe` with `axis` moved to a random root of its quadratic, or None.
 
-    qq = -(b + sign * sqrt(disc)) / 2 with the sign avoiding cancellation;
-    the roots are qq / a and c / qq.  Callers guard disc away from zero,
-    which keeps qq nonzero.
+    None when the quadratic fails the leading-coefficient or branch guard,
+    or when the polished root misses the sampling residual.  The root is
+    qq / a or c / qq with qq = -(b +- sqrt(disc)) / 2, the sign avoiding
+    cancellation (the guard keeps qq nonzero); which one is drawn from rng
+    only once the guard has passed, so retries interleave with the draws.
     """
-    sq = cmath.sqrt(b * b - 4 * a * c)
-    if abs(b + sq) >= abs(b - sq):
-        qq = -(b + sq) / 2
-    else:
-        qq = -(b - sq) / 2
-    return (_normalize((a, qq)), _normalize((qq, c)))
+    a, b, c = axis_quadratic(surface, probe, axis)
+    scale = max(abs(a), abs(b), abs(c))
+    if scale == 0 or abs(a) < LEAD_COEFF_REL * scale:
+        return None
+    disc = b * b - 4 * a * c
+    if abs(disc) < BRANCH_DISC_REL * scale * scale:
+        return None
+    sq = cmath.sqrt(disc)
+    qq = -(b + sq) / 2 if abs(b + sq) >= abs(b - sq) else -(b - sq) / 2
+    root = _polish(a, b, c, _normalize((a, qq) if rng.integers(2) == 0 else (qq, c)))
+    r0, r1 = root
+    res = abs(a * r1 * r1 + b * r1 * r0 + c * r0 * r0)
+    if res < SAMPLE_RESIDUAL_TOL * max(scale, 1.0):
+        return probe.replace(axis, root, res)
+    return None
+
+
+def _guarded_roots(a, b, c):
+    """The guard and both roots of a t^2 + b t + c over arrays of coefficients.
+
+    Keeps the quadratics that pass the same leading-coefficient and branch
+    guard as :func:`_sample_root` and returns that mask with, for the kept
+    ones, both roots as unnormalized projective pairs (a : qq) and (qq : c),
+    qq = -(b +- sqrt(disc)) / 2 with the sign that avoids cancellation.
+    """
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+    disc = b * b - 4 * a * c
+    ok = (scale > 0) & (np.abs(a) >= LEAD_COEFF_REL * scale)
+    ok &= np.abs(disc) >= BRANCH_DISC_REL * scale * scale
+    a, b, c, disc = a[ok], b[ok], c[ok], disc[ok]
+    sq = np.sqrt(disc)
+    qq = np.where(np.abs(b + sq) >= np.abs(b - sq), -(b + sq) / 2, -(b - sq) / 2)
+    return ok, ((a, qq), (qq, c))
 
 
 def _fs_pair(rng) -> tuple[complex, complex]:
@@ -314,20 +348,9 @@ def sample_point(surface: Surface222, rng, max_tries: int = 64) -> SurfacePoint:
     for _ in range(max_tries):
         x = _fs_pair(rng)
         y = _fs_pair(rng)
-        probe = SurfacePoint(x, y, (1.0 + 0j, 0j))
-        a, b, c = axis_quadratic(surface, probe, "z")
-        scale = max(abs(a), abs(b), abs(c))
-        if scale == 0 or abs(a) < LEAD_COEFF_REL * scale:
-            continue
-        if abs(b * b - 4 * a * c) < BRANCH_DISC_REL * scale * scale:
-            continue
-        roots = _stable_roots(a, b, c)
-        z = roots[int(rng.integers(2))]
-        z = _polish(a, b, c, z)
-        z0, z1 = z
-        res = abs(a * z1 * z1 + b * z1 * z0 + c * z0 * z0)
-        if res < SAMPLE_RESIDUAL_TOL * max(scale, 1.0):
-            return SurfacePoint(x, y, z, res)
+        point = _sample_root(surface, SurfacePoint(x, y, (1.0 + 0j, 0j)), "z", rng)
+        if point is not None:
+            return point
     raise ContractError(f"could not sample a surface point in {max_tries} tries")
 
 
@@ -341,19 +364,9 @@ def sample_fiber_point(
     for _ in range(max_tries):
         moving = _fs_pair(rng)
         parts = {base_axis: base_pair, first: moving, second: (1.0 + 0j, 0j)}
-        probe = SurfacePoint(parts["x"], parts["y"], parts["z"])
-        a, b, c = axis_quadratic(surface, probe, second)
-        scale = max(abs(a), abs(b), abs(c))
-        if scale == 0 or abs(a) < LEAD_COEFF_REL * scale:
-            continue
-        if abs(b * b - 4 * a * c) < BRANCH_DISC_REL * scale * scale:
-            continue
-        roots = _stable_roots(a, b, c)
-        sec = _polish(a, b, c, roots[int(rng.integers(2))])
-        s0, s1 = sec
-        res = abs(a * s1 * s1 + b * s1 * s0 + c * s0 * s0)
-        if res < SAMPLE_RESIDUAL_TOL * max(scale, 1.0):
-            return probe.replace(second, sec, res)
+        point = _sample_root(surface, SurfacePoint(**parts), second, rng)
+        if point is not None:
+            return point
     raise ContractError(f"could not sample a fiber point in {max_tries} tries")
 
 
@@ -385,17 +398,38 @@ def point_distance(p: SurfacePoint, q: SurfacePoint) -> float:
     return max(proj_distance(p.coord(a), q.coord(a)) for a in AXES)
 
 
+def _chart_cells(c0, c1, grid: int):
+    """:func:`chart_cell` over arrays of P^1 points (c0 : c1), any scale.
+
+    Each cell comes back as the integer (chart * G + re index) * G + im index.
+    """
+    chart = np.abs(c1) > np.abs(c0)
+    t = np.where(chart, c0, c1) / np.where(chart, c1, c0)
+    w = t / (1 + np.abs(t) ** 2)
+    ix = np.clip(((w.real + 0.5) * grid).astype(np.int64), 0, grid - 1)
+    iy = np.clip(((w.imag + 0.5) * grid).astype(np.int64), 0, grid - 1)
+    return (chart * grid + ix) * grid + iy
+
+
+def _pair_keys(first, second, grid: int):
+    """One integer per point for the :func:`pair_cell` of its two fiber coordinates."""
+    return _chart_cells(*first, grid) * (2 * grid * grid) + _chart_cells(*second, grid)
+
+
+def _key_cells(keys, grid: int):
+    """The :func:`pair_cell` tuples of an array of keys made by :func:`_pair_keys`."""
+    columns = []
+    for part in np.divmod(keys, 2 * grid * grid):
+        chart, rest = np.divmod(part, grid * grid)
+        columns += [chart, *np.divmod(rest, grid)]
+    return zip(*(col.tolist() for col in columns))
+
+
 def chart_cell(pair, grid: int) -> tuple[int, int, int]:
     """(chart flag, re index, im index) of a P^1 point on a G x G chart grid."""
-    c0, c1 = pair
-    if abs(c1) <= abs(c0):
-        chart, t = 0, c1 / c0
-    else:
-        chart, t = 1, c0 / c1
-    w = t / (1 + abs(t) ** 2)
-    ix = min(int((w.real + 0.5) * grid), grid - 1)
-    iy = min(int((w.imag + 0.5) * grid), grid - 1)
-    return chart, max(ix, 0), max(iy, 0)
+    c0, c1 = (np.array([c], dtype=complex) for c in pair)
+    chart, rest = divmod(int(_chart_cells(c0, c1, grid)[0]), grid * grid)
+    return (chart,) + divmod(rest, grid)
 
 
 def pair_cell(point: SurfacePoint, pair, grid: int) -> tuple:
@@ -413,10 +447,12 @@ def fiber_cells(
 ) -> set:
     """Cells the fiber curve passes through, by dense chart sampling.
 
-    Samples a refine*G grid on both charts of each fiber coordinate,
-    solves the quadratic for the other, and keeps cells hit at least
-    min_hits times (cells grazed once or twice are corner clips an orbit
-    may legitimately take very long to visit).  min_hits = 3 was
+    Samples a refine*G grid on the unit disc of both charts of each fiber
+    coordinate, solves the quadratic for the other, and keeps the
+    :func:`pair_cell` cells hit at least min_hits times (cells grazed once
+    or twice are corner clips an orbit may legitimately take very long to
+    visit).  All probes of one sweep are solved as arrays; probes that fail
+    the leading-coefficient or branch guard are skipped.  min_hits = 3 was
     calibrated on the fixed-seed reference surface: 10^5 iterates at
     G = 16 then cover at least 95% of the tube on virtually every smooth
     fiber.
@@ -424,33 +460,22 @@ def fiber_cells(
     first, second = pair
     (base_axis,) = [a for a in AXES if a not in pair]
     base_pair = _normalize(base_pair)
-    counts: dict[tuple, int] = {}
     m = refine * grid
+    u = 2 * (np.arange(m) + 0.5) / m - 1
+    cc = (u[:, None] + 1j * u).ravel()
+    cc = cc[np.abs(cc) <= 1]
+    ones = np.ones_like(cc)
+    moving = (np.concatenate([ones, cc]), np.concatenate([cc, ones]))  # both charts
+    keys = []
     for sweep_axis, solve_axis in ((first, second), (second, first)):
-        for chart in (0, 1):
-            for ia in range(m):
-                for ib in range(m):
-                    cc = complex(2 * (ia + 0.5) / m - 1, 2 * (ib + 0.5) / m - 1)
-                    if abs(cc) > 1:
-                        continue
-                    moving = (1.0 + 0j, cc) if chart == 0 else (cc, 1.0 + 0j)
-                    parts = {
-                        base_axis: base_pair,
-                        sweep_axis: moving,
-                        solve_axis: (1.0 + 0j, 0j),
-                    }
-                    probe = SurfacePoint(parts["x"], parts["y"], parts["z"])
-                    a, b, c = axis_quadratic(surface, probe, solve_axis)
-                    scale = max(abs(a), abs(b), abs(c))
-                    if scale == 0 or abs(a) < LEAD_COEFF_REL * scale:
-                        continue
-                    if abs(b * b - 4 * a * c) < BRANCH_DISC_REL * scale * scale:
-                        continue
-                    for root in _stable_roots(a, b, c):
-                        pt = probe.replace(solve_axis, root, 0.0)
-                        key = pair_cell(pt, pair, grid)
-                        counts[key] = counts.get(key, 0) + 1
-    return {cell for cell, hits in counts.items() if hits >= min_hits}
+        parts = {base_axis: base_pair, sweep_axis: moving, solve_axis: (1.0 + 0j, 0j)}
+        ok, roots = _guarded_roots(*axis_quadratic(surface, SurfacePoint(**parts), solve_axis))
+        swept = (moving[0][ok], moving[1][ok])
+        for root in roots:
+            coords = {sweep_axis: swept, solve_axis: root}
+            keys.append(_pair_keys(coords[first], coords[second], grid))
+    cells, hits = np.unique(np.concatenate(keys), return_counts=True)
+    return set(_key_cells(cells[hits >= min_hits], grid))
 
 
 @dataclass(frozen=True)
@@ -542,11 +567,23 @@ def fiber_orbit(
     reference = fiber_cells(surface, pair, base_pair, grid, min_hits=min_hits)
     if not reference:
         raise ContractError("fiber tube sampling found no cells; fiber likely singular")
-    visit_counts: dict[tuple, int] = {}
+    first, second = pair
     stats: dict = {}
+    visit_counts: Counter = Counter()
+    coords = []  # (first c0, first c1, second c0, second c1) of each point not yet binned
+
+    def bin_coords():
+        c = np.array(coords, dtype=complex).reshape(-1, 4).T
+        keys, visits = np.unique(_pair_keys(c[:2], c[2:], grid), return_counts=True)
+        visit_counts.update(dict(zip(_key_cells(keys, grid), visits.tolist())))
+        coords.clear()
+
     for _, pt in orbit_trace(surface, pair, base_pair, start, length, rng, stats):
-        key = pair_cell(pt, pair, grid)
-        visit_counts[key] = visit_counts.get(key, 0) + 1
+        coords += pt.coord(first)
+        coords += pt.coord(second)
+        if len(coords) == 4 * BIN_BLOCK:
+            bin_coords()
+    bin_coords()
     interruptions = stats["interruptions"]
     hit = set(visit_counts) & reference
     coverage = len(hit) / len(reference)
@@ -714,21 +751,16 @@ def _mc_space_average(surface: Surface222, fid: str, samples: int, rng):
                     acc = acc + cij * mx[i] * my[j]
         abc.append(acc)
     cc, bb, aa = abc
-    scale = np.maximum(np.maximum(np.abs(aa), np.abs(bb)), np.abs(cc))
-    disc = bb * bb - 4 * aa * cc
-    ok = (scale > 0) & (np.abs(aa) > LEAD_COEFF_REL * scale)
-    ok &= np.abs(disc) > BRANCH_DISC_REL * scale * scale
-    x, y, aa, bb, cc, disc = x[ok], y[ok], aa[ok], bb[ok], cc[ok], disc[ok]
-    sq = np.sqrt(disc)
-    qq = np.where(np.abs(bb + sq) >= np.abs(bb - sq), -(bb + sq) / 2, -(bb - sq) / 2)
-    roots = (qq / aa, cc / qq)
+    ok, roots = _guarded_roots(aa, bb, cc)
+    x, y, aa, bb = x[ok], y[ok], aa[ok], bb[ok]
     fs_weight = (1 + np.abs(x) ** 2) ** 2 * (1 + np.abs(y) ** 2) ** 2
     wx = x / (1 + np.abs(x) ** 2)
     wy = y / (1 + np.abs(y) ** 2)
     fn = TEST_FUNCTIONS[fid]
     weights = []
     values = []
-    for tz in roots:
+    for r0, r1 in roots:
+        tz = r1 / r0
         fz = 2 * aa * tz + bb
         w = fs_weight / np.abs(fz) ** 2
         wz = tz / (1 + np.abs(tz) ** 2)

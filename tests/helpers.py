@@ -15,16 +15,22 @@ The characteristic polynomial, the hafnian and the largest-root isolation
 are frozen in their plain forms (Fraction Faddeev-LeVerrier, the
 (2n-1)!! matching recursion, bisection by Sturm counts at every step), so
 the library's integer, memoized and sign-only kernels are checked against
-code they do not share.
+code they do not share.  The fiber-curve cells, the per-step orbit binning
+and the Monte Carlo space average are frozen as the scalar loops they were
+before the library computed them as arrays.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
+from parabolic_lab import surface222 as s2
 from parabolic_lab.lattice import QuadLattice, diagonal_lattice, hyperbolic_plane
 from parabolic_lab.isometry import LatticeIsometry, eichler_transvection
 from parabolic_lab.linalg_exact import (
@@ -387,3 +393,136 @@ def frozen_isolate(p, lower=Fraction(1)):
         else:
             hi = mid
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# frozen scalar fiber-curve kernels (oracles for the array cell routines)
+# ---------------------------------------------------------------------------
+
+def frozen_chart_cell(pair, grid):
+    """(chart flag, re index, im index) of a P^1 point, one point at a time."""
+    c0, c1 = pair
+    if abs(c1) <= abs(c0):
+        chart, t = 0, c1 / c0
+    else:
+        chart, t = 1, c0 / c1
+    w = t / (1 + abs(t) ** 2)
+    ix = min(int((w.real + 0.5) * grid), grid - 1)
+    iy = min(int((w.imag + 0.5) * grid), grid - 1)
+    return chart, max(ix, 0), max(iy, 0)
+
+
+def frozen_pair_cell(point, pair, grid):
+    first, second = pair
+    return frozen_chart_cell(point.coord(first), grid) + frozen_chart_cell(point.coord(second), grid)
+
+
+def _frozen_stable_roots(a, b, c):
+    sq = cmath.sqrt(b * b - 4 * a * c)
+    if abs(b + sq) >= abs(b - sq):
+        qq = -(b + sq) / 2
+    else:
+        qq = -(b - sq) / 2
+    return (s2._normalize((a, qq)), s2._normalize((qq, c)))
+
+
+def frozen_fiber_cells(surface, pair, base_pair, grid=16, refine=6, min_hits=3):
+    """The fiber's cells by one scalar probe, guard and root solve per grid point."""
+    first, second = pair
+    (base_axis,) = [a for a in s2.AXES if a not in pair]
+    base_pair = s2._normalize(base_pair)
+    counts = {}
+    m = refine * grid
+    for sweep_axis, solve_axis in ((first, second), (second, first)):
+        for chart in (0, 1):
+            for ia in range(m):
+                for ib in range(m):
+                    cc = complex(2 * (ia + 0.5) / m - 1, 2 * (ib + 0.5) / m - 1)
+                    if abs(cc) > 1:
+                        continue
+                    moving = (1.0 + 0j, cc) if chart == 0 else (cc, 1.0 + 0j)
+                    parts = {base_axis: base_pair, sweep_axis: moving,
+                             solve_axis: (1.0 + 0j, 0j)}
+                    probe = s2.SurfacePoint(parts["x"], parts["y"], parts["z"])
+                    a, b, c = s2.axis_quadratic(surface, probe, solve_axis)
+                    scale = max(abs(a), abs(b), abs(c))
+                    if scale == 0 or abs(a) < s2.LEAD_COEFF_REL * scale:
+                        continue
+                    if abs(b * b - 4 * a * c) < s2.BRANCH_DISC_REL * scale * scale:
+                        continue
+                    for root in _frozen_stable_roots(a, b, c):
+                        key = frozen_pair_cell(probe.replace(solve_axis, root, 0.0), pair, grid)
+                        counts[key] = counts.get(key, 0) + 1
+    return {cell for cell, hits in counts.items() if hits >= min_hits}
+
+
+def frozen_fiber_orbit(surface, pair, base_pair, start, length, grid, rng, min_hits=3):
+    """The coverage fields of ``fiber_orbit`` by binning each traced point with a dict."""
+    reference = frozen_fiber_cells(surface, pair, base_pair, grid, min_hits=min_hits)
+    visit_counts = {}
+    stats = {}
+    for _, pt in s2.orbit_trace(surface, pair, base_pair, start, length, rng, stats):
+        key = frozen_pair_cell(pt, pair, grid)
+        visit_counts[key] = visit_counts.get(key, 0) + 1
+    hit = set(visit_counts) & reference
+    ref_visits = [visit_counts.get(cell, 0) for cell in reference]
+    return {
+        "cells_fiber": len(reference),
+        "cells_visited": len(hit),
+        "coverage": len(hit) / len(reference),
+        "interruptions": stats["interruptions"],
+        "min_visits": min(ref_visits),
+        "mean_visits": sum(ref_visits) / len(ref_visits),
+    }
+
+
+def frozen_mc_space_average(surface, fid, samples, rng):
+    """The importance-sampled space average with its own guard and root solve."""
+    c = surface.coeffs
+    g = rng.normal(size=(4, samples))
+    x = (g[0] + 1j * g[1])
+    xden = (g[2] + 1j * g[3])
+    g = rng.normal(size=(4, samples))
+    y = (g[0] + 1j * g[1])
+    yden = (g[2] + 1j * g[3])
+    keep = (np.abs(xden) > 1e-8) & (np.abs(yden) > 1e-8)
+    x, y = (x / xden)[keep], (y / yden)[keep]
+    mx = np.stack([np.ones_like(x), x, x * x])
+    my = np.stack([np.ones_like(y), y, y * y])
+    abc = []
+    for m in range(3):
+        acc = np.zeros_like(x)
+        for i in range(3):
+            for j in range(3):
+                cij = c[i, j, m]
+                if cij != 0:
+                    acc = acc + cij * mx[i] * my[j]
+        abc.append(acc)
+    cc, bb, aa = abc
+    scale = np.maximum(np.maximum(np.abs(aa), np.abs(bb)), np.abs(cc))
+    disc = bb * bb - 4 * aa * cc
+    ok = (scale > 0) & (np.abs(aa) > s2.LEAD_COEFF_REL * scale)
+    ok &= np.abs(disc) > s2.BRANCH_DISC_REL * scale * scale
+    x, y, aa, bb, cc, disc = x[ok], y[ok], aa[ok], bb[ok], cc[ok], disc[ok]
+    sq = np.sqrt(disc)
+    qq = np.where(np.abs(bb + sq) >= np.abs(bb - sq), -(bb + sq) / 2, -(bb - sq) / 2)
+    roots = (qq / aa, cc / qq)
+    fs_weight = (1 + np.abs(x) ** 2) ** 2 * (1 + np.abs(y) ** 2) ** 2
+    wx = x / (1 + np.abs(x) ** 2)
+    wy = y / (1 + np.abs(y) ** 2)
+    fn = s2.TEST_FUNCTIONS[fid]
+    weights = []
+    values = []
+    for tz in roots:
+        fz = 2 * aa * tz + bb
+        w = fs_weight / np.abs(fz) ** 2
+        wz = tz / (1 + np.abs(tz) ** 2)
+        weights.append(w)
+        values.append(np.real(fn(wx, wy, wz) + np.zeros_like(w)))
+    w = np.concatenate(weights)
+    v = np.concatenate(values)
+    wsum = float(np.sum(w))
+    avg = float(np.sum(w * v) / wsum)
+    se = float(np.sqrt(np.sum((w * (v - avg)) ** 2)) / wsum)
+    ess = wsum**2 / float(np.sum(w**2))
+    return avg, se, ess

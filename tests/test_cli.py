@@ -187,6 +187,33 @@ def test_hodge_cli(tmp_path, capsys):
     assert res["verdict"] == "PremiseViolated" and abs(res["mean"] - 1.25) < 1e-12
 
 
+@pytest.mark.parametrize("field,code", [({"n": 1.5}, 2), ({"c": "x"}, 1), ({"K": "x"}, 1)],
+                         ids=["n-fraction", "c-word", "K-word"])
+def test_hodge_fujiki_form_fields(field, code, tmp_path, capsys):
+    # n is not truncated to 1, and a constant that is no number is a parse error
+    f = tmp_path / "fujiki.json"
+    f.write_text(json.dumps({"rank": 2, "gram": [[0, 1], [1, 0]], "n": 1, "c": "1", "K": "1",
+                             **field}))
+    assert main(["hodge", "fujiki", "-i", str(f), "--eta", "1,1"]) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["a", True, None, [1]], ids=["word", "bool", "null", "list"])
+def test_hodge_hafnian_entries_must_be_numbers(entry, tmp_path, capsys):
+    h = tmp_path / "haf.json"
+    h.write_text(json.dumps({"matrix": [[1, entry], [entry, 1]]}))
+    assert main(["hodge", "hafnian", "-i", str(h)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_seed_env_must_be_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("PARABOLIC_LAB_SEED", "abc")
+    assert main(["lattice", "seed", "--a-sq", "2", "--N", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_k3_sample_cli(capsys):
     code, out = run_cli(["k3", "sample", "--n", "3", "--seed", "5"], capsys)
     assert code == 0

@@ -6,6 +6,13 @@ import pytest
 from parabolic_lab.errors import BranchPointError, ContractError, PreconditionError
 from parabolic_lab import surface222 as s2
 
+from helpers import (
+    frozen_chart_cell,
+    frozen_fiber_cells,
+    frozen_fiber_orbit,
+    frozen_mc_space_average,
+)
+
 S = s2.reference_surface()
 RNG = np.random.default_rng(11)
 POINTS = [s2.sample_point(S, RNG) for _ in range(200)]
@@ -162,6 +169,51 @@ def test_chart_cells():
     w1 = s2.sphere_coord((1.0 + 0j, t))
     w2 = s2.sphere_coord((t, 1.0 + 0j))
     assert abs(abs(w1) - abs(w2)) < 1e-15
+
+
+def test_chart_cell_matches_frozen_scalar():
+    rng = np.random.default_rng(5)
+    for grid in (1, 4, 16, 33):
+        for _ in range(300):
+            g = rng.normal(size=4) * np.exp(rng.uniform(-6, 6, size=4))
+            pair = (complex(g[0], g[1]), complex(g[2], g[3]))
+            assert s2.chart_cell(pair, grid) == frozen_chart_cell(pair, grid)
+            pt = s2.SurfacePoint(pair, pair[::-1], pair)
+            assert s2.pair_cell(pt, ("x", "y"), grid) == (
+                frozen_chart_cell(pair, grid) + frozen_chart_cell(pair[::-1], grid))
+
+
+@pytest.mark.parametrize("surface", [S, s2.random_surface(5), s2.random_surface(9)],
+                         ids=["reference", "random5", "random9"])
+def test_fiber_cells_match_frozen_scalar(surface):
+    # 12 bases per surface, 4 on each fiber pair, at G = 4, 8, 16 and 8
+    for pair in s2.PAIRS:
+        for i, grid in enumerate((4, 8, 16, 8)):
+            base = s2._fs_pair(np.random.default_rng([surface.seed, i]))
+            cells = s2.fiber_cells(surface, pair, base, grid)
+            assert cells and cells == frozen_fiber_cells(surface, pair, base, grid)
+
+
+def test_fiber_orbit_matches_frozen_binning(monkeypatch):
+    # 2001 orbit points binned in blocks of 667 (three full, the last flush
+    # empty), of 600 (a partial last block) and of the default size (one block)
+    for i, (pair, block) in enumerate(zip(s2.PAIRS, (667, 600, s2.BIN_BLOCK))):
+        monkeypatch.setattr(s2, "BIN_BLOCK", block)
+        rng = np.random.default_rng([8, i])
+        base = s2._fs_pair(rng)
+        start = s2.sample_fiber_point(S, pair, base, rng)
+        rep = s2.fiber_orbit(S, pair, base, start, 2000, grid=8,
+                             rng=np.random.default_rng([9, i]))
+        frozen = frozen_fiber_orbit(S, pair, base, start, 2000, 8,
+                                    np.random.default_rng([9, i]))
+        assert {k: getattr(rep, k) for k in frozen} == frozen
+
+
+@pytest.mark.parametrize("surface", [S, s2.random_surface(5)], ids=["reference", "random5"])
+@pytest.mark.parametrize("fid", ["one", "x_re", "z_abs2"])
+def test_mc_space_average_matches_frozen(surface, fid):
+    got = s2._mc_space_average(surface, fid, 20000, np.random.default_rng(3))
+    assert got == frozen_mc_space_average(surface, fid, 20000, np.random.default_rng(3))
 
 
 def test_birkhoff_constant_function_exact():
