@@ -206,12 +206,23 @@ def _require_positive(args, *names: str) -> None:
             raise PreconditionError(f"--{name} must be >= 1")
 
 
-def _complex_matrix(rows) -> np.ndarray:
-    def conv(v):
-        if isinstance(v, (list, tuple)):
-            return complex(v[0], v[1])
-        return complex(v)
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
+
+def _complex_matrix(rows) -> np.ndarray:
+    """Rows of numbers or [re, im] pairs; any other entry is a ParseError."""
+    def conv(v):
+        if _is_number(v):
+            return complex(v)
+        if isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)):
+            return complex(*v)
+        raise ParseError(f"matrix entry {v!r} is neither a number nor an [re, im] pair")
+
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == len(rows[0]) for row in rows
+    ):
+        raise ParseError("matrix must be a list of rows of equal length")
     return np.array([[conv(v) for v in row] for row in rows])
 
 
@@ -298,7 +309,7 @@ def cmd_isometry_transvect(args) -> dict:
 
 def cmd_isometry_limit(args) -> dict:
     g = LatticeIsometry(*_load_isometry(args.input))
-    return {"direction": list(limit_nef_class(g, args.w, iters=args.iters))}
+    return {"direction": list(limit_nef_class(g, args.w))}
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +382,7 @@ def cmd_hodge_fujiki(args) -> dict:
 def cmd_hodge_hafnian(args) -> dict:
     rows = _load_json_file(args.input)["matrix"]
     if not isinstance(rows, list) or not all(
-        isinstance(row, list)
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)
-        for row in rows
+        isinstance(row, list) and all(map(_is_number, row)) for row in rows
     ):
         raise ParseError("matrix must be a list of rows of numbers")
     return {"hafnian": float(hafnian(rows))}
@@ -571,7 +580,6 @@ COMMANDS = {
     ("isometry", "limit"): (cmd_isometry_limit, [
         _INPUT,
         _opt("--w", type=_int_vector, required=True, help="positive-cone start vector"),
-        _opt("--iters", type=int, default=2**40),
     ]),
     ("torus", "orbit"): (cmd_torus_orbit, [
         _opt("--coords", required=True),

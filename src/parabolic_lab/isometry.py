@@ -7,9 +7,13 @@ with |lambda| > 1).  Classification here runs entirely on exact data:
 
 * quasi-unipotent <=> every irreducible factor of the characteristic
   polynomial is cyclotomic (checked by stripping cyclotomic divisors);
-* semisimple <=> the minimal polynomial is squarefree;
-* the parabolic fixed vector is the radical of the form restricted to the
-  rational kernel of (g - I), scaled to a primitive integer vector;
+* on that branch, with L the lcm of the indices of those factors and
+  N = g^L - I: semisimple (elliptic, of order L) <=> g^L = I <=> N = 0;
+* otherwise g^L is unipotent, and unipotent elements of O(1, n) have
+  Jordan blocks of size at most 3 (Ratcliffe, *Foundations of Hyperbolic
+  Manifolds*, GTM 149, 4.7), so N^3 = 0 and N^2 has rank 1: the parabolic
+  fixed vector is the primitive generator of the image of N^2, and the
+  limit direction of g^i(w) is that of the integer vector N^2 w;
 * the loxodromic eigenvalue is isolated by Sturm bisection and polished
   with mpmath.
 
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import mpmath as mp
@@ -44,7 +49,6 @@ from .lattice import QuadLattice, Vector, integral_rows
 from .linalg_exact import (
     identity_matrix,
     inverse_unimodular,
-    kernel_basis,
     mat_eq,
     mat_mul,
     mat_pow,
@@ -64,8 +68,6 @@ from .polynomials import (
 IntMatrix = tuple[tuple[int, ...], ...]
 
 LOXODROMIC_EIGENVALUE_DPS = 50
-DIRECTION_CHANGE_TOL = 1e-12
-LIMIT_CONTRACT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -190,23 +192,35 @@ def is_time_preserving(g: LatticeIsometry) -> bool:
     return g.lattice.bbf(g.apply(w), w) > 0
 
 
-def _fixed_isotropic_vector(g: LatticeIsometry) -> Vector:
-    """Radical of the form restricted to ker(g - I), primitive, sign-fixed."""
-    n = g.lattice.rank
-    m = mat_sub([list(r) for r in g.matrix], identity_matrix(n))
-    kernel = kernel_basis(m)
-    if not kernel:
-        raise ContractError("parabolic isometry with trivial fixed space (bug)")
-    k = len(kernel)
-    gram_k = [[g.lattice.bbf(kernel[i], kernel[j]) for j in range(k)] for i in range(k)]
-    radical = kernel_basis(gram_k)
-    if len(radical) != 1:
-        raise ContractError(
-            "fixed isotropic direction is not unique; classification inconsistency"
-        )
-    coeffs = radical[0]
-    v = [sum(c * kernel[i][j] for i, c in enumerate(coeffs)) for j in range(n)]
-    v = primitive_vector(v)
+def _outside_so_plus(g: LatticeIsometry) -> OutsideSOPlus | None:
+    """The OutsideSOPlus verdict on g, or None when g lies in SO+(1, n)."""
+    pos, neg = g.lattice.signature
+    if pos != 1 or neg < 1:
+        raise PreconditionError(f"classification needs signature (1, n), n >= 1; got {(pos, neg)}")
+    det, time_ok = g.det, is_time_preserving(g)
+    return None if det == 1 and time_ok else OutsideSOPlus(det=det, time_preserving=time_ok)
+
+
+def _jordan_data(m) -> tuple[int, list[list[int]], list[list[int]]] | None:
+    """(L, N, N^2) with N = m^L - I, or None when m is not quasi-unipotent.
+
+    L is the lcm of the indices of the cyclotomic factors of the
+    characteristic polynomial, so m^L is unipotent.
+    """
+    rem, factors = strip_cyclotomic_factors(charpoly(m))
+    if len(rem) != 1:
+        return None
+    order = lcm(*factors)
+    nil = mat_sub(mat_pow(m, order), identity_matrix(len(m)))
+    return order, nil, mat_mul(nil, nil)
+
+
+def _fixed_isotropic_vector(g: LatticeIsometry, nil, nil2) -> Vector:
+    """Primitive, sign-fixed generator of the image of N^2 (a line when N^3 = 0)."""
+    column = next((col for col in zip(*nil2) if any(col)), None)
+    if column is None or any(map(any, mat_mul(nil, nil2))):
+        raise ContractError("parabolic isometry with N^2 = 0 or N^3 != 0 (bug)")
+    v = primitive_vector(column)
     if g.lattice.q(v) != 0 or g.apply(v) != v:
         raise ContractError("extracted fixed vector fails its invariants (bug)")
     return v
@@ -281,27 +295,17 @@ def classify(g: LatticeIsometry) -> IsometryClass:
     Returns Elliptic/Parabolic/Loxodromic for elements of SO+(1, n) and
     OutsideSOPlus(det, time_preserving) otherwise.
     """
-    pos, neg = g.lattice.signature
-    if pos != 1 or neg < 1:
-        raise PreconditionError(
-            f"classification needs signature (1, n), n >= 1; got {(pos, neg)}"
-        )
-    det = g.det
-    time_ok = is_time_preserving(g)
-    if det != 1 or not time_ok:
-        return OutsideSOPlus(det=det, time_preserving=time_ok)
-    m = [list(r) for r in g.matrix]
-    rem, factors = strip_cyclotomic_factors(charpoly(m))
-    if len(rem) != 1:
+    outside = _outside_so_plus(g)
+    if outside is not None:
+        return outside
+    jordan = _jordan_data([list(r) for r in g.matrix])
+    if jordan is None:
         # not quasi-unipotent: some eigenvalue is off the unit circle
         return _loxodromic_payload(g)
-    minpoly = minimal_polynomial(m)
-    if is_squarefree(minpoly):
-        order = lcm(*factors.keys()) if factors else 1
-        if not mat_eq(mat_pow(m, order), identity_matrix(len(m))):
-            raise ContractError("elliptic order computation failed (bug)")
+    order, nil, nil2 = jordan
+    if not any(map(any, nil)):
         return Elliptic(order=order)
-    return Parabolic(fixed_vector=_fixed_isotropic_vector(g))
+    return Parabolic(fixed_vector=_fixed_isotropic_vector(g, nil, nil2))
 
 
 def eichler_transvection(lattice: QuadLattice, e, v) -> LatticeIsometry:
@@ -336,72 +340,32 @@ def eichler_transvection(lattice: QuadLattice, e, v) -> LatticeIsometry:
     return t
 
 
-def _canonical_direction(v, normalization: str = "sup") -> list[float]:
-    if normalization == "l2":
-        nrm = sum(x * x for x in v) ** 0.5
-    else:
-        nrm = max(abs(x) for x in v)
-    out = [x / nrm for x in v]
-    lead = next(x for x in out if x)
-    if lead < 0:
-        out = [-x for x in out]
-    return out
-
-
-def limit_nef_class(
-    g: LatticeIsometry,
-    w,
-    iters: int = 2**40,
-    normalization: str = "sup",
-) -> tuple[float, ...]:
+def limit_nef_class(g: LatticeIsometry, w) -> tuple[float, ...]:
     """Limit direction of g^i(w) for parabolic g and w in the positive cone.
 
-    Iterates by exact exponent doubling (integer matrix squaring), so power
-    exponents far beyond any float-safe range are exact; the direction is
-    normalized (sup norm by default) and iteration stops once the change
-    between consecutive doublings drops below 1e-12.  The parabolic drift
-    is polynomial, so the normalized direction converges like 1/exponent;
-    doubling reaches the 1e-9 contract quickly where linear iteration
-    could not.  `iters` caps the exponent.
-
-    The result is checked against the parabolic fixed vector
-    (proportional within 1e-9) before being returned.
+    With N = g^L - I as in :func:`classify`, N^3 = 0 gives
+    g^(kL) = I + k N + C(k, 2) N^2, and g fixes the image of N^2, so the
+    direction of g^i(w) tends to that of N^2 w.  That vector is exact and
+    checked to lie on the fixed line; the one float step is its division
+    by the sup norm, signed to make the first nonzero coordinate positive.
     """
-    if normalization not in ("sup", "l2"):
-        raise PreconditionError("normalization must be 'sup' or 'l2'")
-    cls = classify(g)
-    if not isinstance(cls, Parabolic):
-        raise PreconditionError(f"limit direction needs a parabolic isometry, got {cls.tag}")
     w = [Fraction(x) for x in w]
     if len(w) != g.lattice.rank:
         raise DimensionMismatchError("w has wrong length")
-    gw = [sum(Fraction(r) * x for r, x in zip(row, w)) for row in g.lattice.gram]
-    qww = sum(a * b for a, b in zip(w, gw))
-    if qww <= 0:
+    if sum(a * b for a, b in zip(w, mat_vec(g.lattice.gram, w))) <= 0:
         raise PreconditionError("w must lie in the open positive cone (q(w, w) > 0)")
-    lead = next((x for x in w if x), 0)
-    if lead <= 0:
+    if next((x for x in w if x), 0) <= 0:
         raise PreconditionError("w must have positive first nonzero coordinate")
-
-    def direction(vec) -> list[float]:
-        return _canonical_direction([float(x) for x in vec], normalization)
-
-    m = [list(r) for r in g.matrix]
-    exponent = 1
-    prev = direction([sum(Fraction(a) * x for a, x in zip(row, w)) for row in m])
-    while exponent < iters:
-        m = mat_mul(m, m)
-        exponent *= 2
-        cur = direction([sum(Fraction(a) * x for a, x in zip(row, w)) for row in m])
-        if max(abs(a - b) for a, b in zip(cur, prev)) < DIRECTION_CHANGE_TOL:
-            prev = cur
-            break
-        prev = cur
-    else:
-        raise ContractError(
-            f"direction did not converge within exponent cap {iters}"
-        )
-    target = _canonical_direction([float(x) for x in cls.fixed_vector], normalization)
-    if max(abs(a - b) for a, b in zip(prev, target)) > LIMIT_CONTRACT_TOL:
-        raise ContractError("limit direction does not match the parabolic fixed vector")
-    return tuple(prev)
+    outside = _outside_so_plus(g)
+    jordan = None if outside else _jordan_data([list(r) for r in g.matrix])
+    if jordan is None or not any(map(any, jordan[1])):
+        tag = (outside or (Elliptic if jordan else Loxodromic)).tag
+        raise PreconditionError(f"limit direction needs a parabolic isometry, got {tag}")
+    v = _fixed_isotropic_vector(g, *jordan[1:])
+    limit = mat_vec(jordan[2], w)
+    if not any(limit):
+        raise ContractError("N^2 w = 0 for w in the positive cone (bug)")
+    if any(a * d != b * c for (a, b), (c, d) in combinations(zip(limit, v), 2)):
+        raise ContractError("N^2 w is not parallel to the fixed vector (bug)")
+    sup = max(map(abs, limit)) * (1 if next(x for x in limit if x) > 0 else -1)
+    return tuple(float(x / sup) for x in limit)

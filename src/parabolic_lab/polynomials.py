@@ -2,10 +2,10 @@
 
 Polynomials are tuples of Fractions in ascending degree order with no
 trailing zeros (the zero polynomial is the empty tuple).  The module
-supplies what the isometry trichotomy needs done exactly: characteristic
+supplies what the isometry layer needs done exactly: characteristic
 polynomials (Faddeev-LeVerrier, in Python ints for integer matrices),
-minimal polynomials (Krylov), cyclotomic factor stripping, squarefree
-parts, and Sturm-chain root counting.  Largest-root isolation counts with
+minimal polynomials (Krylov, behind `is_semisimple`), cyclotomic factor
+stripping, squarefree parts, and Sturm-chain root counting.  Largest-root isolation counts with
 the Sturm chain only until the root is alone in its interval and then
 bisects on the sign of the squarefree part, in integers.
 """
@@ -31,13 +31,6 @@ def poly(coeffs) -> Poly:
 
 def degree(p: Poly) -> int:
     return len(p) - 1
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return poly(
-        [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
-    )
 
 
 def poly_neg(p: Poly) -> Poly:

@@ -457,6 +457,8 @@ def fiber_cells(
     G = 16 then cover at least 95% of the tube on virtually every smooth
     fiber.
     """
+    if grid < 1 or refine < 1:
+        raise PreconditionError("grid and refine must be >= 1")
     first, second = pair
     (base_axis,) = [a for a in AXES if a not in pair]
     base_pair = _normalize(base_pair)
@@ -820,6 +822,8 @@ def birkhoff_ergodicity_test(
         raise PreconditionError(f"unknown test function {fid!r}")
     if trials < 2:
         raise PreconditionError("trials must be >= 2 to estimate the time-average spread")
+    if word_length < 1:
+        raise PreconditionError("word_length must be >= 1")
     maps = [
         (lambda p, pr=pr: parabolic_map(surface, pr, p)) for pr in pairs
     ]
@@ -872,6 +876,8 @@ def ergodicity_contrast(
     Returns within-fiber and cross-fiber variances of trajectory means;
     a large ratio is the detection signal.
     """
+    if word_length < 1:
+        raise PreconditionError("word_length must be >= 1")
     (base_axis,) = [a for a in AXES if a not in pair]
 
     def trajectory_mean(start, rng):

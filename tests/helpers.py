@@ -4,8 +4,12 @@ The classification oracle here deliberately takes a different route from
 the library: spectral radius by Sturm-sequence root counting off the unit
 interval, semisimplicity by evaluating the squarefree part of the
 characteristic polynomial on the matrix, elliptic orders by brute-force
-powering.  The library's route (cyclotomic factor stripping plus minimal
-polynomial squarefreeness) never enters.
+powering.  The library's route (cyclotomic factor stripping, then the
+Jordan data of N = g^L - I) never enters, and neither do the library's
+polynomial and matrix kernels: the oracle runs on frozen copies of them.
+The parabolic fixed vector is re-derived by the kernel route (the radical
+of the form on ker(g - I)) and the limit direction by exact exponent
+doubling, the two routes the library used before it read both off N^2.
 
 The exact linear algebra the oracles need (determinant, inverse, rank,
 kernel, solve) is a frozen Fraction Gauss-Jordan elimination, kept apart
@@ -33,21 +37,6 @@ import numpy as np
 from parabolic_lab import surface222 as s2
 from parabolic_lab.lattice import QuadLattice, diagonal_lattice, hyperbolic_plane
 from parabolic_lab.isometry import LatticeIsometry, eichler_transvection
-from parabolic_lab.linalg_exact import (
-    identity_matrix,
-    mat_eq,
-    mat_mul,
-    mat_pow,
-)
-from parabolic_lab.polynomials import (
-    cauchy_root_bound,
-    count_real_roots,
-    evaluate,
-    evaluate_matrix,
-    poly,
-    squarefree_part,
-    sturm_chain,
-)
 
 MAX_BRUTE_ORDER = 1000
 
@@ -62,24 +51,65 @@ def oracle_tag(g: LatticeIsometry) -> tuple[str, int | None]:
     if det != 1 or not time_preserving:
         return "OutsideSOPlus", None
     p = frozen_charpoly(m)
-    bound = cauchy_root_bound(p)
-    reflected = poly([c * (-1) ** i for i, c in enumerate(p)])
-    off_circle = count_real_roots(p, Fraction(1), bound) + count_real_roots(
+    bound = _frozen_cauchy_bound(p)
+    reflected = _frozen_poly([c * (-1) ** i for i, c in enumerate(p)])
+    off_circle = frozen_count_real_roots(p, Fraction(1), bound) + frozen_count_real_roots(
         reflected, Fraction(1), bound
     )
     if off_circle > 0:
         return "Loxodromic", None
-    radical = squarefree_part(p)
-    rad_eval = evaluate_matrix(radical, m)
+    rad_eval = frozen_evaluate_matrix(frozen_squarefree_part(p), m)
     semisimple = all(x == 0 for row in rad_eval for x in row)
     if not semisimple:
         return "Parabolic", None
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
     acc = [row[:] for row in m]
     for k in range(1, MAX_BRUTE_ORDER + 1):
-        if mat_eq(acc, identity_matrix(n)):
+        if acc == identity:
             return "Elliptic", k
-        acc = mat_mul(acc, m)
+        acc = frozen_mat_mul(acc, m)
     raise AssertionError("brute-force order search exceeded its bound")
+
+
+def reference_fixed_vector(g: LatticeIsometry) -> tuple[int, ...]:
+    """The parabolic fixed vector by the kernel route: the radical of the
+    form restricted to ker(g - I), primitive with positive leading entry."""
+    n = g.lattice.rank
+    kernel = frozen_kernel([[x - int(i == j) for j, x in enumerate(row)]
+                            for i, row in enumerate(g.matrix)])
+    gram_k = [[g.lattice.bbf(u, v) for v in kernel] for u in kernel]
+    radical = frozen_kernel(gram_k)
+    assert len(radical) == 1, "fixed isotropic direction is not unique"
+    v = [sum(c * u[j] for c, u in zip(radical[0], kernel)) for j in range(n)]
+    content = 0
+    for x in v:
+        content = gcd(content, abs(x))
+    v = [x // content for x in v]
+    return tuple(-x for x in v) if next(x for x in v if x) < 0 else tuple(v)
+
+
+def doubling_limit(g: LatticeIsometry, w, iters: int = 2**40, tol: float = 1e-12):
+    """Direction of g^(2^k) w (sup norm, positive leading entry), doubling k
+    until two consecutive directions differ by less than tol; None when the
+    exponent reaches iters first (the drift converges only like 1/exponent)."""
+
+    def direction(m):
+        v = [float(sum(Fraction(a) * x for a, x in zip(row, w))) for row in m]
+        sup = max(abs(x) for x in v)
+        if next(x for x in v if x) < 0:
+            sup = -sup
+        return [x / sup for x in v]
+
+    m = [list(r) for r in g.matrix]
+    exponent, prev = 1, direction(m)
+    while exponent < iters:
+        m = frozen_mat_mul(m, m)
+        exponent *= 2
+        cur = direction(m)
+        if max(abs(a - b) for a, b in zip(cur, prev)) < tol:
+            return tuple(cur)
+        prev = cur
+    return None
 
 
 def parabolic_payload_ok(g: LatticeIsometry, v) -> bool:
@@ -145,10 +175,11 @@ def _inv(g: LatticeIsometry) -> LatticeIsometry:
 
 
 def random_word(lattice: QuadLattice, gens, rng: random.Random, max_len: int = 6) -> LatticeIsometry:
-    m = identity_matrix(lattice.rank)
+    n = lattice.rank
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(rng.randint(1, max_len)):
         g = gens[rng.randrange(len(gens))]
-        m = mat_mul(m, [list(r) for r in g.matrix])
+        m = frozen_mat_mul(m, g.matrix)
     return LatticeIsometry(lattice, tuple(tuple(r) for r in m))
 
 
@@ -329,6 +360,93 @@ def fujiki_polarized_bruteforce(structure, etas):
 
 
 # ---------------------------------------------------------------------------
+# frozen polynomial and matrix arithmetic over Q (the oracles' own kernels)
+# ---------------------------------------------------------------------------
+
+def frozen_mat_mul(a, b):
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _frozen_poly(coeffs):
+    """Ascending Fraction coefficients without trailing zeros."""
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _frozen_divmod(p, q):
+    rem, quo = list(p), [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    while len(rem) >= len(q):
+        f = rem[-1] / q[-1]
+        shift = len(rem) - len(q)
+        quo[shift] = f
+        for i, c in enumerate(q):
+            rem[shift + i] -= f * c
+        rem = list(_frozen_poly(rem[:-1]))
+    return _frozen_poly(quo), tuple(rem)
+
+
+def _frozen_evaluate(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _frozen_derivative(p):
+    return _frozen_poly([i * c for i, c in enumerate(p)][1:])
+
+
+def frozen_squarefree_part(p):
+    """p / gcd(p, p'), monic."""
+    a, b = p, _frozen_derivative(p)
+    while b:
+        a, b = b, _frozen_divmod(a, b)[1]
+    quo = _frozen_divmod(p, a)[0]
+    return tuple(c / quo[-1] for c in quo)
+
+
+def frozen_sturm_chain(p):
+    chain = [_frozen_poly(p), _frozen_derivative(p)]
+    while chain[-1]:
+        rem = _frozen_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append(tuple(-c for c in rem))
+    return [c for c in chain if c]
+
+
+def _frozen_variations(chain, x):
+    signs = [v > 0 for v in (_frozen_evaluate(c, x) for c in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def frozen_count_real_roots(p, a, b):
+    """Distinct real roots of p in (a, b], by the Sturm chain of its squarefree part."""
+    if len(p) < 2:
+        return 0
+    chain = frozen_sturm_chain(frozen_squarefree_part(p))
+    return _frozen_variations(chain, Fraction(a)) - _frozen_variations(chain, Fraction(b))
+
+
+def _frozen_cauchy_bound(p):
+    return 1 + max(abs(c) for c in p[:-1]) / abs(p[-1])
+
+
+def frozen_evaluate_matrix(p, m):
+    """p(M) by Horner's rule."""
+    n = len(m)
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for c in reversed(p):
+        acc = frozen_mat_mul(acc, m)
+        for i in range(n):
+            acc[i][i] += c
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # frozen plain kernels (oracles for charpoly, hafnian, isolation)
 # ---------------------------------------------------------------------------
 
@@ -345,7 +463,7 @@ def frozen_charpoly(m):
         if k < n:
             for i in range(n):
                 mk[i][i] += ck
-            mk = mat_mul(mf, mk)
+            mk = frozen_mat_mul(mf, mk)
     return tuple(coeffs)
 
 
@@ -367,16 +485,12 @@ def frozen_hafnian(a):
 
 def frozen_isolate(p, lower=Fraction(1)):
     """Largest root above `lower` by bisection on Sturm counts down to width 2^-80."""
-    chain = sturm_chain(squarefree_part(p))
-
-    def variations(x):
-        signs = [v > 0 for v in (evaluate(c, x) for c in chain) if v]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
+    chain = frozen_sturm_chain(frozen_squarefree_part(p))
 
     def roots_in(a, b):
-        return variations(a) - variations(b)
+        return _frozen_variations(chain, a) - _frozen_variations(chain, b)
 
-    hi = cauchy_root_bound(p)
+    hi = _frozen_cauchy_bound(p)
     if roots_in(lower, hi) == 0:
         return None
     lo = lower

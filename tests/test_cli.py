@@ -85,6 +85,11 @@ def test_seed_transvect_classify_limit_chain(tmp_path, capsys):
     assert code == 0
     d = json.loads(out)["result"]["direction"]
     assert abs(d[0]) < 1e-9 and abs(d[1]) < 1e-9 and abs(d[2] - 1) < 1e-9
+    # the direction is exact, with no residue of a float iteration
+    assert d == [0.0, 0.0, 1.0]
+    # the exponent cap of the former doubling loop is no longer an option
+    assert main(["isometry", "limit", "-i", str(iso_file), "--w", "1,0,0", "--iters", "8"]) == 1
+    capsys.readouterr()
 
 
 def test_non_integral_gram_entries(tmp_path, capsys):
@@ -187,6 +192,28 @@ def test_hodge_cli(tmp_path, capsys):
     assert res["verdict"] == "PremiseViolated" and abs(res["mean"] - 1.25) < 1e-12
 
 
+@pytest.mark.parametrize("h1", [
+    [["a", 0], [0, 1]],
+    [[None, 0], [0, 1]],
+    [[True, 0], [0, 1]],
+    [[[1], 0], [0, 1]],
+    [[[1, "a"], 0], [0, 1]],
+    [[2, 0], 5],
+    [[2, 0], [0]],
+    "x",
+], ids=["word", "null", "bool", "short-pair", "word-in-pair", "flat-row", "ragged", "string"])
+def test_hodge_amgm_entries_must_be_numbers(h1, tmp_path, capsys):
+    a = tmp_path / "amgm.json"
+    a.write_text(json.dumps({"h1": h1, "h2": [[1, 0], [0, 1]]}))
+    assert main(["hodge", "amgm", "-i", str(a)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    # [re, im] pairs are complex entries
+    a.write_text(json.dumps({"h1": [[[2, 0], 0], [0, [0.5, 0]]], "h2": [[1, 0], [0, 1]]}))
+    code, out = run_cli(["hodge", "amgm", "-i", str(a)], capsys)
+    assert code == 0 and json.loads(out)["result"]["mean"] == 1.25
+
+
 @pytest.mark.parametrize("field,code", [({"n": 1.5}, 2), ({"c": "x"}, 1), ({"K": "x"}, 1)],
                          ids=["n-fraction", "c-word", "K-word"])
 def test_hodge_fujiki_form_fields(field, code, tmp_path, capsys):
@@ -274,7 +301,12 @@ def test_nonfinite_floats_are_strict_json():
     ["k3", "orbit", "--n", "0"],
     ["k3", "orbit", "--fibers", "0", "--n", "10"],
     ["k3", "ergo", "--trials", "1", "--l", "10", "--mc", "100"],
-], ids=["sample-n0", "involve-n0", "orbit-n0", "orbit-fibers0", "ergo-trials1"])
+    ["k3", "ergo", "--trials", "2", "--l", "0", "--mc", "100"],
+    ["k3", "ergo", "--contrast", "--l", "0"],
+    ["k3", "orbit", "--n", "100", "--grid", "0"],
+    ["k3", "orbit", "--n", "100", "--grid", "-3"],
+], ids=["sample-n0", "involve-n0", "orbit-n0", "orbit-fibers0", "ergo-trials1", "ergo-l0",
+        "contrast-l0", "orbit-grid0", "orbit-grid-neg"])
 def test_degenerate_counts_are_preconditions(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -3,7 +3,14 @@ import random
 import mpmath as mp
 import pytest
 
-from helpers import classification_lattices, oracle_tag, parabolic_payload_ok, random_word
+from helpers import (
+    classification_lattices,
+    doubling_limit,
+    oracle_tag,
+    parabolic_payload_ok,
+    random_word,
+    reference_fixed_vector,
+)
 from parabolic_lab.errors import ContractError, PreconditionError
 from parabolic_lab.isometry import (
     Elliptic,
@@ -133,8 +140,80 @@ def test_limit_nef_class():
         limit_nef_class(LatticeIsometry(U2, ((1, 0, 0), (0, 1, 0), (0, 0, 1))), (2, 1, 0))
     with pytest.raises(PreconditionError):
         limit_nef_class(t, (1, 0, 0))  # boundary vector, q = 0
-    with pytest.raises(PreconditionError):
-        limit_nef_class(t, (2, 1, 0), normalization="bogus")
+    with pytest.raises(PreconditionError, match="positive first nonzero"):
+        limit_nef_class(t, (-2, -1, 0))
+    with pytest.raises(PreconditionError, match="wrong length"):
+        limit_nef_class(t, (2, 1))
+    with pytest.raises(PreconditionError, match="got Loxodromic"):
+        limit_nef_class(LatticeIsometry(PELL, ((3, 2), (4, 3))), (1, 0))
+    with pytest.raises(PreconditionError, match="got OutsideSOPlus"):
+        limit_nef_class(LatticeIsometry(U2, ((0, 1, 0), (1, 0, 0), (0, 0, 1))), (2, 1, 0))
+    # the direction is exact: a transvection's limit is its e, with no rounding residue
+    assert d == (1.0, 0.0, 0.0)
+    with pytest.raises(TypeError):
+        limit_nef_class(t, (2, 1, 0), normalization="sup")
+
+
+def test_limit_on_slowly_converging_parabolic():
+    # charpoly (x - 1)^3: the normalized drift of g^n w converges like 1/n, so
+    # exponent doubling does not settle to 1e-12 before 2^40
+    g = LatticeIsometry(U2, ((0, 1, 0), (1, 4, 4), (0, -2, -1)))
+    assert charpoly([list(r) for r in g.matrix]) == (-1, 3, -3, 1)
+    assert classify(g) == Parabolic(fixed_vector=(1, 1, -1))
+    assert limit_nef_class(g, (2, 1, 0)) == (1.0, 1.0, -1.0)
+    assert doubling_limit(g, (2, 1, 0)) is None
+    # the limit (-1, 1, 1) lies in w's cone but is reported, like the fixed
+    # vector, with its first nonzero coordinate positive
+    lat = QuadLattice(((-2, 0, 0), (0, 0, 1), (0, 1, 0)))
+    t = eichler_transvection(lat, (-1, 1, 1), (0, 1, -1))
+    assert classify(t) == Parabolic(fixed_vector=(1, -1, -1))
+    assert lat.bbf((1, 2, 2), (-1, 1, 1)) > 0
+    assert limit_nef_class(t, (1, 2, 2)) == (1.0, -1.0, -1.0)
+
+
+def test_twisted_parabolic():
+    # a transvection on U + <-2> direct-summed with -I on <-2> + <-2>: det 1,
+    # charpoly (x - 1)^3 (x + 1)^2, so the unipotent part is g^2, not g
+    lat = U2.direct_sum(diagonal_lattice(-2, -2))
+    t = eichler_transvection(U2, (1, 0, 0), (0, 0, 1)).matrix
+    m = tuple(row + (0, 0) for row in t) + ((0, 0, 0, -1, 0), (0, 0, 0, 0, -1))
+    g = LatticeIsometry(lat, m)
+    assert g.det == 1
+    assert charpoly([list(r) for r in m]) == (-1, 1, 2, -2, -1, 1)
+    assert oracle_tag(g) == ("Parabolic", None)
+    cls = classify(g)
+    assert cls == Parabolic(fixed_vector=(1, 0, 0, 0, 0))
+    assert cls.fixed_vector == reference_fixed_vector(g)
+    assert limit_nef_class(g, (2, 1, 0, 0, 0)) == (1.0, 0.0, 0.0, 0.0, 0.0)
+    assert limit_nef_class(g, (3, 2, 1, 1, 0)) == (1.0, 0.0, 0.0, 0.0, 0.0)
+    # without the transvection the twist alone is elliptic of order 2
+    twist = LatticeIsometry(lat, tuple(
+        tuple(int(i == j) * (-1 if i >= 3 else 1) for j in range(5)) for i in range(5)))
+    assert classify(twist) == Elliptic(order=2)
+    with pytest.raises(PreconditionError, match="got Elliptic"):
+        limit_nef_class(twist, (2, 1, 0, 0, 0))
+
+
+def test_limit_matches_doubling_oracle_on_fuzz_words():
+    rng = random.Random(5150)
+    lattices = classification_lattices()
+    checked = 0
+    for _ in range(300):
+        lat, gens = lattices[rng.randrange(len(lattices))]
+        g = random_word(lat, gens, rng)
+        cls = classify(g)
+        if not isinstance(cls, Parabolic):
+            continue
+        w = lat.positive_witness
+        d = limit_nef_class(g, w)
+        # the limit is the canonical direction of the fixed vector, exactly
+        sup = max(abs(x) for x in cls.fixed_vector)
+        assert d == tuple(x / sup for x in cls.fixed_vector)
+        want = doubling_limit(g, w)
+        if want is not None:
+            assert max(abs(a - b) for a, b in zip(d, want)) < 1e-9
+            checked += 1
+    assert checked >= 90
 
 
 def test_parabolic_fixed_vector_unique_and_stable_under_powers():
@@ -165,6 +244,7 @@ def test_fuzz_words_against_oracle():
             assert cls.order == order
         if isinstance(cls, Parabolic):
             assert parabolic_payload_ok(g, cls.fixed_vector)
+            assert cls.fixed_vector == reference_fixed_vector(g)
         if isinstance(cls, Loxodromic):
             assert float(cls.eigenvalue) > 1
         # inverse symmetry of the tag

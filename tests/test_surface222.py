@@ -228,6 +228,16 @@ def test_birkhoff_unknown_function():
         s2.birkhoff_ergodicity_test(S, "nope", word_length=10, trials=2, mc_samples=100)
 
 
+def test_nonpositive_lengths_and_grids_are_preconditions():
+    with pytest.raises(PreconditionError, match="word_length"):
+        s2.birkhoff_ergodicity_test(S, "one", word_length=0, trials=2, mc_samples=100)
+    with pytest.raises(PreconditionError, match="word_length"):
+        s2.ergodicity_contrast(S, word_length=0)
+    for grid in (0, -3):
+        with pytest.raises(PreconditionError, match="grid"):
+            s2.fiber_cells(S, ("y", "z"), (1.0 + 0j, 0.5 + 0j), grid=grid)
+
+
 def test_json_roundtrip():
     text = s2.surface_to_json(S)
     back = s2.surface_from_json(text)
