@@ -5,8 +5,8 @@ Fractions.  Everything here is deterministic and exact: one fraction-free
 (Bareiss) Gauss-Jordan elimination on Python ints behind the determinant,
 inverse, rank, kernel and solve routines (Fraction rows are scaled to
 integers first, so only the final results are divided), Hermite normal
-form with extended-gcd row operations, and a classical LLL reduction with
-rational Gram-Schmidt data.
+form with extended-gcd row operations, and an integral, fraction-free LLL
+reduction (integer Gram-Schmidt determinants, exact divisions only).
 These kernels back the signature, kernel-extraction and integer-relation
 machinery, so no floating point is allowed in this module.
 """
@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+
+from .errors import PreconditionError
 
 Matrix = list[list]
 
@@ -247,64 +249,92 @@ def hnf(rows) -> list[list[int]]:
     return [row for row in m[:r] if any(row)]
 
 
-def lll_reduce(rows, delta: Fraction = Fraction(3, 4)) -> list[list[int]]:
-    """LLL reduction with exact rational Gram-Schmidt data.
+def _lll_entry(x) -> int:
+    """An integral entry as an int; anything else is refused, never truncated."""
+    if type(x) is int:
+        return x
+    try:
+        if x == int(x):
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise PreconditionError(f"lll_reduce needs integer entries, got {x!r}")
 
-    Classical incremental formulation: mu and the squared Gram-Schmidt
-    norms are kept as Fractions and updated through size reductions and
-    swaps, so the output is deterministic.  Rows must be linearly
-    independent integer vectors.
+
+def _round_half_even(num: int, den: int) -> int:
+    """round(num / den) for den > 0, ties to even, as round() does on a Fraction."""
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q & 1):
+        q += 1
+    return q
+
+
+def lll_reduce(rows) -> list[list[int]]:
+    """LLL reduction (delta = 3/4) with integral, fraction-free Gram-Schmidt data.
+
+    Cohen, GTM 138, Alg. 2.6.7 (de Weger 1989): with B_i = |b*_i|^2 and
+    mu_ij the Gram-Schmidt coefficients, it keeps the integers
+    D[0] = 1, D[i+1] = B_0 ... B_i and lam[i][j] = D[j+1] mu_ij, and every
+    division in the bootstrap and the swaps is exact.  The size-reduction
+    and Lovasz tests are the classical ones multiplied through by
+    positive D's, so the output is that of the rational algorithm.
+    Rows must be linearly independent integer vectors of equal length;
+    a non-integral entry, ragged rows or dependent rows are a
+    PreconditionError.
     """
-    b = [[int(x) for x in row] for row in rows]
+    b = [[_lll_entry(x) for x in row] for row in rows]
     n = len(b)
-    if n <= 1:
-        return b
+    if len({len(row) for row in b}) > 1:
+        raise PreconditionError("lll_reduce needs rows of equal length")
 
     def dot(u, v):
         return sum(x * y for x, y in zip(u, v))
 
-    # full Gram-Schmidt bootstrap: B[i] = |b*_i|^2, mu[i][j] for j < i
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    B = [Fraction(0)] * n
-    r = [[Fraction(0)] * n for _ in range(n)]  # r[i][j] = <b_i, b*_j>
+    # integral Gram-Schmidt bootstrap
+    D = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i):
-            r[i][j] = Fraction(dot(b[i], b[j])) - sum(
-                mu[j][k] * r[i][k] for k in range(j)
-            )
-            mu[i][j] = r[i][j] / B[j]
-        B[i] = Fraction(dot(b[i], b[i])) - sum(mu[i][k] * r[i][k] for k in range(i))
-        if B[i] == 0:
-            raise ValueError("lll_reduce requires linearly independent rows")
+        for j in range(i + 1):
+            u = dot(b[i], b[j])
+            for k in range(j):
+                u = (D[k + 1] * u - lam[i][k] * lam[j][k]) // D[k]
+            if j < i:
+                lam[i][j] = u
+            elif u == 0:
+                raise PreconditionError("lll_reduce requires linearly independent rows")
+            else:
+                D[i + 1] = u
 
     def size_reduce(k: int, l: int):
-        if abs(mu[k][l]) * 2 > 1:
-            q = round(mu[k][l])
+        d = D[l + 1]
+        if 2 * abs(lam[k][l]) > d:
+            q = _round_half_even(lam[k][l], d)
             b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lk, ll = lam[k], lam[l]
             for j in range(l):
-                mu[k][j] -= q * mu[l][j]
-            mu[k][l] -= q
+                lk[j] -= q * ll[j]
+            lk[l] -= q * d
 
     k = 1
     while k < n:
         size_reduce(k, k - 1)
-        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+        t = lam[k][k - 1]
+        # B_k >= (3/4 - mu^2) B_{k-1}, times 4 D_k D_{k-1}
+        if 4 * (D[k + 1] * D[k - 1] + t * t) >= 3 * D[k] * D[k]:
             for l in range(k - 2, -1, -1):
                 size_reduce(k, l)
             k += 1
         else:
-            # swap b_k and b_{k-1}, updating mu/B in place
-            m_ = mu[k][k - 1]
-            B_ = B[k] + m_ * m_ * B[k - 1]
-            mu[k][k - 1] = m_ * B[k - 1] / B_
-            B[k] = B[k - 1] * B[k] / B_
-            B[k - 1] = B_
+            # swap b_k and b_{k-1} (Cohen's SWAPI); lam[k][k-1] is unchanged
             b[k], b[k - 1] = b[k - 1], b[k]
             for j in range(k - 1):
-                mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            dk = (D[k - 1] * D[k + 1] + t * t) // D[k]
             for i in range(k + 1, n):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m_ * t
-                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+                li = lam[i]
+                s = li[k]
+                li[k] = (D[k + 1] * li[k - 1] - t * s) // D[k]
+                li[k - 1] = (dk * s + t * li[k]) // D[k + 1]
+            D[k] = dk
             k = max(k - 1, 1)
     return b

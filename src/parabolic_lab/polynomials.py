@@ -5,9 +5,12 @@ trailing zeros (the zero polynomial is the empty tuple).  The module
 supplies what the isometry layer needs done exactly: characteristic
 polynomials (Faddeev-LeVerrier, in Python ints for integer matrices),
 minimal polynomials (Krylov, behind `is_semisimple`), cyclotomic factor
-stripping, squarefree parts, and Sturm-chain root counting.  Largest-root isolation counts with
-the Sturm chain only until the root is alone in its interval and then
-bisects on the sign of the squarefree part, in integers.
+stripping, squarefree parts, and Sturm-chain root counting.  Cyclotomic
+stripping is integral and fraction-free: trial division by a cached
+table of integer Phi_d, which are monic, so the loop never divides.
+Largest-root isolation counts with the Sturm chain only until the root
+is alone in its interval and then bisects on the sign of the squarefree
+part, in integers.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .errors import ContractError
+from .errors import ContractError, PreconditionError
 from .linalg_exact import mat_mul
 
 Poly = tuple[Fraction, ...]
@@ -77,7 +80,7 @@ def derivative(p: Poly) -> Poly:
 
 
 def monic(p: Poly) -> Poly:
-    if not p:
+    if not p or p[-1] == 1:
         return p
     lead = p[-1]
     return tuple(c / lead for c in p)
@@ -202,14 +205,39 @@ def euler_phi(d: int) -> int:
     return result
 
 
+def _divmod_monic(p, q):
+    """(quotient, remainder) of coefficient lists p by a monic q.
+
+    q's leading coefficient is 1, so the loop only multiplies and
+    subtracts: int coefficients stay ints, Fractions stay Fractions.
+    The remainder is the low len(q) - 1 slots, trailing zeros kept.
+    """
+    rem, dq = list(p), len(q) - 1
+    quo = [0] * max(len(p) - dq, 0)
+    for shift in range(len(quo) - 1, -1, -1):
+        f = rem[shift + dq]
+        if f:
+            quo[shift] = f
+            for i in range(dq):
+                rem[shift + i] -= f * q[i]
+    return quo, rem[:dq]
+
+
 @lru_cache(maxsize=None)
-def cyclotomic(d: int) -> Poly:
-    """The d-th cyclotomic polynomial, by the recursive division formula."""
-    num = poly([-1] + [0] * (d - 1) + [1])  # x^d - 1
+def _cyclotomic_ints(d: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_d: x^d - 1 divided by Phi_e for every proper divisor e."""
+    num = [-1] + [0] * (d - 1) + [1]
     for e in range(1, d):
         if d % e == 0:
-            num = poly_divmod(num, cyclotomic(e))[0]
-    return num
+            num = _divmod_monic(num, _cyclotomic_ints(e))[0]
+    return tuple(num)
+
+
+def cyclotomic(d: int) -> Poly:
+    """The d-th cyclotomic polynomial (d >= 1)."""
+    if d < 1:
+        raise PreconditionError(f"cyclotomic index must be >= 1, got {d}")
+    return poly(_cyclotomic_ints(d))
 
 
 def cyclotomic_indices(max_phi: int) -> list[int]:
@@ -218,21 +246,28 @@ def cyclotomic_indices(max_phi: int) -> list[int]:
     return [d for d in range(1, bound + 1) if euler_phi(d) <= max_phi]
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_table(max_phi: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(d, integer Phi_d) for every d with phi(d) <= max_phi, in increasing d."""
+    return tuple((d, _cyclotomic_ints(d)) for d in cyclotomic_indices(max_phi))
+
+
 def strip_cyclotomic_factors(p: Poly) -> tuple[Poly, dict[int, int]]:
-    """Divide out every cyclotomic factor; return (remainder, {d: multiplicity})."""
+    """Divide out every cyclotomic factor; return (monic remainder, {d: multiplicity}).
+
+    Trial division by the integer Phi_d, in increasing d; each Phi_d is
+    monic, so the loop never divides and integral coefficients stay ints.
+    """
     found: dict[int, int] = {}
-    rem = monic(p)
-    for d in cyclotomic_indices(max(degree(p), 1)):
-        phi_d = cyclotomic(d)
-        if degree(phi_d) > degree(rem):
-            continue
-        while degree(rem) >= degree(phi_d):
-            quo, r = poly_divmod(rem, phi_d)
-            if r:
+    rem = [c.numerator if c.denominator == 1 else c for c in monic(p)]
+    for d, phi_d in _cyclotomic_table(max(degree(p), 1)):
+        while len(rem) >= len(phi_d):
+            quo, r = _divmod_monic(rem, phi_d)
+            if any(r):
                 break
             found[d] = found.get(d, 0) + 1
             rem = quo
-    return rem, found
+    return poly(rem), found
 
 
 def sturm_chain(p: Poly) -> list[Poly]:

@@ -15,11 +15,12 @@ The exact linear algebra the oracles need (determinant, inverse, rank,
 kernel, solve) is a frozen Fraction Gauss-Jordan elimination, kept apart
 from the library's fraction-free integer routine so that each checks the
 other.  The degree-form oracles are the literal (2n)!-permutation sums.
-The characteristic polynomial, the hafnian and the largest-root isolation
-are frozen in their plain forms (Fraction Faddeev-LeVerrier, the
-(2n-1)!! matching recursion, bisection by Sturm counts at every step), so
-the library's integer, memoized and sign-only kernels are checked against
-code they do not share.  The fiber-curve cells, the per-step orbit binning
+The characteristic polynomial, the hafnian, the largest-root isolation,
+LLL and cyclotomic stripping are frozen in their plain forms (Fraction
+Faddeev-LeVerrier, the (2n-1)!! matching recursion, bisection by Sturm
+counts at every step, LLL on rational Gram-Schmidt data, trial division
+by Fraction cyclotomics), so the library's integer, memoized, sign-only
+and fraction-free kernels are checked against code they do not share.  The fiber-curve cells, the per-step orbit binning
 and the Monte Carlo space average are frozen as the scalar loops they were
 before the library computed them as arrays.
 """
@@ -27,6 +28,7 @@ before the library computed them as arrays.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -447,7 +449,7 @@ def frozen_evaluate_matrix(p, m):
 
 
 # ---------------------------------------------------------------------------
-# frozen plain kernels (oracles for charpoly, hafnian, isolation)
+# frozen plain kernels (oracles for charpoly, hafnian, isolation, LLL, stripping)
 # ---------------------------------------------------------------------------
 
 def frozen_charpoly(m):
@@ -507,6 +509,106 @@ def frozen_isolate(p, lower=Fraction(1)):
         else:
             hi = mid
     return lo, hi
+
+
+def frozen_lll(rows, delta=Fraction(3, 4)):
+    """LLL reduction with exact rational Gram-Schmidt data (mu and B as Fractions)."""
+    b = [[int(x) for x in row] for row in rows]
+    n = len(b)
+    if n <= 1:
+        return b
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    # full Gram-Schmidt bootstrap: B[i] = |b*_i|^2, mu[i][j] for j < i
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    B = [Fraction(0)] * n
+    r = [[Fraction(0)] * n for _ in range(n)]  # r[i][j] = <b_i, b*_j>
+    for i in range(n):
+        for j in range(i):
+            r[i][j] = Fraction(dot(b[i], b[j])) - sum(
+                mu[j][k] * r[i][k] for k in range(j)
+            )
+            mu[i][j] = r[i][j] / B[j]
+        B[i] = Fraction(dot(b[i], b[i])) - sum(mu[i][k] * r[i][k] for k in range(i))
+        if B[i] == 0:
+            raise ValueError("lll_reduce requires linearly independent rows")
+
+    def size_reduce(k: int, l: int):
+        if abs(mu[k][l]) * 2 > 1:
+            q = round(mu[k][l])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            for j in range(l):
+                mu[k][j] -= q * mu[l][j]
+            mu[k][l] -= q
+
+    k = 1
+    while k < n:
+        size_reduce(k, k - 1)
+        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+        else:
+            # swap b_k and b_{k-1}, updating mu/B in place
+            m_ = mu[k][k - 1]
+            B_ = B[k] + m_ * m_ * B[k - 1]
+            mu[k][k - 1] = m_ * B[k - 1] / B_
+            B[k] = B[k - 1] * B[k] / B_
+            B[k - 1] = B_
+            b[k], b[k - 1] = b[k - 1], b[k]
+            for j in range(k - 1):
+                mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
+            for i in range(k + 1, n):
+                t = mu[i][k]
+                mu[i][k] = mu[i][k - 1] - m_ * t
+                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            k = max(k - 1, 1)
+    return b
+
+
+@functools.lru_cache(maxsize=None)
+def frozen_cyclotomic(d):
+    """Phi_d over Fractions: x^d - 1 divided by Phi_e for each proper divisor e."""
+    num = _frozen_poly([-1] + [0] * (d - 1) + [1])
+    for e in range(1, d):
+        if d % e == 0:
+            num = _frozen_divmod(num, frozen_cyclotomic(e))[0]
+    return num
+
+
+def _frozen_phi(d):
+    """Euler's phi by trial-division factorization: d times the product of (1 - 1/p)."""
+    out, m, p = d, d, 2
+    while p * p <= m:
+        if m % p == 0:
+            out -= out // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out - out // m if m > 1 else out
+
+
+@functools.lru_cache(maxsize=None)
+def _frozen_cyclotomic_indices(max_phi):
+    """All d with phi(d) <= max_phi (phi(d) >= sqrt(d/2) bounds d)."""
+    return [d for d in range(1, 2 * max_phi * max_phi + 3) if _frozen_phi(d) <= max_phi]
+
+
+def frozen_strip(p):
+    """Cyclotomic stripping over Fractions: trial division by Phi_d for phi(d) <= deg p."""
+    found = {}
+    rem = tuple(c / p[-1] for c in p) if p else p
+    for d in _frozen_cyclotomic_indices(max(len(p) - 1, 1)):
+        phi_d = frozen_cyclotomic(d)
+        while len(rem) >= len(phi_d):
+            quo, r = _frozen_divmod(rem, phi_d)
+            if r:
+                break
+            found[d] = found.get(d, 0) + 1
+            rem = quo
+    return rem, found
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from parabolic_lab.errors import PreconditionError
 from parabolic_lab.linalg_exact import (
     det_exact,
     hnf,
@@ -18,7 +19,7 @@ from parabolic_lab.linalg_exact import (
     solve_exact,
 )
 
-from helpers import frozen_det, frozen_inverse, frozen_kernel, frozen_rank, frozen_solve
+from helpers import frozen_det, frozen_inverse, frozen_kernel, frozen_lll, frozen_rank, frozen_solve
 
 
 def test_det_and_inverse():
@@ -184,3 +185,59 @@ def test_lll_finds_planted_short_vector():
     red = lll_reduce(rows)
     shortest = min(red, key=lambda r: sum(x * x for x in r))
     assert sum(x * x for x in shortest) < big
+
+
+def _lll_bases(rng):
+    """Random integer bases, relation-style [I | round(x 10^k)] rows and rounding ties."""
+    bases = []
+    while len(bases) < 200:
+        n = rng.randint(2, 7)
+        dim = n + rng.randint(0, 2)
+        rows = [[rng.randint(-60, 60) for _ in range(dim)] for _ in range(n)]
+        if rank_exact(rows) == n:
+            bases.append(rows)
+    for t in range(240):
+        n, k = rng.randint(1, 6), 1 + t % 30
+        x = [rng.random() * rng.choice((1, 10, 1000)) for _ in range(n)] + [1]
+        bases.append([[int(j == i) for j in range(n + 1)] + [round(v * 10**k)] for i, v in enumerate(x)])
+    for num in (3, -3, 5, -5):
+        for _ in range(20):
+            a, c = rng.randint(1, 9), rng.randint(-9, 9)
+            # mu_10 = num / 2 exactly, the tie that half-to-even rounding decides
+            bases.append([[2 * a, 0], [num * a, c or 1]])
+    return bases
+
+
+def test_lll_matches_frozen_fraction_lll():
+    bases = _lll_bases(random.Random(11))
+    assert len(bases) >= 500
+    for rows in bases:
+        red = lll_reduce(rows)
+        assert red == frozen_lll(rows), rows
+        assert _lovasz_ok(red)
+
+
+def test_lll_rounds_ties_half_to_even():
+    # b_1 - q b_0 with mu = num / 2: q = 2 for 3/2 and 5/2, -2 for -3/2 and -5/2
+    assert lll_reduce([[2, 0], [3, 5]]) == [[2, 0], [-1, 5]]
+    assert lll_reduce([[2, 0], [5, 9]]) == [[2, 0], [1, 9]]
+    assert lll_reduce([[2, 0], [-3, 9]]) == [[2, 0], [1, 9]]
+    assert lll_reduce([[2, 0], [-5, 9]]) == [[2, 0], [-1, 9]]
+
+
+def test_lll_input_contract():
+    with pytest.raises(PreconditionError, match="integer entries"):
+        lll_reduce([[1.5, 0], [1, 1]])
+    with pytest.raises(PreconditionError, match="integer entries"):
+        lll_reduce([[Fraction(1, 2), 0], [1, 1]])
+    with pytest.raises(PreconditionError, match="equal length"):
+        lll_reduce([[1, 0, 0], [0, 1]])
+    for dependent in ([[1, 2], [2, 4]], [[0, 0]], [[1, 0], [0, 1], [1, 1]]):
+        with pytest.raises(PreconditionError, match="independent"):
+            lll_reduce(dependent)
+    with pytest.raises(ValueError):  # PreconditionError is a ValueError
+        lll_reduce([[1, 2], [2, 4]])
+    with pytest.raises(TypeError):
+        lll_reduce([[1, 0], [0, 1]], Fraction(3, 4))
+    assert lll_reduce([[2.0, 0], [Fraction(4, 2), 1]]) == frozen_lll([[2, 0], [2, 1]]) == [[0, 1], [2, 0]]
+    assert lll_reduce([]) == []

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from parabolic_lab.errors import PreconditionError
 from parabolic_lab.isometry import eichler_transvection
 from parabolic_lab.lattice import e8_lattice, hyperbolic_plane
 from parabolic_lab.linalg_exact import det_exact, mat_mul
@@ -26,7 +29,7 @@ from parabolic_lab.polynomials import (
     strip_cyclotomic_factors,
 )
 
-from helpers import frozen_charpoly, frozen_isolate
+from helpers import frozen_charpoly, frozen_cyclotomic, frozen_isolate, frozen_strip
 
 
 def test_charpoly_matches_determinant():
@@ -124,6 +127,44 @@ def test_cyclotomics():
     assert cyclotomic(12) == poly([1, 0, -1, 0, 1])
     assert euler_phi(12) == 4
     assert set(cyclotomic_indices(2)) == {1, 2, 3, 4, 6}
+
+
+def test_cyclotomic_refuses_nonpositive_index():
+    for d in (0, -1, -3):
+        with pytest.raises(PreconditionError):
+            cyclotomic(d)
+
+
+def test_cyclotomic_matches_frozen_and_divides_x_to_the_d_minus_1():
+    for d in range(1, 121):
+        assert cyclotomic(d) == frozen_cyclotomic(d), d
+    # d = 630 has 48 divisors; the product of their Phi_e is x^630 - 1
+    d = 630
+    assert degree(cyclotomic(d)) == euler_phi(d) == 144
+    prod_ = poly([1])
+    for e in range(1, d + 1):
+        if d % e == 0:
+            prod_ = poly_mul(prod_, cyclotomic(e))
+    assert prod_ == poly([-1] + [0] * (d - 1) + [1])
+
+
+def test_strip_matches_frozen_fraction_strip():
+    rng = random.Random(7)
+    indices = [d for d in range(1, 31) if euler_phi(d) <= 8]
+    for trial in range(240):
+        # a random factor, seldom cyclotomic, times up to three cyclotomics
+        p = poly([rng.randint(-4, 4) for _ in range(rng.randint(0, 4))] + [rng.choice((1, 2, 3))])
+        for _ in range(rng.randint(0, 3)):
+            p = poly_mul(p, cyclotomic(rng.choice(indices)))
+        if trial % 3 == 1:
+            p = poly_mul(p, poly([Fraction(rng.randint(-5, 5), rng.randint(1, 5)), 1]))
+        if trial % 4 == 2:
+            p = poly([c * Fraction(rng.randint(1, 7), rng.randint(1, 7)) for c in p])
+        rem, found = strip_cyclotomic_factors(p)
+        assert (rem, found) == frozen_strip(p), p
+        assert all(type(c) is Fraction for c in rem)
+    for p in ((), poly([5]), poly([Fraction(2, 3)]), poly([-1, 1]), poly([Fraction(1, 2), Fraction(1, 2)])):
+        assert strip_cyclotomic_factors(p) == frozen_strip(p), p
 
 
 def test_strip_cyclotomic_factors():
