@@ -201,13 +201,13 @@ def _outside_so_plus(g: LatticeIsometry) -> OutsideSOPlus | None:
     return None if det == 1 and time_ok else OutsideSOPlus(det=det, time_preserving=time_ok)
 
 
-def _jordan_data(m) -> tuple[int, list[list[int]], list[list[int]]] | None:
+def _jordan_data(m, p) -> tuple[int, list[list[int]], list[list[int]]] | None:
     """(L, N, N^2) with N = m^L - I, or None when m is not quasi-unipotent.
 
-    L is the lcm of the indices of the cyclotomic factors of the
-    characteristic polynomial, so m^L is unipotent.
+    p is the characteristic polynomial of m.  L is the lcm of the indices
+    of its cyclotomic factors, so m^L is unipotent.
     """
-    rem, factors = strip_cyclotomic_factors(charpoly(m))
+    rem, factors = strip_cyclotomic_factors(p)
     if len(rem) != 1:
         return None
     order = lcm(*factors)
@@ -226,8 +226,8 @@ def _fixed_isotropic_vector(g: LatticeIsometry, nil, nil2) -> Vector:
     return v
 
 
-def _loxodromic_payload(g: LatticeIsometry) -> Loxodromic:
-    p = charpoly([list(r) for r in g.matrix])
+def _loxodromic_payload(g: LatticeIsometry, p) -> Loxodromic:
+    """Eigenvalue > 1 and the two isotropic eigendirections; p is g's charpoly."""
     interval = isolate_largest_root_above(p, Fraction(1))
     if interval is None:
         raise ContractError("loxodromic isometry with no real eigenvalue > 1 (bug)")
@@ -298,10 +298,12 @@ def classify(g: LatticeIsometry) -> IsometryClass:
     outside = _outside_so_plus(g)
     if outside is not None:
         return outside
-    jordan = _jordan_data([list(r) for r in g.matrix])
+    m = [list(r) for r in g.matrix]
+    p = charpoly(m)
+    jordan = _jordan_data(m, p)
     if jordan is None:
         # not quasi-unipotent: some eigenvalue is off the unit circle
-        return _loxodromic_payload(g)
+        return _loxodromic_payload(g, p)
     order, nil, nil2 = jordan
     if not any(map(any, nil)):
         return Elliptic(order=order)
@@ -357,7 +359,8 @@ def limit_nef_class(g: LatticeIsometry, w) -> tuple[float, ...]:
     if next((x for x in w if x), 0) <= 0:
         raise PreconditionError("w must have positive first nonzero coordinate")
     outside = _outside_so_plus(g)
-    jordan = None if outside else _jordan_data([list(r) for r in g.matrix])
+    m = [list(r) for r in g.matrix]
+    jordan = None if outside else _jordan_data(m, charpoly(m))
     if jordan is None or not any(map(any, jordan[1])):
         tag = (outside or (Elliptic if jordan else Loxodromic)).tag
         raise PreconditionError(f"limit direction needs a parabolic isometry, got {tag}")

@@ -209,14 +209,35 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
+def _integral_entry(x, caller: str) -> int:
+    """An integral entry as an int; anything else is refused, never truncated."""
+    if type(x) is int:
+        return x
+    try:
+        if x == int(x):
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise PreconditionError(f"{caller} needs integer entries, got {x!r}")
+
+
+def _integral_rows(rows, caller: str) -> list[list[int]]:
+    """Rows of equal length with integral entries, as lists of ints."""
+    m = [[_integral_entry(x, caller) for x in row] for row in rows]
+    if len({len(row) for row in m}) > 1:
+        raise PreconditionError(f"{caller} needs rows of equal length")
+    return m
+
+
 def hnf(rows) -> list[list[int]]:
     """Row Hermite normal form of the lattice spanned by integer rows.
 
     Returns the nonzero rows with positive pivots and entries above each
     pivot reduced into [0, pivot).  Two row sets span the same lattice iff
     their HNFs are equal, which is how relation lattices are compared.
+    A non-integral entry or ragged rows are a PreconditionError.
     """
-    m = [[int(x) for x in row] for row in rows if any(row)]
+    m = [row for row in _integral_rows(rows, "hnf") if any(row)]
     if not m:
         return []
     cols = len(m[0])
@@ -249,18 +270,6 @@ def hnf(rows) -> list[list[int]]:
     return [row for row in m[:r] if any(row)]
 
 
-def _lll_entry(x) -> int:
-    """An integral entry as an int; anything else is refused, never truncated."""
-    if type(x) is int:
-        return x
-    try:
-        if x == int(x):
-            return int(x)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise PreconditionError(f"lll_reduce needs integer entries, got {x!r}")
-
-
 def _round_half_even(num: int, den: int) -> int:
     """round(num / den) for den > 0, ties to even, as round() does on a Fraction."""
     q, r = divmod(num, den)
@@ -282,10 +291,8 @@ def lll_reduce(rows) -> list[list[int]]:
     a non-integral entry, ragged rows or dependent rows are a
     PreconditionError.
     """
-    b = [[_lll_entry(x) for x in row] for row in rows]
+    b = _integral_rows(rows, "lll_reduce")
     n = len(b)
-    if len({len(row) for row in b}) > 1:
-        raise PreconditionError("lll_reduce needs rows of equal length")
 
     def dot(u, v):
         return sum(x * y for x, y in zip(u, v))

@@ -25,6 +25,11 @@ Birkhoff comparison is a heuristic consistency check (no pointwise
 ergodic theorem is invoked for free-group words); outputs are labeled
 accordingly.
 
+Every diagnostic is one :func:`_walk` of fiberwise maps: a step refused
+near the branch locus costs one interruption and a nudge or resample.
+The budget is 0.1% of the length for fiber orbits and 1% for random-word
+and contrast trajectories; past it, ContractError (CLI exit code 3).
+
 Charts: every P^1 coordinate is stored as a complex pair (c0, c1)
 normalized to max(|c0|, |c1|) = 1; renormalization after every map is the
 only defense against infinity.  Grid cells for coverage statistics live
@@ -136,14 +141,6 @@ def reference_surface() -> Surface222:
     return random_surface(REFERENCE_SEED)
 
 
-def fermat_like_surface() -> Surface222:
-    """x^2 + y^2 + z^2 - 1: diagonal, handy for exact sanity checks only."""
-    c = np.zeros((3, 3, 3), dtype=complex)
-    c[2, 0, 0] = c[0, 2, 0] = c[0, 0, 2] = 1.0
-    c[0, 0, 0] = -1.0
-    return Surface222(c)
-
-
 class SurfacePoint:
     """A point of (P^1)^3 with projective pairs normalized to max-modulus 1."""
 
@@ -216,19 +213,32 @@ def axis_quadratic(surface: Surface222, point: SurfacePoint, axis: str):
     return a, b, c
 
 
+def _quad(a, b, c, pair) -> complex:
+    """A t1^2 + B t1 t0 + C t0^2 at the projective pair (t0 : t1)."""
+    t0, t1 = pair
+    return a * t1 * t1 + b * t1 * t0 + c * t0 * t0
+
+
 def eval_f(surface: Surface222, point: SurfacePoint) -> complex:
     """Homogeneous evaluation at normalized coordinates."""
-    a, b, c = axis_quadratic(surface, point, "z")
-    z0, z1 = point.z
-    return a * z1 * z1 + b * z1 * z0 + c * z0 * z0
+    return _quad(*axis_quadratic(surface, point, "z"), point.z)
 
 
-def residual_of(surface: Surface222, point: SurfacePoint) -> float:
-    return abs(eval_f(surface, point))
+def _guard(a, b, c):
+    """(scale, disc) of A t^2 + B t + C; BranchPointError where the swap degenerates."""
+    scale = max(abs(a), abs(b), abs(c))
+    if scale == 0:
+        raise BranchPointError("quadratic vanished identically at this point")
+    if abs(a) < LEAD_COEFF_REL * scale:
+        raise BranchPointError("leading coefficient too small; fiber degenerates")
+    disc = b * b - 4 * a * c
+    if abs(disc) < BRANCH_DISC_REL * scale * scale:
+        raise BranchPointError("too close to a branch point")
+    return scale, disc
 
 
-def _polish(a, b, c, pair) -> tuple[complex, complex]:
-    """One or two Newton steps in the dominant chart; pins a near-root exactly."""
+def _polish(a, b, c, pair):
+    """(pair, residual) after one or two Newton steps in the dominant chart."""
     c0, c1 = pair
     for _ in range(2):
         if abs(c1) <= abs(c0):
@@ -245,7 +255,8 @@ def _polish(a, b, c, pair) -> tuple[complex, complex]:
                 break
             s -= (c * s * s + b * s + a) / df
             c0, c1 = s, 1.0
-    return _normalize((c0, c1))
+    pair = _normalize((c0, c1))
+    return pair, abs(_quad(a, b, c, pair))
 
 
 def involution(surface: Surface222, axis: str, point: SurfacePoint) -> SurfacePoint:
@@ -257,23 +268,14 @@ def involution(surface: Surface222, axis: str, point: SurfacePoint) -> SurfacePo
     if axis not in AXES:
         raise PreconditionError(f"axis must be one of {AXES}")
     a, b, c = axis_quadratic(surface, point, axis)
-    scale = max(abs(a), abs(b), abs(c))
-    if scale == 0:
-        raise BranchPointError("quadratic vanished identically at this point")
-    if abs(a) < LEAD_COEFF_REL * scale:
-        raise BranchPointError("leading coefficient too small; fiber degenerates")
-    disc = b * b - 4 * a * c
-    if abs(disc) < BRANCH_DISC_REL * scale * scale:
-        raise BranchPointError("too close to a branch point")
+    scale, _ = _guard(a, b, c)
     t0, t1 = point.coord(axis)
     prod = (a * t1, c * t0)
     if max(abs(prod[0]), abs(prod[1])) > 1e-6 * scale * max(abs(t0), abs(t1)):
         image = prod
     else:
         image = (a * t0, -(b * t0 + a * t1))
-    image = _polish(a, b, c, _normalize(image))
-    z0, z1 = image
-    res = abs(a * z1 * z1 + b * z1 * z0 + c * z0 * z0)
+    image, res = _polish(a, b, c, _normalize(image))
     if res > ON_SURFACE_TOL * max(scale, 1.0):
         raise ContractError(f"involution image off surface: residual {res:.3e}")
     return point.replace(axis, image, res)
@@ -288,32 +290,23 @@ def parabolic_map(surface: Surface222, pair, point: SurfacePoint) -> SurfacePoin
     return involution(surface, second, involution(surface, first, point))
 
 
-def parabolic_inverse(surface: Surface222, pair, point: SurfacePoint) -> SurfacePoint:
-    first, second = pair
-    return involution(surface, first, involution(surface, second, point))
-
-
 def _sample_root(surface: Surface222, probe: SurfacePoint, axis: str, rng):
     """`probe` with `axis` moved to a random root of its quadratic, or None.
 
-    None when the quadratic fails the leading-coefficient or branch guard,
-    or when the polished root misses the sampling residual.  The root is
-    qq / a or c / qq with qq = -(b +- sqrt(disc)) / 2, the sign avoiding
-    cancellation (the guard keeps qq nonzero); which one is drawn from rng
-    only once the guard has passed, so retries interleave with the draws.
+    None when the quadratic fails :func:`_guard` or the polished root
+    misses the sampling residual.  The root is qq / a or c / qq with
+    qq = -(b +- sqrt(disc)) / 2, the sign avoiding cancellation (the guard
+    keeps qq nonzero); which one is drawn from rng only once the guard has
+    passed, so retries interleave with the draws.
     """
     a, b, c = axis_quadratic(surface, probe, axis)
-    scale = max(abs(a), abs(b), abs(c))
-    if scale == 0 or abs(a) < LEAD_COEFF_REL * scale:
-        return None
-    disc = b * b - 4 * a * c
-    if abs(disc) < BRANCH_DISC_REL * scale * scale:
+    try:
+        scale, disc = _guard(a, b, c)
+    except BranchPointError:
         return None
     sq = cmath.sqrt(disc)
     qq = -(b + sq) / 2 if abs(b + sq) >= abs(b - sq) else -(b - sq) / 2
-    root = _polish(a, b, c, _normalize((a, qq) if rng.integers(2) == 0 else (qq, c)))
-    r0, r1 = root
-    res = abs(a * r1 * r1 + b * r1 * r0 + c * r0 * r0)
+    root, res = _polish(a, b, c, _normalize((a, qq) if rng.integers(2) == 0 else (qq, c)))
     if res < SAMPLE_RESIDUAL_TOL * max(scale, 1.0):
         return probe.replace(axis, root, res)
     return None
@@ -509,6 +502,30 @@ class FiberOrbitReport:
         }
 
 
+def _walk(step, recover, start: SurfacePoint, length: int, budget: int, stats: dict):
+    """Yield the `length` points that repeated `step` takes from `start`.
+
+    A BranchPointError adds one to `stats["interruptions"]` and the walk goes
+    on from `recover(point)`; more than `budget` of them raise ContractError.
+    """
+    stats["interruptions"] = 0
+    cur = start
+    done = 0
+    while done < length:
+        try:
+            cur = step(cur)
+        except BranchPointError:
+            stats["interruptions"] += 1
+            if stats["interruptions"] > budget:
+                raise ContractError(
+                    f"{stats['interruptions']} branch interruptions exceed the budget of {budget}"
+                ) from None
+            cur = recover(cur)
+            continue
+        done += 1
+        yield cur
+
+
 def orbit_trace(
     surface: Surface222, pair, base_pair, start: SurfacePoint, length: int,
     rng=None, stats: dict | None = None,
@@ -522,31 +539,17 @@ def orbit_trace(
     base_pair = _normalize(base_pair)
     if rng is None:
         rng = np.random.default_rng(0)
-    if stats is None:
-        stats = {}
-    stats["interruptions"] = 0
-    cur = start
-    yield 0, cur
-    allowed = max(1, length // 1000)
-    done = 0
-    while done < length:
+
+    def nudge(point):
         try:
-            cur = parabolic_map(surface, pair, cur)
-        except BranchPointError:
-            stats["interruptions"] += 1
-            if stats["interruptions"] > allowed:
-                raise ContractError(
-                    f"{stats['interruptions']} branch interruptions exceed the 0.1% budget"
-                ) from None
-            try:
-                cur = _move_along_fiber(
-                    surface, pair, cur, 1e-3 * complex(rng.normal(), rng.normal())
-                )
-            except (BranchPointError, ContractError):
-                cur = sample_fiber_point(surface, pair, base_pair, rng)
-            continue
-        done += 1
-        yield done, cur
+            dy = 1e-3 * complex(rng.normal(), rng.normal())
+            return _move_along_fiber(surface, pair, point, dy)
+        except (BranchPointError, ContractError):
+            return sample_fiber_point(surface, pair, base_pair, rng)
+
+    yield 0, start
+    yield from enumerate(_walk(lambda p: parabolic_map(surface, pair, p), nudge, start, length,
+                               max(1, length // 1000), {} if stats is None else stats), 1)
 
 
 def fiber_orbit(
@@ -561,9 +564,7 @@ def fiber_orbit(
 ) -> FiberOrbitReport:
     """Iterate the fiberwise map and report coverage of the fiber's grid cells.
 
-    Branch-point refusals are logged; the orbit continues from a resampled
-    nearby fiber point as long as interruptions stay under 0.1% of the
-    requested length, otherwise the run aborts.
+    Branch-point refusals are nudged, resampled and budgeted by :func:`orbit_trace`.
     """
     base_pair = _normalize(base_pair)
     reference = fiber_cells(surface, pair, base_pair, grid, min_hits=min_hits)
@@ -607,35 +608,18 @@ def fiber_orbit(
 # 1-form / measure diagnostics
 # ---------------------------------------------------------------------------
 
-def axis_quadratic_affine(surface: Surface222, point: SurfacePoint, axis: str):
-    """(A, B, C) of the affine quadratic in `axis`, other coordinates affine.
-
-    Unlike :func:`axis_quadratic` this is independent of the projective
-    representatives, which matters when comparing values at different
-    points; it requires all coordinates to sit in moderate charts.
-    """
-    ai = AXES.index(axis)
-    table = surface._tables[ai]
-    u, v = _OTHERS[axis]
-    tu = point.affine(u)
-    tv = point.affine(v)
-    mu = (1.0 + 0j, tu, tu * tu)
-    mv = (1.0 + 0j, tv, tv * tv)
-    coeff = []
-    for m in range(3):
-        row = table[m]
-        coeff.append(
-            sum(row[i * 3 + j] * mu[i] * mv[j] for i in range(3) for j in range(3))
-        )
-    c, b, a = coeff
-    return a, b, c
-
-
 def axis_partial(surface: Surface222, point: SurfacePoint, axis: str) -> complex:
-    """dF/d(axis) of the affine polynomial at the point: 2 A t + B."""
-    a, b, _ = axis_quadratic_affine(surface, point, axis)
-    t = point.affine(axis)
-    return 2 * a * t + b
+    """dF/d(axis) of the affine polynomial at the point: 2 A t + B.
+
+    A and B are taken at the chart pairs (1, t) of the other coordinates, so
+    the value does not depend on their stored representatives; all
+    coordinates must sit in moderate charts.
+    """
+    u, v = _OTHERS[axis]
+    chart = {axis: point.coord(axis), u: (1.0 + 0j, point.affine(u)),
+             v: (1.0 + 0j, point.affine(v))}
+    a, b, _ = axis_quadratic(surface, SurfacePoint(**chart), axis)
+    return 2 * a * point.affine(axis) + b
 
 
 def _move_along_fiber(
@@ -646,9 +630,7 @@ def _move_along_fiber(
     y = point.affine(first)
     moved = point.replace(first, _normalize((1.0 + 0j, y + dy)), point.residual)
     a, b, c = axis_quadratic(surface, moved, second)
-    sec = _polish(a, b, c, point.coord(second))
-    s0, s1 = sec
-    res = abs(a * s1 * s1 + b * s1 * s0 + c * s0 * s0)
+    sec, res = _polish(a, b, c, point.coord(second))
     scale = max(abs(a), abs(b), abs(c), 1.0)
     if res > ON_SURFACE_TOL * scale:
         raise BranchPointError("could not track the fiber through the shift")
@@ -778,25 +760,17 @@ def _mc_space_average(surface: Surface222, fid: str, samples: int, rng):
     return avg, se, ess
 
 
-def _random_word_trajectory(surface, maps, start, length, rng, fid):
-    """Mean of the test function along one random word; resamples on branch hits."""
+def _trajectory_mean(step, recover, start: SurfacePoint, length: int, fid: str):
+    """(mean of the test function over a :func:`_walk`, its interruptions).
+
+    The budget is 1% of the length.  The sum is plain left-to-right float
+    additions, so the mean does not depend on how sum() rounds.
+    """
+    stats: dict = {}
     total = 0.0
-    cur = start
-    interruptions = 0
-    k = 0
-    while k < length:
-        m = maps[int(rng.integers(len(maps)))]
-        try:
-            cur = m(cur)
-        except BranchPointError:
-            interruptions += 1
-            if interruptions > max(1, length // 100):
-                raise ContractError("trajectory hit the branch locus too often") from None
-            cur = sample_point(surface, rng)
-            continue
-        total += eval_test_function(fid, cur)
-        k += 1
-    return total / length, interruptions
+    for point in _walk(step, recover, start, length, max(1, length // 100), stats):
+        total += eval_test_function(fid, point)
+    return total / length, stats["interruptions"]
 
 
 def birkhoff_ergodicity_test(
@@ -824,17 +798,14 @@ def birkhoff_ergodicity_test(
         raise PreconditionError("trials must be >= 2 to estimate the time-average spread")
     if word_length < 1:
         raise PreconditionError("word_length must be >= 1")
-    maps = [
-        (lambda p, pr=pr: parabolic_map(surface, pr, p)) for pr in pairs
-    ]
     trial_means = []
     interruptions = 0
     for t in range(trials):
         rng = np.random.default_rng([seed, 0xB1, t])
         start = sample_point(surface, rng)
-        mean, hits = _random_word_trajectory(
-            surface, maps, start, word_length, rng, fid
-        )
+        mean, hits = _trajectory_mean(  # a fresh letter before every attempt, refused or not
+            lambda p: parabolic_map(surface, pairs[int(rng.integers(len(pairs)))], p),
+            lambda p: sample_point(surface, rng), start, word_length, fid)
         trial_means.append(mean)
         interruptions += hits
     time_avg = float(np.mean(trial_means))
@@ -880,24 +851,6 @@ def ergodicity_contrast(
         raise PreconditionError("word_length must be >= 1")
     (base_axis,) = [a for a in AXES if a not in pair]
 
-    def trajectory_mean(start, rng):
-        total = 0.0
-        cur = start
-        k = 0
-        guard = 0
-        while k < word_length:
-            try:
-                cur = parabolic_map(surface, pair, cur)
-            except BranchPointError:
-                guard += 1
-                if guard > max(1, word_length // 100):
-                    raise ContractError("fiber trajectory stuck at branch locus") from None
-                cur = sample_fiber_point(surface, pair, start.coord(base_axis), rng)
-                continue
-            total += eval_test_function(fid, cur)
-            k += 1
-        return total / word_length
-
     fiber_means = []
     within_vars = []
     for i in range(n_fibers):
@@ -907,7 +860,11 @@ def ergodicity_contrast(
         for t in range(trials_per_fiber):
             rng_t = np.random.default_rng([seed, 0xF2, i, t])
             start = sample_fiber_point(surface, pair, base, rng_t)
-            means.append(trajectory_mean(start, rng_t))
+            # resample on the start's stored base: renormalizing `base` may move its last bits
+            means.append(_trajectory_mean(
+                lambda p: parabolic_map(surface, pair, p),
+                lambda p: sample_fiber_point(surface, pair, start.coord(base_axis), rng_t),
+                start, word_length, fid)[0])
         fiber_means.append(float(np.mean(means)))
         within_vars.append(float(np.var(means, ddof=1)))
     cross_var = float(np.var(fiber_means, ddof=1))

@@ -22,7 +22,12 @@ counts at every step, LLL on rational Gram-Schmidt data, trial division
 by Fraction cyclotomics), so the library's integer, memoized, sign-only
 and fraction-free kernels are checked against code they do not share.  The fiber-curve cells, the per-step orbit binning
 and the Monte Carlo space average are frozen as the scalar loops they were
-before the library computed them as arrays.
+before the library computed them as arrays.  The fiber orbit, the
+random-word and the single-fiber trajectories are frozen as the three
+loops they were before the library shared one walker, together with the
+involution and root sampling that wrote out their own branch guards.
+The surface names only the tests use (the Fermat-like surface, the
+residual, the inverse fiber map) live here too.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -37,6 +43,7 @@ from math import gcd
 import numpy as np
 
 from parabolic_lab import surface222 as s2
+from parabolic_lab.errors import BranchPointError, ContractError
 from parabolic_lab.lattice import QuadLattice, diagonal_lattice, hyperbolic_plane
 from parabolic_lab.isometry import LatticeIsometry, eichler_transvection
 
@@ -677,7 +684,7 @@ def frozen_fiber_orbit(surface, pair, base_pair, start, length, grid, rng, min_h
     reference = frozen_fiber_cells(surface, pair, base_pair, grid, min_hits=min_hits)
     visit_counts = {}
     stats = {}
-    for _, pt in s2.orbit_trace(surface, pair, base_pair, start, length, rng, stats):
+    for _, pt in frozen_orbit_trace(surface, pair, base_pair, start, length, rng, stats):
         key = frozen_pair_cell(pt, pair, grid)
         visit_counts[key] = visit_counts.get(key, 0) + 1
     hit = set(visit_counts) & reference
@@ -742,3 +749,273 @@ def frozen_mc_space_average(surface, fid, samples, rng):
     se = float(np.sqrt(np.sum((w * (v - avg)) ** 2)) / wsum)
     ess = wsum**2 / float(np.sum(w**2))
     return avg, se, ess
+
+
+# ---------------------------------------------------------------------------
+# frozen surface walks (oracles for the shared walker and scalar guard)
+# ---------------------------------------------------------------------------
+#
+# The three trajectory loops, the involution and the fiber sampling as
+# they were written out before the library folded them into one walker,
+# one branch guard and one quadratic value.  They read the module's
+# thresholds at call time, so a test that raises ``s2.BRANCH_DISC_REL``
+# drives both sides through the same refusals.
+
+def fermat_like_surface():
+    """x^2 + y^2 + z^2 - 1: diagonal, handy for exact sanity checks only."""
+    c = np.zeros((3, 3, 3), dtype=complex)
+    c[2, 0, 0] = c[0, 2, 0] = c[0, 0, 2] = 1.0
+    c[0, 0, 0] = -1.0
+    return s2.Surface222(c)
+
+
+def residual_of(surface, point):
+    return abs(s2.eval_f(surface, point))
+
+
+def parabolic_inverse(surface, pair, point):
+    first, second = pair
+    return s2.involution(surface, first, s2.involution(surface, second, point))
+
+
+def _frozen_polish(a, b, c, pair):
+    c0, c1 = pair
+    for _ in range(2):
+        if abs(c1) <= abs(c0):
+            t = c1 / c0
+            df = 2 * a * t + b
+            if abs(df) == 0:
+                break
+            t -= (a * t * t + b * t + c) / df
+            c0, c1 = 1.0, t
+        else:
+            s = c0 / c1
+            df = 2 * c * s + b
+            if abs(df) == 0:
+                break
+            s -= (c * s * s + b * s + a) / df
+            c0, c1 = s, 1.0
+    return s2._normalize((c0, c1))
+
+
+def frozen_involution(surface, axis, point):
+    a, b, c = s2.axis_quadratic(surface, point, axis)
+    scale = max(abs(a), abs(b), abs(c))
+    if scale == 0:
+        raise BranchPointError("quadratic vanished identically at this point")
+    if abs(a) < s2.LEAD_COEFF_REL * scale:
+        raise BranchPointError("leading coefficient too small; fiber degenerates")
+    disc = b * b - 4 * a * c
+    if abs(disc) < s2.BRANCH_DISC_REL * scale * scale:
+        raise BranchPointError("too close to a branch point")
+    t0, t1 = point.coord(axis)
+    prod = (a * t1, c * t0)
+    if max(abs(prod[0]), abs(prod[1])) > 1e-6 * scale * max(abs(t0), abs(t1)):
+        image = prod
+    else:
+        image = (a * t0, -(b * t0 + a * t1))
+    image = _frozen_polish(a, b, c, s2._normalize(image))
+    z0, z1 = image
+    res = abs(a * z1 * z1 + b * z1 * z0 + c * z0 * z0)
+    if res > s2.ON_SURFACE_TOL * max(scale, 1.0):
+        raise ContractError(f"involution image off surface: residual {res:.3e}")
+    return point.replace(axis, image, res)
+
+
+def frozen_parabolic_map(surface, pair, point):
+    first, second = pair
+    return frozen_involution(surface, second, frozen_involution(surface, first, point))
+
+
+def _frozen_sample_root(surface, probe, axis, rng):
+    a, b, c = s2.axis_quadratic(surface, probe, axis)
+    scale = max(abs(a), abs(b), abs(c))
+    if scale == 0 or abs(a) < s2.LEAD_COEFF_REL * scale:
+        return None
+    disc = b * b - 4 * a * c
+    if abs(disc) < s2.BRANCH_DISC_REL * scale * scale:
+        return None
+    sq = cmath.sqrt(disc)
+    qq = -(b + sq) / 2 if abs(b + sq) >= abs(b - sq) else -(b - sq) / 2
+    root = _frozen_polish(a, b, c, s2._normalize((a, qq) if rng.integers(2) == 0 else (qq, c)))
+    r0, r1 = root
+    res = abs(a * r1 * r1 + b * r1 * r0 + c * r0 * r0)
+    if res < s2.SAMPLE_RESIDUAL_TOL * max(scale, 1.0):
+        return probe.replace(axis, root, res)
+    return None
+
+
+def frozen_sample_point(surface, rng, max_tries=64):
+    for _ in range(max_tries):
+        x = s2._fs_pair(rng)
+        y = s2._fs_pair(rng)
+        point = _frozen_sample_root(surface, s2.SurfacePoint(x, y, (1.0 + 0j, 0j)), "z", rng)
+        if point is not None:
+            return point
+    raise ContractError(f"could not sample a surface point in {max_tries} tries")
+
+
+def frozen_sample_fiber_point(surface, pair, base_pair, rng, max_tries=64):
+    first, second = pair
+    (base_axis,) = [a for a in s2.AXES if a not in pair]
+    base_pair = s2._normalize(base_pair)
+    for _ in range(max_tries):
+        moving = s2._fs_pair(rng)
+        parts = {base_axis: base_pair, first: moving, second: (1.0 + 0j, 0j)}
+        point = _frozen_sample_root(surface, s2.SurfacePoint(**parts), second, rng)
+        if point is not None:
+            return point
+    raise ContractError(f"could not sample a fiber point in {max_tries} tries")
+
+
+def _frozen_move_along_fiber(surface, pair, point, dy):
+    first, second = pair
+    y = point.affine(first)
+    moved = point.replace(first, s2._normalize((1.0 + 0j, y + dy)), point.residual)
+    a, b, c = s2.axis_quadratic(surface, moved, second)
+    sec = _frozen_polish(a, b, c, point.coord(second))
+    s0, s1 = sec
+    res = abs(a * s1 * s1 + b * s1 * s0 + c * s0 * s0)
+    scale = max(abs(a), abs(b), abs(c), 1.0)
+    if res > s2.ON_SURFACE_TOL * scale:
+        raise BranchPointError("could not track the fiber through the shift")
+    return moved.replace(second, sec, res)
+
+
+def frozen_orbit_trace(surface, pair, base_pair, start, length, rng=None, stats=None):
+    base_pair = s2._normalize(base_pair)
+    if rng is None:
+        rng = np.random.default_rng(0)
+    if stats is None:
+        stats = {}
+    stats["interruptions"] = 0
+    cur = start
+    yield 0, cur
+    allowed = max(1, length // 1000)
+    done = 0
+    while done < length:
+        try:
+            cur = frozen_parabolic_map(surface, pair, cur)
+        except BranchPointError:
+            stats["interruptions"] += 1
+            if stats["interruptions"] > allowed:
+                raise ContractError(
+                    f"{stats['interruptions']} branch interruptions exceed the 0.1% budget"
+                ) from None
+            try:
+                cur = _frozen_move_along_fiber(
+                    surface, pair, cur, 1e-3 * complex(rng.normal(), rng.normal())
+                )
+            except (BranchPointError, ContractError):
+                cur = frozen_sample_fiber_point(surface, pair, base_pair, rng)
+            continue
+        done += 1
+        yield done, cur
+
+
+def _frozen_random_word_trajectory(surface, maps, start, length, rng, fid):
+    total = 0.0
+    cur = start
+    interruptions = 0
+    k = 0
+    while k < length:
+        m = maps[int(rng.integers(len(maps)))]
+        try:
+            cur = m(cur)
+        except BranchPointError:
+            interruptions += 1
+            if interruptions > max(1, length // 100):
+                raise ContractError("trajectory hit the branch locus too often") from None
+            cur = frozen_sample_point(surface, rng)
+            continue
+        total += s2.eval_test_function(fid, cur)
+        k += 1
+    return total / length, interruptions
+
+
+def frozen_birkhoff(surface, fid, word_length=10**4, trials=16, mc_samples=10**6, seed=0,
+                    pairs=(("y", "z"), ("x", "z"))):
+    """``birkhoff_ergodicity_test`` with the frozen trajectory and MC kernels."""
+    maps = [
+        (lambda p, pr=pr: frozen_parabolic_map(surface, pr, p)) for pr in pairs
+    ]
+    trial_means = []
+    interruptions = 0
+    for t in range(trials):
+        rng = np.random.default_rng([seed, 0xB1, t])
+        start = frozen_sample_point(surface, rng)
+        mean, hits = _frozen_random_word_trajectory(
+            surface, maps, start, word_length, rng, fid
+        )
+        trial_means.append(mean)
+        interruptions += hits
+    time_avg = float(np.mean(trial_means))
+    se_time = float(np.std(trial_means, ddof=1) / math.sqrt(trials))
+    rng_mc = np.random.default_rng([seed, 0x5C])
+    space_avg, se_space, ess = frozen_mc_space_average(surface, fid, mc_samples, rng_mc)
+    se = math.hypot(se_time, se_space)
+    z = abs(time_avg - space_avg) / se if se > 0 else 0.0
+    return {
+        "note": "heuristic consistency check; random-word averages, not a theorem",
+        "test_function": fid,
+        "time_average": time_avg,
+        "time_se": se_time,
+        "trial_means": trial_means,
+        "space_average": space_avg,
+        "space_se": se_space,
+        "mc_effective_samples": ess,
+        "mc_unstable": bool(ess < 1000),
+        "z_score": z,
+        "word_length": word_length,
+        "trials": trials,
+        "mc_samples": mc_samples,
+        "branch_interruptions": interruptions,
+    }
+
+
+def frozen_contrast(surface, pair=("y", "z"), fid="y_abs2", n_fibers=10, trials_per_fiber=6,
+                    word_length=10**4, seed=0):
+    """``ergodicity_contrast`` with its own trajectory loop and sampling."""
+    (base_axis,) = [a for a in s2.AXES if a not in pair]
+
+    def trajectory_mean(start, rng):
+        total = 0.0
+        cur = start
+        k = 0
+        guard = 0
+        while k < word_length:
+            try:
+                cur = frozen_parabolic_map(surface, pair, cur)
+            except BranchPointError:
+                guard += 1
+                if guard > max(1, word_length // 100):
+                    raise ContractError("fiber trajectory stuck at branch locus") from None
+                cur = frozen_sample_fiber_point(surface, pair, start.coord(base_axis), rng)
+                continue
+            total += s2.eval_test_function(fid, cur)
+            k += 1
+        return total / word_length
+
+    fiber_means = []
+    within_vars = []
+    for i in range(n_fibers):
+        rng = np.random.default_rng([seed, 0xF1, i])
+        base = s2._fs_pair(rng)
+        means = []
+        for t in range(trials_per_fiber):
+            rng_t = np.random.default_rng([seed, 0xF2, i, t])
+            start = frozen_sample_fiber_point(surface, pair, base, rng_t)
+            means.append(trajectory_mean(start, rng_t))
+        fiber_means.append(float(np.mean(means)))
+        within_vars.append(float(np.var(means, ddof=1)))
+    cross_var = float(np.var(fiber_means, ddof=1))
+    within_var = float(np.mean(within_vars))
+    return {
+        "note": "heuristic consistency check; single-map trajectories stay on one fiber",
+        "pair": list(pair),
+        "test_function": fid,
+        "fiber_means": fiber_means,
+        "cross_fiber_variance": cross_var,
+        "within_fiber_variance": within_var,
+        "variance_ratio": cross_var / within_var if within_var > 0 else float("inf"),
+    }

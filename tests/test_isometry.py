@@ -11,6 +11,7 @@ from helpers import (
     random_word,
     reference_fixed_vector,
 )
+from parabolic_lab import isometry
 from parabolic_lab.errors import ContractError, PreconditionError
 from parabolic_lab.isometry import (
     Elliptic,
@@ -75,6 +76,13 @@ def test_classify_loxodromic_pell():
     p = charpoly([list(r) for r in g.matrix])
     rev = tuple(reversed(p))
     assert rev == p or rev == tuple(-c for c in p)
+
+
+def test_classify_computes_the_charpoly_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(isometry, "charpoly", lambda m: calls.append(m) or charpoly(m))
+    g = LatticeIsometry(PELL, ((3, 2), (4, 3)))
+    assert isinstance(classify(g), Loxodromic) and len(calls) == 1
 
 
 def test_classify_inverse_matches():

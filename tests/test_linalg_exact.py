@@ -123,6 +123,19 @@ def test_hnf_canonical():
     assert hnf([[2, -1, 0], [4, -2, 0]]) == [[2, -1, 0]]
     assert hnf([[0, 1], [1, 0]]) == [[1, 0], [0, 1]]
     assert hnf([[-3, 0], [0, -5]]) == [[3, 0], [0, 5]]
+
+
+def test_hnf_refuses_non_integral_entries():
+    for rows in ([[1.5, 0], [0, 1]], [[Fraction(1, 2), 0], [0, 1]], [["a", 0]]):
+        with pytest.raises(PreconditionError, match="hnf needs integer entries"):
+            hnf(rows)
+    assert hnf([[2.0, 0], [Fraction(4, 2), 1]]) == hnf([[2, 0], [2, 1]]) == [[2, 0], [0, 1]]
+
+
+def test_hnf_refuses_ragged_rows():
+    for rows in ([[1, 0, 0], [0, 1]], [[1, 0], [0, 0, 0]]):
+        with pytest.raises(PreconditionError, match="hnf needs rows of equal length"):
+            hnf(rows)
     # lattice equality invariance under unimodular row mixes
     rng = random.Random(0)
     for _ in range(30):

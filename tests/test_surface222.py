@@ -7,10 +7,15 @@ from parabolic_lab.errors import BranchPointError, ContractError, PreconditionEr
 from parabolic_lab import surface222 as s2
 
 from helpers import (
+    fermat_like_surface,
+    frozen_birkhoff,
     frozen_chart_cell,
+    frozen_contrast,
     frozen_fiber_cells,
     frozen_fiber_orbit,
     frozen_mc_space_average,
+    parabolic_inverse,
+    residual_of,
 )
 
 S = s2.reference_surface()
@@ -19,13 +24,13 @@ POINTS = [s2.sample_point(S, RNG) for _ in range(200)]
 
 
 def test_fermat_like_examples():
-    diag = s2.fermat_like_surface()
+    diag = fermat_like_surface()
     p = s2.SurfacePoint((1.0 + 0j, 0j), (1.0 + 0j, 0j), (1.0 + 0j, 1.0 + 0j))
     assert abs(s2.eval_f(diag, p)) < 1e-15
     q = s2.involution(diag, "z", p)
     assert abs(q.z[1] / q.z[0] + 1) < 1e-12  # z -> -z when B = 0
     off = s2.SurfacePoint((1.0 + 0j, 0j), (1.0 + 0j, 0j), (1.0 + 0j, 0.5 + 0j))
-    assert s2.residual_of(diag, off) > 0.1
+    assert residual_of(diag, off) > 0.1
 
 
 def test_surface_validation():
@@ -78,7 +83,7 @@ def test_parabolic_map_fixes_base_bitwise():
         except BranchPointError:
             continue
         assert q.x is p.x
-        r = s2.parabolic_inverse(S, ("y", "z"), q)
+        r = parabolic_inverse(S, ("y", "z"), q)
         assert s2.point_distance(r, p) < 1e-9
 
 
@@ -207,6 +212,104 @@ def test_fiber_orbit_matches_frozen_binning(monkeypatch):
         frozen = frozen_fiber_orbit(S, pair, base, start, 2000, 8,
                                     np.random.default_rng([9, i]))
         assert {k: getattr(rep, k) for k in frozen} == frozen
+
+
+ORBIT_FIELDS = ("cells_fiber", "cells_visited", "coverage", "interruptions",
+                "min_visits", "mean_visits")
+
+
+def _orbit_runs(pair_index, case, length):
+    """The library's and the frozen fiber-orbit fields, as two thunks."""
+    pair = s2.PAIRS[pair_index]
+    rng = np.random.default_rng([8, pair_index, case])
+    base = s2._fs_pair(rng)
+    start = s2.sample_fiber_point(S, pair, base, rng)
+
+    def frozen():
+        return frozen_fiber_orbit(S, pair, base, start, length, 8,
+                                  np.random.default_rng([9, pair_index]))
+
+    def library():
+        rep = s2.fiber_orbit(S, pair, base, start, length, grid=8,
+                             rng=np.random.default_rng([9, pair_index]))
+        return {k: getattr(rep, k) for k in ORBIT_FIELDS}
+
+    return library, frozen
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap the library function `name` in a call counter and return the counter."""
+    calls = [0]
+    fn = getattr(s2, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(s2, name, counted)
+    return calls
+
+
+# (pair index, case, length, BRANCH_DISC_REL, interruptions, resamples): a
+# clean orbit, one nudge, one resample, and a nudge followed by a resample
+@pytest.mark.parametrize("pair_index, case, length, rel, hits, resamples", [
+    (0, 0, 2000, 1e-3, 0, 0),
+    (1, 0, 2000, 1e-3, 1, 0),
+    (2, 2, 2000, 1e-3, 1, 1),
+    (0, 5, 6000, 5e-4, 2, 1),
+])
+def test_fiber_orbit_matches_frozen_walk(pair_index, case, length, rel, hits, resamples,
+                                         monkeypatch):
+    monkeypatch.setattr(s2, "BRANCH_DISC_REL", rel)
+    library, frozen = _orbit_runs(pair_index, case, length)
+    calls = _count_calls(monkeypatch, "sample_fiber_point")
+    got = library()
+    assert got == frozen()
+    assert got["interruptions"] == hits and calls[0] == resamples
+
+
+@pytest.mark.parametrize("rel, hits", [(s2.BRANCH_DISC_REL, 0), (5e-4, 2), (1e-3, 3)])
+def test_birkhoff_matches_frozen_walk(rel, hits, monkeypatch):
+    monkeypatch.setattr(s2, "BRANCH_DISC_REL", rel)
+    seen = 0
+    for seed in range(4):
+        kwargs = dict(word_length=400, trials=3, mc_samples=2000, seed=seed)
+        rep = s2.birkhoff_ergodicity_test(S, "x_re", **kwargs)
+        assert rep == frozen_birkhoff(S, "x_re", **kwargs)
+        seen += rep["branch_interruptions"]
+    assert seen == hits
+
+
+@pytest.mark.parametrize("rel", [5e-4, 1e-3])
+def test_contrast_matches_frozen_walk(rel, monkeypatch):
+    monkeypatch.setattr(s2, "BRANCH_DISC_REL", rel)
+    calls = _count_calls(monkeypatch, "sample_fiber_point")
+    for seed in (3, 4, 5):
+        kwargs = dict(n_fibers=3, trials_per_fiber=2, word_length=200, seed=seed)
+        assert s2.ergodicity_contrast(S, **kwargs) == frozen_contrast(S, **kwargs)
+    assert calls[0] == 3 * 6 + 2  # 18 starts and two resampled trajectory points
+
+
+def test_walk_budget_overrun_raises_on_both_sides(monkeypatch):
+    # budgets: 0.1% of 2000 orbit steps, 1% of 100 and of 150 trajectory steps
+    monkeypatch.setattr(s2, "BRANCH_DISC_REL", 5e-4)
+    library, frozen = _orbit_runs(0, 1, 2000)
+    with pytest.raises(ContractError, match="3 branch interruptions exceed the budget of 2"):
+        library()
+    with pytest.raises(ContractError):
+        frozen()
+    monkeypatch.setattr(s2, "BRANCH_DISC_REL", 1e-2)
+    kwargs = dict(word_length=100, trials=3, mc_samples=2000, seed=1)
+    with pytest.raises(ContractError, match="2 branch interruptions exceed the budget of 1"):
+        s2.birkhoff_ergodicity_test(S, "x_re", **kwargs)
+    with pytest.raises(ContractError):
+        frozen_birkhoff(S, "x_re", **kwargs)
+    monkeypatch.setattr(s2, "BRANCH_DISC_REL", 3e-3)
+    kwargs = dict(n_fibers=3, trials_per_fiber=2, word_length=150, seed=2)
+    with pytest.raises(ContractError, match="2 branch interruptions exceed the budget of 1"):
+        s2.ergodicity_contrast(S, **kwargs)
+    with pytest.raises(ContractError):
+        frozen_contrast(S, **kwargs)
 
 
 @pytest.mark.parametrize("surface", [S, s2.random_surface(5)], ids=["reference", "random5"])
