@@ -44,7 +44,7 @@ import numpy as np
 
 from . import surface222 as s2
 from .errors import BranchPointError, ContractError, PreconditionError
-from .exact import ParseError, parse_real, parse_real_vector
+from .exact import ParseError, integral, integral_rows, is_number, parse_real, parse_real_vector
 from .hodge import (
     FujikiStructure,
     HermitianForm,
@@ -69,8 +69,6 @@ from .lattice import (
     QuadLattice,
     build_parabolic_seed_lattice,
     find_isotropic,
-    integral,
-    integral_rows,
     represents_in_range,
     scan_orthogonal_negatives,
 )
@@ -175,11 +173,14 @@ def _load_json_file(path: str) -> dict:
     return d
 
 
+def integer(text: str) -> int:
+    """An integer option, read by :func:`integral` like every integral input."""
+    return integral(text, "option")
+
+
 def _int_vector(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p.strip()) for p in text.split(","))
-    except ValueError:
-        raise ParseError(f"expected a comma separated integer vector, got {text!r}") from None
+    """A comma separated integer vector such as ``1,0,-2``; no spaces."""
+    return tuple(integral(p, "vector") for p in text.split(","))
 
 
 def _load_lattice(spec) -> QuadLattice:
@@ -206,16 +207,12 @@ def _require_positive(args, *names: str) -> None:
             raise PreconditionError(f"--{name} must be >= 1")
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _complex_matrix(rows) -> np.ndarray:
     """Rows of numbers or [re, im] pairs; any other entry is a ParseError."""
     def conv(v):
-        if _is_number(v):
+        if is_number(v):
             return complex(v)
-        if isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)):
+        if isinstance(v, list) and len(v) == 2 and all(map(is_number, v)):
             return complex(*v)
         raise ParseError(f"matrix entry {v!r} is neither a number nor an [re, im] pair")
 
@@ -382,7 +379,7 @@ def cmd_hodge_fujiki(args) -> dict:
 def cmd_hodge_hafnian(args) -> dict:
     rows = _load_json_file(args.input)["matrix"]
     if not isinstance(rows, list) or not all(
-        isinstance(row, list) and all(map(_is_number, row)) for row in rows
+        isinstance(row, list) and all(map(is_number, row)) for row in rows
     ):
         raise ParseError("matrix must be a list of rows of numbers")
     return {"hafnian": float(hafnian(rows))}
@@ -548,27 +545,28 @@ _INPUT = _opt("-i", "--input", required=True)
 _SURFACE = _opt("--surface", default=None, help="surface JSON (default: seeded random)")
 _FORMAT = _opt("--format", choices=("json", "csv"), default="json")
 _COMMON = [
-    _opt("--seed", type=int, default=None, help="master seed (default: env PARABOLIC_LAB_SEED or 0)"),
+    _opt("--seed", type=integer, default=None,
+         help="master seed (default: env PARABOLIC_LAB_SEED or 0)"),
     _opt("--out", default=None, help="output path (default stdout)"),
 ]
 
 # (group, cmd) -> (handler, its own options); every subcommand also takes _COMMON
 COMMANDS = {
     ("lattice", "seed"): (cmd_lattice_seed, [
-        _opt("--a-sq", type=int, required=True),
-        _opt("--N", type=int, required=True),
-        _opt("--scan-bound", type=int, default=10),
+        _opt("--a-sq", type=integer, required=True),
+        _opt("--N", type=integer, required=True),
+        _opt("--scan-bound", type=integer, default=10),
     ]),
     ("lattice", "signature"): (cmd_lattice_signature, [_INPUT]),
     ("lattice", "isotropic"): (cmd_lattice_isotropic, [
         _INPUT,
-        _opt("--bound", type=int, default=5),
+        _opt("--bound", type=integer, default=5),
     ]),
     ("lattice", "represent"): (cmd_lattice_represent, [
         _INPUT,
-        _opt("--lo", type=int, required=True),
-        _opt("--hi", type=int, required=True),
-        _opt("--bound", type=int, default=5),
+        _opt("--lo", type=integer, required=True),
+        _opt("--hi", type=integer, required=True),
+        _opt("--bound", type=integer, default=5),
     ]),
     ("isometry", "verify"): (cmd_isometry_verify, [_INPUT]),
     ("isometry", "classify"): (cmd_isometry_classify, [_INPUT]),
@@ -584,23 +582,23 @@ COMMANDS = {
     ("torus", "orbit"): (cmd_torus_orbit, [
         _opt("--coords", required=True),
         _opt("--start", default=None),
-        _opt("--n", type=int, default=100),
+        _opt("--n", type=integer, default=100),
         _FORMAT,
     ]),
     ("torus", "hull"): (cmd_torus_hull, [
         _opt("--coords", required=True),
-        _opt("--height-bound", type=int, default=10**6),
+        _opt("--height-bound", type=integer, default=10**6),
         _opt("--tol", type=float, default=1e-24),
     ]),
     ("torus", "weyl"): (cmd_torus_weyl, [
         _opt("--coords", required=True),
         _opt("--k", type=_int_vector, required=True),
-        _opt("--n", type=int, default=10**4),
+        _opt("--n", type=integer, default=10**4),
     ]),
     ("torus", "scan"): (cmd_torus_scan, [
         _opt("--family", required=True, help="JSON file with coords coefficient lists"),
         _opt("--grid", required=True, help="comma separated exact expressions"),
-        _opt("--height-bound", type=int, default=10**6),
+        _opt("--height-bound", type=integer, default=10**6),
         _opt("--tol", type=float, default=1e-24),
     ]),
     ("hodge", "fujiki"): (cmd_hodge_fujiki, [
@@ -617,28 +615,28 @@ COMMANDS = {
     ]),
     ("k3", "sample"): (cmd_k3_sample, [
         _SURFACE,
-        _opt("--n", type=int, default=10),
+        _opt("--n", type=integer, default=10),
     ]),
     ("k3", "involve"): (cmd_k3_involve, [
         _SURFACE,
         _opt("--axis", choices=("x", "y", "z"), default="z"),
-        _opt("--n", type=int, default=10),
+        _opt("--n", type=integer, default=10),
     ]),
     ("k3", "orbit"): (cmd_k3_orbit, [
         _SURFACE,
         _opt("--pair", choices=("yz", "xz", "xy"), default="yz"),
-        _opt("--n", type=int, default=10**4),
-        _opt("--grid", type=int, default=16),
-        _opt("--fibers", type=int, default=1),
-        _opt("--workers", type=int, default=1),
+        _opt("--n", type=integer, default=10**4),
+        _opt("--grid", type=integer, default=16),
+        _opt("--fibers", type=integer, default=1),
+        _opt("--workers", type=integer, default=1),
         _FORMAT,
     ]),
     ("k3", "ergo"): (cmd_k3_ergo, [
         _SURFACE,
         _opt("--f", default="x_abs2", choices=sorted(s2.TEST_FUNCTIONS)),
-        _opt("--l", type=int, default=10**4),
-        _opt("--trials", type=int, default=16),
-        _opt("--mc", type=int, default=10**6),
+        _opt("--l", type=integer, default=10**4),
+        _opt("--trials", type=integer, default=16),
+        _opt("--mc", type=integer, default=10**6),
         _opt("--contrast", action="store_true"),
     ]),
 }

@@ -17,21 +17,71 @@ line.  Grammar (whitespace ignored)::
     number := digits ('/' digits)? | decimal literal
 
 Decimal literals are converted exactly (``0.25`` means 1/4, not a float).
+
+:func:`integral` and :func:`integral_rows` are the one reader of integer
+data (Gram matrices, vectors, isometries, LLL/HNF rows, integer options
+and the seed), so every integral input obeys one policy.
 """
 
 from __future__ import annotations
 
+import numbers
 import re
 from fractions import Fraction
 from math import gcd
 
 import mpmath as mp
 
+from .errors import PreconditionError
+
 Rational = int | Fraction
 
 
 class ParseError(ValueError):
     """Raised when an expression string cannot be parsed."""
+
+
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def is_number(x) -> bool:
+    """Is x a JSON number (an int or a float, not a bool)?"""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def integral(x, what: str) -> int:
+    """An integral input as an int, never truncated.
+
+    Integral numbers pass (2.0 and Fraction(4, 2) included) and other
+    numbers (1.5, nan) are a PreconditionError.  A string must be an
+    optional '-' and ASCII digits, the JSON form of integers beyond 2^53;
+    any other string, a bool, None or anything else that is no number is a
+    ParseError.  ``what`` names the input in the message.
+    """
+    if type(x) is int:  # the common case, kept as cheap as int(x)
+        return x
+    if isinstance(x, str):
+        if _INTEGER.fullmatch(x):
+            return int(x)
+    elif isinstance(x, numbers.Real) and not isinstance(x, bool):
+        if x % 1 == 0:
+            return int(x)
+        raise PreconditionError(f"{what} needs integer entries, got {x!r}")
+    raise ParseError(f"{what} needs integer entries, got {x!r}")
+
+
+def integral_rows(rows, what: str) -> list[list[int]]:
+    """A matrix as rows of ints, each entry read by :func:`integral`.
+
+    Anything but a list or tuple of lists or tuples is a ParseError, and
+    rows of unequal length are a PreconditionError.
+    """
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+        raise ParseError(f"{what} must be a list of rows")
+    m = [[integral(x, what) for x in row] for row in rows]
+    if len({len(row) for row in m}) > 1:
+        raise PreconditionError(f"{what} needs rows of equal length")
+    return m
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:

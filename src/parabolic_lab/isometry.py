@@ -45,7 +45,8 @@ from math import lcm
 import mpmath as mp
 
 from .errors import ContractError, DimensionMismatchError, PreconditionError
-from .lattice import QuadLattice, Vector, integral_rows
+from .exact import integral_rows
+from .lattice import QuadLattice, Vector
 from .linalg_exact import (
     identity_matrix,
     inverse_unimodular,
@@ -59,9 +60,9 @@ from .linalg_exact import (
 )
 from .polynomials import (
     charpoly,
-    is_squarefree,
+    evaluate_matrix,
     isolate_largest_root_above,
-    minimal_polynomial,
+    squarefree_part,
     strip_cyclotomic_factors,
 )
 
@@ -78,11 +79,8 @@ class LatticeIsometry:
     matrix: IntMatrix
 
     def __post_init__(self):
-        m = integral_rows(self.matrix, "matrix")
+        m = tuple(map(tuple, integral_rows(self.matrix, "matrix")))
         object.__setattr__(self, "matrix", m)
-        n = self.lattice.rank
-        if len(m) != n or any(len(row) != n for row in m):
-            raise DimensionMismatchError("matrix size does not match lattice rank")
         if not verify_isometry(self.lattice, m):
             raise PreconditionError("matrix does not preserve the Gram matrix")
 
@@ -178,8 +176,15 @@ def is_quasi_unipotent(g: LatticeIsometry) -> bool:
 
 
 def is_semisimple(g: LatticeIsometry) -> bool:
-    """True iff the minimal polynomial is squarefree."""
-    return is_squarefree(minimal_polynomial([list(r) for r in g.matrix]))
+    """True iff rad(chi)(M) = 0, chi the charpoly and rad its squarefree part.
+
+    rad(chi) has the roots of the minimal polynomial, each once, so it
+    annihilates M exactly when the minimal polynomial is squarefree.  For
+    an integer M, rad(chi) has integer coefficients (Gauss), so the Horner
+    evaluation is exact and integral.
+    """
+    m = [list(r) for r in g.matrix]
+    return not any(any(row) for row in evaluate_matrix(squarefree_part(charpoly(m)), m))
 
 
 def is_time_preserving(g: LatticeIsometry) -> bool:

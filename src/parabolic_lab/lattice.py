@@ -25,15 +25,13 @@ from __future__ import annotations
 
 import itertools
 import json
-import numbers
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
 from .errors import DegenerateLatticeError, DimensionMismatchError, PreconditionError
-from .exact import ParseError
+from .exact import ParseError, integral, integral_rows
 from .linalg_exact import det_exact, primitive_vector
 
 Vector = tuple[int, ...]
@@ -49,7 +47,7 @@ class QuadLattice:
     allow_degenerate: bool = False
 
     def __post_init__(self):
-        g = integral_rows(self.gram, "Gram")
+        g = tuple(map(tuple, integral_rows(self.gram, "Gram")))
         object.__setattr__(self, "gram", g)
         n = len(g)
         if any(len(row) != n for row in g):
@@ -72,7 +70,7 @@ class QuadLattice:
         return det_exact([list(r) for r in self.gram])
 
     def check_vector(self, v) -> Vector:
-        v = tuple(integral(x, "vector entry") for x in v)
+        v = tuple(integral(x, "vector") for x in v)
         if len(v) != self.rank:
             raise DimensionMismatchError(
                 f"vector length {len(v)} != lattice rank {self.rank}"
@@ -126,42 +124,9 @@ class QuadLattice:
         if not isinstance(d, dict):
             raise ParseError(f"a lattice must be a JSON object, not {type(d).__name__}")
         lat = cls(d["gram"])
-        if "rank" in d and integral(d["rank"], "declared rank") != lat.rank:
+        if "rank" in d and integral(d["rank"], "rank") != lat.rank:
             raise PreconditionError("declared rank does not match gram size")
         return lat
-
-
-def integral(x, what: str) -> int:
-    """An entry (of a Gram matrix, vector or isometry) as an int, never truncated.
-
-    Integral numbers pass (2.0 and Fraction(4, 2) included) and other
-    numbers are a precondition violation.  Strings must be an optional '-'
-    and ASCII digits, the JSON form of entries beyond 2^53; any other
-    string, or an entry that is no number, is a parse error.  ``what``
-    names the entry in the error message.
-    """
-    if type(x) is int:  # the common case, kept as cheap as int(x)
-        return x
-    if isinstance(x, str):
-        if not re.fullmatch(r"-?[0-9]+", x):
-            raise ParseError(f"{what} {x!r} is not an integer")
-        return int(x)
-    if not isinstance(x, numbers.Real) or isinstance(x, bool):
-        raise ParseError(f"{what} {x!r} is not a number")
-    if x % 1 != 0:
-        raise PreconditionError(f"{what} {x!r} is not an integer")
-    return int(x)
-
-
-def integral_rows(rows, what: str) -> tuple[tuple[int, ...], ...]:
-    """A matrix as int rows, each entry read by :func:`integral`.
-
-    Anything but a list or tuple of lists or tuples is a parse error.
-    """
-    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
-        raise ParseError(f"{what} must be a list of rows")
-    entry = f"{what} entry"
-    return tuple(tuple(integral(x, entry) for x in row) for row in rows)
 
 
 def _json_int(x: int):
@@ -216,10 +181,7 @@ def _diagonalize(gram) -> tuple[int, int, Vector | None]:
 # ---------------------------------------------------------------------------
 
 def is_primitive(v) -> bool:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(int(x)))
-    return g == 1
+    return gcd(*(integral(x, "vector") for x in v)) == 1
 
 
 def _canonical_sign(v: Vector) -> Vector:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import PreconditionError
+from .exact import integral_rows
 
 Matrix = list[list]
 
@@ -188,7 +189,11 @@ def kernel_basis(a) -> list[list[int]]:
 
 
 def solve_exact(a, b):
-    """One rational solution of a x = b, or None if inconsistent."""
+    """One rational solution of a x = b, or None if inconsistent.
+
+    Nothing in the library calls it; it stays because the benchmark's
+    tracer, bench/tracer.py, wraps it by name.
+    """
     rows, cols = len(a), len(a[0])
     m, _ = _integer_rows([list(row) + [bv] for row, bv in zip(a, b)])
     pivots, d, _ = _gauss_jordan(m, cols)
@@ -209,35 +214,15 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
-def _integral_entry(x, caller: str) -> int:
-    """An integral entry as an int; anything else is refused, never truncated."""
-    if type(x) is int:
-        return x
-    try:
-        if x == int(x):
-            return int(x)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise PreconditionError(f"{caller} needs integer entries, got {x!r}")
-
-
-def _integral_rows(rows, caller: str) -> list[list[int]]:
-    """Rows of equal length with integral entries, as lists of ints."""
-    m = [[_integral_entry(x, caller) for x in row] for row in rows]
-    if len({len(row) for row in m}) > 1:
-        raise PreconditionError(f"{caller} needs rows of equal length")
-    return m
-
-
 def hnf(rows) -> list[list[int]]:
     """Row Hermite normal form of the lattice spanned by integer rows.
 
     Returns the nonzero rows with positive pivots and entries above each
     pivot reduced into [0, pivot).  Two row sets span the same lattice iff
     their HNFs are equal, which is how relation lattices are compared.
-    A non-integral entry or ragged rows are a PreconditionError.
+    The rows are read by :func:`exact.integral_rows`.
     """
-    m = [row for row in _integral_rows(rows, "hnf") if any(row)]
+    m = [row for row in integral_rows(rows, "hnf") if any(row)]
     if not m:
         return []
     cols = len(m[0])
@@ -287,11 +272,10 @@ def lll_reduce(rows) -> list[list[int]]:
     division in the bootstrap and the swaps is exact.  The size-reduction
     and Lovasz tests are the classical ones multiplied through by
     positive D's, so the output is that of the rational algorithm.
-    Rows must be linearly independent integer vectors of equal length;
-    a non-integral entry, ragged rows or dependent rows are a
-    PreconditionError.
+    The rows are read by :func:`exact.integral_rows` and must be linearly
+    independent; dependent rows are a PreconditionError.
     """
-    b = _integral_rows(rows, "lll_reduce")
+    b = integral_rows(rows, "lll_reduce")
     n = len(b)
 
     def dot(u, v):

@@ -4,10 +4,10 @@ Polynomials are tuples of Fractions in ascending degree order with no
 trailing zeros (the zero polynomial is the empty tuple).  The module
 supplies what the isometry layer needs done exactly: characteristic
 polynomials (Faddeev-LeVerrier, in Python ints for integer matrices),
-minimal polynomials (Krylov, behind `is_semisimple`), cyclotomic factor
-stripping, squarefree parts, and Sturm-chain root counting.  Cyclotomic
-stripping is integral and fraction-free: trial division by a cached
-table of integer Phi_d, which are monic, so the loop never divides.
+cyclotomic factor stripping, squarefree parts, and Sturm-chain root
+isolation.  Cyclotomic stripping is integral and fraction-free: trial
+division by a cached table of integer Phi_d, which are monic, so the
+loop never divides.
 Largest-root isolation counts with the Sturm chain only until the root
 is alone in its interval and then bisects on the sign of the squarefree
 part, in integers.
@@ -71,10 +71,6 @@ def poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
     return poly(quo), poly(rem)
 
 
-def poly_divides(q: Poly, p: Poly) -> bool:
-    return not poly_divmod(p, q)[1]
-
-
 def derivative(p: Poly) -> Poly:
     return poly([i * c for i, c in enumerate(p)][1:])
 
@@ -99,10 +95,6 @@ def squarefree_part(p: Poly) -> Poly:
         return monic(p)
     g = poly_gcd(p, derivative(p))
     return monic(poly_divmod(p, g)[0])
-
-
-def is_squarefree(p: Poly) -> bool:
-    return degree(poly_gcd(p, derivative(p))) == 0
 
 
 def evaluate(p: Poly, x) -> Fraction:
@@ -149,7 +141,11 @@ def charpoly(m) -> Poly:
 
 
 def minimal_polynomial(m) -> Poly:
-    """Monic minimal polynomial via Krylov sequences, one basis vector at a time."""
+    """Monic minimal polynomial via Krylov sequences, one basis vector at a time.
+
+    Nothing in the library calls it (`is_semisimple` tests rad(chi)(M) = 0);
+    it stays because the benchmark's tracer, bench/tracer.py, wraps it by name.
+    """
     n = len(m)
     mf = [[Fraction(x) for x in row] for row in m]
     result: Poly = poly([1])
@@ -287,19 +283,6 @@ def _sign_variations(chain: list[Poly], x: Fraction) -> int:
         if v:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_real_roots(p: Poly, a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots of p in (a, b], exactly.
-
-    Works through the squarefree part: the Sturm counting theorem needs a
-    squarefree polynomial once endpoints may coincide with (possibly
-    multiple) roots.
-    """
-    if not p or degree(p) == 0:
-        return 0
-    chain = sturm_chain(squarefree_part(p))
-    return _sign_variations(chain, Fraction(a)) - _sign_variations(chain, Fraction(b))
 
 
 def cauchy_root_bound(p: Poly) -> Fraction:

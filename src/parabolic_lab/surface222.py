@@ -50,6 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BranchPointError, ContractError, PreconditionError
+from .exact import ParseError, is_number
 
 AXES = ("x", "y", "z")
 
@@ -74,6 +75,8 @@ class Surface222:
         c = np.array(self.coeffs, dtype=complex)
         if c.shape != (3, 3, 3):
             raise PreconditionError("coefficient tensor must be 3x3x3")
+        if not np.isfinite(c).all():
+            raise PreconditionError("surface coefficients must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
         for axis in range(3):
@@ -117,6 +120,10 @@ class Surface222:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Surface222":
         flat = d["coeffs"]
+        if not isinstance(flat, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(map(is_number, p)) for p in flat
+        ):
+            raise ParseError("coeffs must be a list of [re, im] number pairs")
         if len(flat) != 27:
             raise PreconditionError("need 27 complex coefficient pairs")
         c = np.array(
@@ -426,6 +433,11 @@ def chart_cell(pair, grid: int) -> tuple[int, int, int]:
 
 
 def pair_cell(point: SurfacePoint, pair, grid: int) -> tuple:
+    """The grid cell of a point's two fiber coordinates.
+
+    The library bins through :func:`_pair_keys`; this scalar form stays
+    because the benchmark's tracer, bench/tracer.py, wraps it by name.
+    """
     first, second = pair
     return chart_cell(point.coord(first), grid) + chart_cell(point.coord(second), grid)
 

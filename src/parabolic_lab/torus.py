@@ -192,25 +192,20 @@ def rational_hull(
             row.append(int(mp.nint(scale * vals[i])))
             rows.append(row)
         reduced = lll_reduce(rows)
-        exact_vals = tv.values if tv.is_exact else None
-        accepted: list[list[int]] = []
+        exact = list(tv.values) + [1] if tv.is_exact else None
+
+        def holds(k) -> bool:
+            # the residue contract: exactly zero for exact values, below tol otherwise
+            return _exact_residue_zero(k, exact) if exact is not None else _residue(k, vals) < tolm
+
+        accepted = []
         for row in reduced:
             k = row[: n + 1]
-            if not any(k):
-                continue
-            if max(abs(c) for c in k) > height_bound:
-                continue
-            if _residue(k, vals) >= tolm:
-                continue
-            g = 0
-            for c in k:
-                g = math.gcd(g, abs(c))
-            k = [c // g for c in k]
-            if exact_vals is not None and not _exact_residue_zero(
-                k, list(exact_vals) + [1]
-            ):
-                continue
-            accepted.append(k)
+            # the float residue is a cheap screen before holds(), exact for exact values
+            if (any(k) and max(map(abs, k)) <= height_bound
+                    and _residue(k, vals) < tolm and holds(k)):
+                g = math.gcd(*k)
+                accepted.append([c // g for c in k])
         # canonicalize and saturate: true relation lattices are saturated,
         # so any imprimitive HNF row can be divided and re-verified
         relations = hnf(accepted)
@@ -219,36 +214,22 @@ def rational_hull(
             changed = False
             out = []
             for row in relations:
-                g = 0
-                for c in row:
-                    g = math.gcd(g, abs(c))
-                if g > 1:
-                    cand = [c // g for c in row]
-                    ok = (
-                        _exact_residue_zero(cand, list(exact_vals) + [1])
-                        if exact_vals is not None
-                        else _residue(cand, vals) < tolm
-                    )
-                    if ok:
-                        out.append(cand)
-                        changed = True
-                        continue
-                out.append(row)
+                g = math.gcd(*row)
+                cand = [c // g for c in row]
+                if g > 1 and holds(cand):
+                    out.append(cand)
+                    changed = True
+                else:
+                    out.append(row)
             relations = hnf(out) if changed else relations
         # the returned rows themselves must satisfy the residue contract;
         # HNF mixes accepted rows, so re-verify (combinations of true
         # relations stay tiny, near-relations admitted by a loose tol do not)
-        for row in relations:
-            ok = (
-                _exact_residue_zero(row, list(exact_vals) + [1])
-                if exact_vals is not None
-                else _residue(row, vals) < tolm
+        if not all(map(holds, relations)):
+            raise ContractError(
+                "canonicalized relation fails the residue contract; "
+                "tolerance admitted a spurious relation"
             )
-            if not ok:
-                raise ContractError(
-                    "canonicalized relation fails the residue contract; "
-                    "tolerance admitted a spurious relation"
-                )
         x_parts = [r[:n] for r in relations]
         if x_parts and rank_exact(x_parts) != len(relations):
             raise ContractError(

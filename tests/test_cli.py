@@ -250,6 +250,24 @@ def test_k3_sample_cli(capsys):
     assert out == out2
 
 
+@pytest.mark.parametrize("coeffs,code", [
+    ([[1, "a"]] + [[1, 0]] * 26, 1),
+    (list(range(1, 28)), 1),
+    (5, 1),
+    ([[float("nan"), 0]] + [[1, 0]] * 26, 2),
+], ids=["word-in-pair", "bare-numbers", "not-a-list", "nan"])
+def test_k3_surface_file_is_checked(coeffs, code, tmp_path, capsys):
+    # a malformed file is a parse error, a non-finite coefficient a precondition
+    # violation; neither reaches the sampler
+    f = tmp_path / "surface.json"
+    f.write_text(json.dumps({"coeffs": coeffs}))
+    assert main(["k3", "sample", "--surface", str(f)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:" if code == 1 else "precondition violation:")
+    f.write_text(json.dumps({"coeffs": [[1, 0]] * 27}))
+    assert main(["k3", "sample", "--n", "1", "--surface", str(f)]) == 0
+
+
 def test_k3_involve_cli(capsys):
     code, out = run_cli(["k3", "involve", "--axis", "z", "--n", "5", "--seed", "3"], capsys)
     assert code == 0

@@ -35,7 +35,7 @@ from parabolic_lab.lattice import (
     diagonal_lattice,
     hyperbolic_plane,
 )
-from parabolic_lab.polynomials import charpoly
+from parabolic_lab.polynomials import charpoly, degree, derivative, minimal_polynomial, poly_gcd
 
 U = hyperbolic_plane()
 PELL = diagonal_lattice(2, -1)
@@ -222,6 +222,20 @@ def test_limit_matches_doubling_oracle_on_fuzz_words():
             assert max(abs(a - b) for a, b in zip(d, want)) < 1e-9
             checked += 1
     assert checked >= 90
+
+
+def test_is_semisimple_matches_squarefree_minimal_polynomial_on_fuzz_words():
+    rng = random.Random(4242)
+    lattices = classification_lattices()
+    seen = set()
+    for _ in range(300):
+        lat, gens = lattices[rng.randrange(len(lattices))]
+        g = random_word(lat, gens, rng)
+        mu = minimal_polynomial([list(r) for r in g.matrix])
+        squarefree = degree(poly_gcd(mu, derivative(mu))) == 0
+        assert is_semisimple(g) == squarefree, g.matrix
+        seen.add(squarefree)
+    assert seen == {True, False}
 
 
 def test_parabolic_fixed_vector_unique_and_stable_under_powers():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from parabolic_lab.errors import PreconditionError
+from parabolic_lab.exact import ParseError
 from parabolic_lab.linalg_exact import (
     det_exact,
     hnf,
@@ -126,9 +127,12 @@ def test_hnf_canonical():
 
 
 def test_hnf_refuses_non_integral_entries():
-    for rows in ([[1.5, 0], [0, 1]], [[Fraction(1, 2), 0], [0, 1]], [["a", 0]]):
+    for rows in ([[1.5, 0], [0, 1]], [[Fraction(1, 2), 0], [0, 1]]):
         with pytest.raises(PreconditionError, match="hnf needs integer entries"):
             hnf(rows)
+    # an entry that is no number is malformed input, not a precondition violation
+    with pytest.raises(ParseError, match="hnf needs integer entries"):
+        hnf([["a", 0]])
     assert hnf([[2.0, 0], [Fraction(4, 2), 1]]) == hnf([[2, 0], [2, 1]]) == [[2, 0], [0, 1]]
 
 
