@@ -165,7 +165,10 @@ def emit(path: str | None, config: dict, result) -> None:
 def _load_json_file(path: str) -> dict:
     """A JSON object from a file; an artifact written by `emit` yields its result."""
     with open(path) as fh:
-        d = json.load(fh)
+        try:
+            d = json.load(fh)
+        except ValueError as exc:  # malformed JSON, or an integer past the digit limit
+            raise ParseError(f"{path}: {exc}") from None
     if isinstance(d, dict) and "config_sha256" in d:
         d = d["result"]
     if not isinstance(d, dict):
@@ -430,6 +433,7 @@ def cmd_k3_involve(args) -> dict:
     surface = _surface_from_args(args)
     rng = np.random.default_rng([args.seed, 0x17])
     rows = []
+    refused = 0
     worst_residual = 0.0
     worst_roundtrip = 0.0
     for _ in range(args.n):
@@ -438,6 +442,7 @@ def cmd_k3_involve(args) -> dict:
             q = s2.involution(surface, args.axis, p)
             back = s2.involution(surface, args.axis, q)
         except BranchPointError:
+            refused += 1
             continue
         worst_residual = max(worst_residual, q.residual)
         worst_roundtrip = max(worst_roundtrip, s2.point_distance(back, p))
@@ -446,6 +451,7 @@ def cmd_k3_involve(args) -> dict:
         "pairs": rows,
         "max_residual": worst_residual,
         "max_roundtrip_distance": worst_roundtrip,
+        "refused": refused,
     }
 
 
@@ -674,7 +680,7 @@ def main(argv=None) -> int:
         config = {k: v for k, v in vars(args).items() if k not in ("group", "cmd", "out")}
         config["subcommand"] = f"{args.group} {args.cmd}"
         emit(args.out, config, result)
-    except (ParseError, json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
+    except (ParseError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except PreconditionError as exc:

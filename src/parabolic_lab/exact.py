@@ -56,13 +56,19 @@ def integral(x, what: str) -> int:
     numbers (1.5, nan) are a PreconditionError.  A string must be an
     optional '-' and ASCII digits, the JSON form of integers beyond 2^53;
     any other string, a bool, None or anything else that is no number is a
-    ParseError.  ``what`` names the input in the message.
+    ParseError, and so is a string longer than the interpreter's limit on
+    digits converted to an int.  ``what`` names the input in the message.
     """
     if type(x) is int:  # the common case, kept as cheap as int(x)
         return x
     if isinstance(x, str):
         if _INTEGER.fullmatch(x):
-            return int(x)
+            try:
+                return int(x)
+            except ValueError:  # more digits than the interpreter converts from a string
+                raise ParseError(
+                    f"{what} needs integer entries, got a {len(x)}-character string"
+                    " past the interpreter's digit limit") from None
     elif isinstance(x, numbers.Real) and not isinstance(x, bool):
         if x % 1 == 0:
             return int(x)

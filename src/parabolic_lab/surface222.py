@@ -14,6 +14,14 @@ the sum form covers the remaining cases, and a Newton polish in the
 dominant chart pins the image back onto the surface so residuals do not
 accumulate along long orbits.
 
+Each surface builds its three swaps once, on first use: a closure per axis
+with that axis's 27 coefficients bound as locals (:func:`_vieta_swap`).
+It forms the quadratic term for term as :func:`axis_quadratic` does and
+then runs the one scalar guard and the one Newton polish, so its floats
+are bitwise those of the unbound formulas.  :func:`involution` and
+:func:`parabolic_map` run through it, the latter building one point per
+step.
+
 A composition of two involutions moving different variables fixes the
 remaining coordinate bitwise, so it preserves that projection fiberwise;
 on a smooth fiber (an elliptic curve) it preserves the holomorphic
@@ -50,7 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BranchPointError, ContractError, PreconditionError
-from .exact import ParseError, is_number
+from .exact import ParseError, integral, is_number
 
 AXES = ("x", "y", "z")
 
@@ -105,6 +113,15 @@ class Surface222:
         )
         return (tx, ty, tz)
 
+    @cached_property
+    def _swaps(self):
+        """The Vieta swap of each axis, its coefficients bound once (see :func:`_vieta_swap`)."""
+        return tuple(_vieta_swap(table) for table in self._tables)
+
+    def __reduce__(self):
+        # the cached swaps are closures, which pickle cannot carry; rebuild them on demand
+        return (Surface222, (self.coeffs, self.seed))
+
     def to_json_dict(self) -> dict:
         flat = [
             [float(self.coeffs[i, j, k].real), float(self.coeffs[i, j, k].imag)]
@@ -129,7 +146,12 @@ class Surface222:
         c = np.array(
             [complex(re, im) for re, im in flat], dtype=complex
         ).reshape(3, 3, 3)
-        return cls(c, seed=d.get("seed"))
+        seed = d.get("seed")
+        if seed is not None:
+            seed = integral(seed, "surface seed")
+            if not 0 <= seed < 2**64:
+                raise PreconditionError(f"surface seed must lie in [0, 2^64), got {seed}")
+        return cls(c, seed=seed)
 
 
 def random_surface(seed: int) -> Surface222:
@@ -266,6 +288,52 @@ def _polish(a, b, c, pair):
     return pair, abs(_quad(a, b, c, pair))
 
 
+def _vieta_swap(table):
+    """The Vieta root swap in one axis, as a closure over that axis's 3x9 table.
+
+    ``swap(u, v, t)`` takes the pairs of the two other coordinates (in
+    x < y < z order) and of the moving one, and returns (image, residual).
+    The coefficients are :func:`axis_quadratic`'s, formed term for term in
+    the same order, so the floats are bitwise those of the unbound path;
+    the guard, the product-or-sum choice, the polish and the residual test
+    follow, reading the module's thresholds at call time.
+    """
+    (c0, c1, c2, c3, c4, c5, c6, c7, c8), (b0, b1, b2, b3, b4, b5, b6, b7, b8), \
+        (a0, a1, a2, a3, a4, a5, a6, a7, a8) = table
+
+    def swap(u, v, t):
+        u0, u1 = u
+        v0, v1 = v
+        mu0, mu1, mu2 = u0 * u0, u0 * u1, u1 * u1
+        mv0, mv1, mv2 = v0 * v0, v0 * v1, v1 * v1
+        p0, p1, p2 = mu0 * mv0, mu0 * mv1, mu0 * mv2
+        p3, p4, p5 = mu1 * mv0, mu1 * mv1, mu1 * mv2
+        p6, p7, p8 = mu2 * mv0, mu2 * mv1, mu2 * mv2
+        c = (c0 * p0 + c1 * p1 + c2 * p2 + c3 * p3 + c4 * p4 + c5 * p5
+             + c6 * p6 + c7 * p7 + c8 * p8)
+        b = (b0 * p0 + b1 * p1 + b2 * p2 + b3 * p3 + b4 * p4 + b5 * p5
+             + b6 * p6 + b7 * p7 + b8 * p8)
+        a = (a0 * p0 + a1 * p1 + a2 * p2 + a3 * p3 + a4 * p4 + a5 * p5
+             + a6 * p6 + a7 * p7 + a8 * p8)
+        scale, _ = _guard(a, b, c)
+        t0, t1 = t
+        q0, q1 = a * t1, c * t0
+        if max(abs(q0), abs(q1)) > 1e-6 * scale * max(abs(t0), abs(t1)):
+            image = (q0, q1)
+        else:
+            image = (a * t0, -(b * t0 + a * t1))
+        image, res = _polish(a, b, c, _normalize(image))
+        if res > ON_SURFACE_TOL * max(scale, 1.0):
+            raise ContractError(f"involution image off surface: residual {res:.3e}")
+        return image, res
+
+    return swap
+
+
+# axis -> (its index, the indices of the two other coordinates)
+_SLOTS = {"x": (0, 1, 2), "y": (1, 0, 2), "z": (2, 0, 1)}
+
+
 def involution(surface: Surface222, axis: str, point: SurfacePoint) -> SurfacePoint:
     """The Vieta root swap in `axis`; the other two coordinates are untouched.
 
@@ -274,18 +342,10 @@ def involution(surface: Surface222, axis: str, point: SurfacePoint) -> SurfacePo
     """
     if axis not in AXES:
         raise PreconditionError(f"axis must be one of {AXES}")
-    a, b, c = axis_quadratic(surface, point, axis)
-    scale, _ = _guard(a, b, c)
-    t0, t1 = point.coord(axis)
-    prod = (a * t1, c * t0)
-    if max(abs(prod[0]), abs(prod[1])) > 1e-6 * scale * max(abs(t0), abs(t1)):
-        image = prod
-    else:
-        image = (a * t0, -(b * t0 + a * t1))
-    image, res = _polish(a, b, c, _normalize(image))
-    if res > ON_SURFACE_TOL * max(scale, 1.0):
-        raise ContractError(f"involution image off surface: residual {res:.3e}")
-    return point.replace(axis, image, res)
+    p = [point.x, point.y, point.z]
+    i, j, k = _SLOTS[axis]
+    p[i], res = surface._swaps[i](p[j], p[k], p[i])
+    return SurfacePoint(p[0], p[1], p[2], res)
 
 
 PAIRS = (("y", "z"), ("x", "z"), ("x", "y"))
@@ -294,7 +354,15 @@ PAIRS = (("y", "z"), ("x", "z"), ("x", "y"))
 def parabolic_map(surface: Surface222, pair, point: SurfacePoint) -> SurfacePoint:
     """sigma_second after sigma_first; fixes the complementary coordinate bitwise."""
     first, second = pair
-    return involution(surface, second, involution(surface, first, point))
+    try:
+        (i, j, k), (i2, j2, k2) = _SLOTS[first], _SLOTS[second]
+    except KeyError:
+        raise PreconditionError(f"pair must name two of the axes {AXES}") from None
+    swaps = surface._swaps
+    p = [point.x, point.y, point.z]
+    p[i], _ = swaps[i](p[j], p[k], p[i])
+    p[i2], res = swaps[i2](p[j2], p[k2], p[i2])
+    return SurfacePoint(p[0], p[1], p[2], res)
 
 
 def _sample_root(surface: Surface222, probe: SurfacePoint, axis: str, rng):
@@ -697,26 +765,19 @@ def translation_check(
 # ergodicity diagnostics
 # ---------------------------------------------------------------------------
 
-def _point_sphere_coords(point: SurfacePoint):
-    return (
-        sphere_coord(point.x),
-        sphere_coord(point.y),
-        sphere_coord(point.z),
-    )
-
-
+# fid -> (the axis whose sphere coordinate w the function reads, None if none; w -> value)
 TEST_FUNCTIONS = {
-    "one": lambda wx, wy, wz: 1.0,
-    "x_abs2": lambda wx, wy, wz: abs(wx) ** 2,
-    "x_re": lambda wx, wy, wz: wx.real,
-    "y_abs2": lambda wx, wy, wz: abs(wy) ** 2,
-    "z_abs2": lambda wx, wy, wz: abs(wz) ** 2,
+    "one": (None, lambda w: 1.0),
+    "x_abs2": ("x", lambda w: abs(w) ** 2),
+    "x_re": ("x", lambda w: w.real),
+    "y_abs2": ("y", lambda w: abs(w) ** 2),
+    "z_abs2": ("z", lambda w: abs(w) ** 2),
 }
 
 
 def eval_test_function(fid: str, point: SurfacePoint) -> float:
-    wx, wy, wz = _point_sphere_coords(point)
-    return float(TEST_FUNCTIONS[fid](wx, wy, wz))
+    axis, fn = TEST_FUNCTIONS[fid]
+    return float(fn(None if axis is None else sphere_coord(getattr(point, axis))))
 
 
 def _mc_space_average(surface: Surface222, fid: str, samples: int, rng):
@@ -752,16 +813,16 @@ def _mc_space_average(surface: Surface222, fid: str, samples: int, rng):
     fs_weight = (1 + np.abs(x) ** 2) ** 2 * (1 + np.abs(y) ** 2) ** 2
     wx = x / (1 + np.abs(x) ** 2)
     wy = y / (1 + np.abs(y) ** 2)
-    fn = TEST_FUNCTIONS[fid]
+    axis, fn = TEST_FUNCTIONS[fid]
     weights = []
     values = []
     for r0, r1 in roots:
         tz = r1 / r0
         fz = 2 * aa * tz + bb
         w = fs_weight / np.abs(fz) ** 2
-        wz = tz / (1 + np.abs(tz) ** 2)
+        sphere = {"x": wx, "y": wy, "z": tz / (1 + np.abs(tz) ** 2)}
         weights.append(w)
-        values.append(np.real(fn(wx, wy, wz) + np.zeros_like(w)))
+        values.append(np.real(fn(sphere.get(axis)) + np.zeros_like(w)))
     w = np.concatenate(weights)
     v = np.concatenate(values)
     wsum = float(np.sum(w))
@@ -857,7 +918,8 @@ def ergodicity_contrast(
     non-ergodic direction.
 
     Returns within-fiber and cross-fiber variances of trajectory means;
-    a large ratio is the detection signal.
+    a large ratio is the detection signal.  `branch_interruptions` counts
+    the refused steps over all trajectories.
     """
     if word_length < 1:
         raise PreconditionError("word_length must be >= 1")
@@ -865,6 +927,7 @@ def ergodicity_contrast(
 
     fiber_means = []
     within_vars = []
+    interruptions = 0
     for i in range(n_fibers):
         rng = np.random.default_rng([seed, 0xF1, i])
         base = _fs_pair(rng)
@@ -873,10 +936,12 @@ def ergodicity_contrast(
             rng_t = np.random.default_rng([seed, 0xF2, i, t])
             start = sample_fiber_point(surface, pair, base, rng_t)
             # resample on the start's stored base: renormalizing `base` may move its last bits
-            means.append(_trajectory_mean(
+            mean, hits = _trajectory_mean(
                 lambda p: parabolic_map(surface, pair, p),
                 lambda p: sample_fiber_point(surface, pair, start.coord(base_axis), rng_t),
-                start, word_length, fid)[0])
+                start, word_length, fid)
+            means.append(mean)
+            interruptions += hits
         fiber_means.append(float(np.mean(means)))
         within_vars.append(float(np.var(means, ddof=1)))
     cross_var = float(np.var(fiber_means, ddof=1))
@@ -889,6 +954,7 @@ def ergodicity_contrast(
         "cross_fiber_variance": cross_var,
         "within_fiber_variance": within_var,
         "variance_ratio": cross_var / within_var if within_var > 0 else float("inf"),
+        "branch_interruptions": interruptions,
     }
 
 

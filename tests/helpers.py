@@ -699,6 +699,17 @@ def frozen_fiber_orbit(surface, pair, base_pair, start, length, grid, rng, min_h
     }
 
 
+# the test functions as functions of all three sphere coordinates, the
+# form they had before each one named the single coordinate it reads
+FROZEN_TEST_FUNCTIONS = {
+    "one": lambda wx, wy, wz: 1.0,
+    "x_abs2": lambda wx, wy, wz: abs(wx) ** 2,
+    "x_re": lambda wx, wy, wz: wx.real,
+    "y_abs2": lambda wx, wy, wz: abs(wy) ** 2,
+    "z_abs2": lambda wx, wy, wz: abs(wz) ** 2,
+}
+
+
 def frozen_mc_space_average(surface, fid, samples, rng):
     """The importance-sampled space average with its own guard and root solve."""
     c = surface.coeffs
@@ -733,7 +744,7 @@ def frozen_mc_space_average(surface, fid, samples, rng):
     fs_weight = (1 + np.abs(x) ** 2) ** 2 * (1 + np.abs(y) ** 2) ** 2
     wx = x / (1 + np.abs(x) ** 2)
     wy = y / (1 + np.abs(y) ** 2)
-    fn = s2.TEST_FUNCTIONS[fid]
+    fn = FROZEN_TEST_FUNCTIONS[fid]
     weights = []
     values = []
     for tz in roots:
@@ -994,10 +1005,11 @@ def frozen_contrast(surface, pair=("y", "z"), fid="y_abs2", n_fibers=10, trials_
                 continue
             total += s2.eval_test_function(fid, cur)
             k += 1
-        return total / word_length
+        return total / word_length, guard
 
     fiber_means = []
     within_vars = []
+    interruptions = 0
     for i in range(n_fibers):
         rng = np.random.default_rng([seed, 0xF1, i])
         base = s2._fs_pair(rng)
@@ -1005,7 +1017,9 @@ def frozen_contrast(surface, pair=("y", "z"), fid="y_abs2", n_fibers=10, trials_
         for t in range(trials_per_fiber):
             rng_t = np.random.default_rng([seed, 0xF2, i, t])
             start = frozen_sample_fiber_point(surface, pair, base, rng_t)
-            means.append(trajectory_mean(start, rng_t))
+            mean, hits = trajectory_mean(start, rng_t)
+            means.append(mean)
+            interruptions += hits
         fiber_means.append(float(np.mean(means)))
         within_vars.append(float(np.var(means, ddof=1)))
     cross_var = float(np.var(fiber_means, ddof=1))
@@ -1018,4 +1032,5 @@ def frozen_contrast(surface, pair=("y", "z"), fid="y_abs2", n_fibers=10, trials_
         "cross_fiber_variance": cross_var,
         "within_fiber_variance": within_var,
         "variance_ratio": cross_var / within_var if within_var > 0 else float("inf"),
+        "branch_interruptions": interruptions,
     }

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from parabolic_lab import surface222 as s2
 from parabolic_lab.cli import build_parser, main, render_json
 
 
@@ -268,12 +269,45 @@ def test_k3_surface_file_is_checked(coeffs, code, tmp_path, capsys):
     assert main(["k3", "sample", "--n", "1", "--surface", str(f)]) == 0
 
 
-def test_k3_involve_cli(capsys):
+@pytest.mark.parametrize("seed,code", [
+    ("abc", 1), (-1, 2), (2**64, 2), (2**64 - 1, 0), (None, 0), ("absent", 0),
+], ids=["word", "negative", "2^64", "u64-max", "null", "absent"])
+def test_k3_surface_seed_is_a_u64(seed, code, tmp_path, capsys):
+    d = {"coeffs": [[1, 0]] * 27}
+    if seed != "absent":
+        d["seed"] = seed
+    f = tmp_path / "surface.json"
+    f.write_text(json.dumps(d))
+    assert main(["k3", "sample", "--n", "1", "--surface", str(f)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err.startswith("error:" if code == 1 else "precondition violation:")
+        assert "surface seed" in err
+    else:
+        assert json.loads(out)["result"]["surface"].get("seed") == d.get("seed")
+
+
+def test_k3_involve_cli(capsys, monkeypatch):
     code, out = run_cli(["k3", "involve", "--axis", "z", "--n", "5", "--seed", "3"], capsys)
     assert code == 0
     res = json.loads(out)["result"]
     assert res["max_residual"] < 1e-10
     assert res["max_roundtrip_distance"] < 1e-9
+    assert res["refused"] == 0 and len(res["pairs"]) == 5
+    # near the branch locus points are skipped and counted, never dropped silently
+    monkeypatch.setattr(s2, "BRANCH_DISC_REL", 0.05)
+    code, out = run_cli(["k3", "involve", "--axis", "y", "--n", "40", "--seed", "3"], capsys)
+    res = json.loads(out)["result"]
+    assert code == 0 and res["refused"] > 0
+    assert len(res["pairs"]) + res["refused"] == 40
+
+
+def test_k3_contrast_counts_interruptions(capsys, monkeypatch):
+    monkeypatch.setattr(s2, "BRANCH_DISC_REL", 1e-3)
+    code, out = run_cli(["k3", "ergo", "--contrast", "--l", "200", "--f", "y_abs2",
+                         "--seed", "3"], capsys)
+    assert code == 0
+    assert json.loads(out)["result"]["branch_interruptions"] == 7
 
 
 def test_k3_orbit_csv_trace(capsys):

@@ -88,3 +88,20 @@ def test_cli_entry_points_read_integers_alike(value, expected, tmp_path, monkeyp
     if not isinstance(value, Fraction):
         code = 1 if expected is ParseError else 2
         assert main(["lattice", "signature", "-i", _gram_file(tmp_path, value)]) == code
+
+
+def test_integers_past_the_digit_limit_are_parse_errors(tmp_path, capsys):
+    # 5000 digits: more than the interpreter converts from a string by default
+    digits = "1" * 5000
+    with pytest.raises(ParseError, match="Gram needs integer entries, got a 5000-character"):
+        QuadLattice(((digits, 0), (0, -1)))
+    # a Gram entry written as a string, and one written as a bare JSON number
+    assert main(["lattice", "signature", "-i", _gram_file(tmp_path, digits)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"gram": [[2, 0, 1], [0, -10, 0], [1, 0, 0]]}).replace(
+        "-10", digits))
+    assert main(["lattice", "signature", "-i", str(bare)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bare}:") and "Traceback" not in err

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -7,13 +8,16 @@ from parabolic_lab.errors import BranchPointError, ContractError, PreconditionEr
 from parabolic_lab import surface222 as s2
 
 from helpers import (
+    FROZEN_TEST_FUNCTIONS,
     fermat_like_surface,
     frozen_birkhoff,
     frozen_chart_cell,
     frozen_contrast,
     frozen_fiber_cells,
     frozen_fiber_orbit,
+    frozen_involution,
     frozen_mc_space_average,
+    frozen_parabolic_map,
     parabolic_inverse,
     residual_of,
 )
@@ -74,6 +78,80 @@ def test_anti_symplectic_sign():
             checked += 1
             assert abs(fp + fq) < 1e-9 * max(1.0, abs(fp))
     assert checked > 400
+
+
+def _outcome(fn, *args):
+    """A map's image as (coordinates, residual), or its refusal as (type, message)."""
+    try:
+        q = fn(*args)
+    except ContractError as exc:  # BranchPointError included
+        return type(exc).__name__, str(exc)
+    return (q.x, q.y, q.z), q.residual
+
+
+def _bound_swap(surface, axis, p):
+    """The surface's bound swap of `axis` applied to p, as a SurfacePoint."""
+    coords = [p.x, p.y, p.z]
+    i, j, k = s2._SLOTS[axis]
+    coords[i], res = surface._swaps[i](coords[j], coords[k], coords[i])
+    return s2.SurfacePoint(*coords, res)
+
+
+def _branch_ratio(surface, p):
+    """min over the axes of |disc| / scale^2, the quantity the branch guard tests."""
+    ratios = []
+    for axis in s2.AXES:
+        a, b, c = s2.axis_quadratic(surface, p, axis)
+        ratios.append(abs(b * b - 4 * a * c) / max(abs(a), abs(b), abs(c)) ** 2)
+    return min(ratios)
+
+
+# Thresholds are patched after the surface has built its swaps, so the kernel
+# must read them at call time.  The points are the 40 of 4000 samples nearest
+# the branch locus and 80 others; the last case adds leading-coefficient
+# refusals and off-surface ContractErrors.
+@pytest.mark.parametrize("patch, refusals", [
+    ({}, set()),
+    ({"BRANCH_DISC_REL": 1e-3, "LEAD_COEFF_REL": 1e-3}, {"too close to a branch point"}),
+    ({"BRANCH_DISC_REL": 5e-4, "LEAD_COEFF_REL": 5e-4}, {"too close to a branch point"}),
+    ({"LEAD_COEFF_REL": 0.3, "ON_SURFACE_TOL": 1e-16},
+     {"leading coefficient too small; fiber degenerates", "ContractError"}),
+], ids=["default", "1e-3", "5e-4", "lead-and-residual"])
+@pytest.mark.parametrize("surface", [S, s2.random_surface(5), s2.random_surface(9)],
+                         ids=["reference", "random5", "random9"])
+def test_vieta_swap_matches_frozen_involution(surface, patch, refusals, monkeypatch):
+    rng = np.random.default_rng([surface.seed, 17])
+    samples = sorted((s2.sample_point(surface, rng) for _ in range(4000)),
+                     key=lambda p: _branch_ratio(surface, p))
+    points = samples[:40] + samples[-80:]
+    s2.parabolic_map(surface, ("y", "z"), points[-1])
+    for name, value in patch.items():
+        monkeypatch.setattr(s2, name, value)
+    wants = []
+    for p in points:
+        for axis in s2.AXES:
+            wants.append(_outcome(frozen_involution, surface, axis, p))
+            assert _outcome(s2.involution, surface, axis, p) == wants[-1]
+            assert _outcome(_bound_swap, surface, axis, p) == wants[-1]
+        for pair in s2.PAIRS + tuple(pr[::-1] for pr in s2.PAIRS):
+            wants.append(_outcome(frozen_parabolic_map, surface, pair, p))
+            assert _outcome(s2.parabolic_map, surface, pair, p) == wants[-1]
+    kind_or_message = {w[0] if w[0] == "ContractError" else w[1]
+                       for w in wants if isinstance(w[0], str)}
+    assert kind_or_message == refusals
+    # the swaps are cached on the instance; pickling must not try to carry them
+    back = pickle.loads(pickle.dumps(surface))
+    assert np.array_equal(back.coeffs, surface.coeffs) and back.seed == surface.seed
+    assert _outcome(s2.parabolic_map, back, ("y", "z"), p) == _outcome(
+        s2.parabolic_map, surface, ("y", "z"), p)
+
+
+def test_eval_test_function_matches_three_coordinate_form():
+    assert set(s2.TEST_FUNCTIONS) == set(FROZEN_TEST_FUNCTIONS)
+    for fid, fn in FROZEN_TEST_FUNCTIONS.items():
+        for p in POINTS:
+            w = (s2.sphere_coord(p.x), s2.sphere_coord(p.y), s2.sphere_coord(p.z))
+            assert s2.eval_test_function(fid, p) == float(fn(*w))
 
 
 def test_parabolic_map_fixes_base_bitwise():
@@ -284,10 +362,14 @@ def test_birkhoff_matches_frozen_walk(rel, hits, monkeypatch):
 def test_contrast_matches_frozen_walk(rel, monkeypatch):
     monkeypatch.setattr(s2, "BRANCH_DISC_REL", rel)
     calls = _count_calls(monkeypatch, "sample_fiber_point")
+    hits = 0
     for seed in (3, 4, 5):
         kwargs = dict(n_fibers=3, trials_per_fiber=2, word_length=200, seed=seed)
-        assert s2.ergodicity_contrast(S, **kwargs) == frozen_contrast(S, **kwargs)
+        rep = s2.ergodicity_contrast(S, **kwargs)
+        assert rep == frozen_contrast(S, **kwargs)
+        hits += rep["branch_interruptions"]
     assert calls[0] == 3 * 6 + 2  # 18 starts and two resampled trajectory points
+    assert hits == 2
 
 
 def test_walk_budget_overrun_raises_on_both_sides(monkeypatch):
