@@ -402,6 +402,7 @@ def cmd_hodge_amgm(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def _surface_from_args(args) -> s2.Surface222:
+    s2.u64_seed(args.seed, "seed")
     if args.surface:
         return s2.Surface222.from_json_dict(_load_json_file(args.surface))
     return s2.random_surface(args.seed)
@@ -455,16 +456,19 @@ def cmd_k3_involve(args) -> dict:
     }
 
 
-def _orbit_task(payload):
-    index, surface_dict, pair, n, grid, seed = payload
-    surface = s2.Surface222.from_json_dict(surface_dict)
+def _fiber_start(surface, pair, seed: int, index: int):
+    """Base point, start point and orbit rng of fiber `index`, from the master seed."""
     rng = np.random.default_rng([seed, 0x0F, index])
     base = s2._fs_pair(rng)
     start = s2.sample_fiber_point(surface, pair, base, rng)
-    report = s2.fiber_orbit(
-        surface, pair, base, start, n, grid, rng=np.random.default_rng([seed, 0x0E, index])
-    )
-    return index, report.to_json_dict()
+    return base, start, np.random.default_rng([seed, 0x0E, index])
+
+
+def _orbit_task(payload):
+    index, surface_dict, pair, n, grid, seed = payload
+    surface = s2.Surface222.from_json_dict(surface_dict)
+    base, start, rng = _fiber_start(surface, pair, seed, index)
+    return index, s2.fiber_orbit(surface, pair, base, start, n, grid, rng=rng).to_json_dict()
 
 
 def _chart_coords(pair) -> tuple[int, float, float]:
@@ -484,15 +488,10 @@ def cmd_k3_orbit(args) -> dict | Csv:
         raise PreconditionError(f"pair must be one of {[''.join(p) for p in s2.PAIRS]}")
     if args.format == "csv":
         # orbit trace dump for the first fiber: chart coordinates + flags
-        rng = np.random.default_rng([args.seed, 0x0F, 0])
-        base = s2._fs_pair(rng)
-        start = s2.sample_fiber_point(surface, pair, base, rng)
+        base, start, rng = _fiber_start(surface, pair, args.seed, 0)
         first, second = pair
         rows = []
-        for step, pt in s2.orbit_trace(
-            surface, pair, base, start, args.n,
-            rng=np.random.default_rng([args.seed, 0x0E, 0]),
-        ):
+        for step, pt in s2.orbit_trace(surface, pair, base, start, args.n, rng=rng):
             cy, yre, yim = _chart_coords(pt.coord(first))
             cz, zre, zim = _chart_coords(pt.coord(second))
             rows.append([step, yre, yim, zre, zim, cy, cz])

@@ -17,6 +17,10 @@ line.  Grammar (whitespace ignored)::
     number := digits ('/' digits)? | decimal literal
 
 Decimal literals are converted exactly (``0.25`` means 1/4, not a float).
+The radicand of ``sqrt`` lies in [1, 10^12], since its squarefree part
+is found by trial division up to its square root.  A radicand outside,
+a numeral past the interpreter's digit limit (4300 by default) and
+nesting past its recursion limit are ParseErrors.
 
 :func:`integral` and :func:`integral_rows` are the one reader of integer
 data (Gram matrices, vectors, isometries, LLL/HNF rows, integer options
@@ -91,9 +95,9 @@ def integral_rows(rows, what: str) -> list[list[int]]:
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n = s^2 * d with d squarefree; return (s, d)."""
-    if n <= 0:
-        raise ValueError("need a positive integer under the square root")
+    """Write n = s^2 * d with d squarefree; return (s, d).  Trial division needs 1 <= n <= 10^12."""
+    if not 0 < n <= 10**12:
+        raise ValueError(f"the radicand must lie in [1, 10^12], got {n}")
     s, d = 1, 1
     p = 2
     m = n
@@ -371,7 +375,10 @@ def parse_real(text: str) -> QuadExpr:
             value = value + rhs if op == "+" else value - rhs
         return value
 
-    result = parse_expr()
+    try:
+        result = parse_expr()
+    except (ValueError, RecursionError) as exc:  # digit limit, radicand bound, nesting depth
+        raise ParseError(str(exc)) from None
     if pos != len(tokens):
         raise ParseError(f"trailing input {tokens[pos:]!r}")
     return result

@@ -3,10 +3,11 @@
 Matrices are lists (or tuples) of rows; entries are Python ints or
 Fractions.  Everything here is deterministic and exact: one fraction-free
 (Bareiss) Gauss-Jordan elimination on Python ints behind the determinant,
-inverse, rank, kernel and solve routines (Fraction rows are scaled to
-integers first, so only the final results are divided), Hermite normal
-form with extended-gcd row operations, and an integral, fraction-free LLL
-reduction (integer Gram-Schmidt determinants, exact divisions only).
+inverse, rank and kernel routines (Fraction rows are scaled to integers
+first, so only the final results are divided; solve reads its answer off
+the kernel of [a | -b]), Hermite normal form with extended-gcd row
+operations, and an integral, fraction-free LLL reduction (integer
+Gram-Schmidt determinants, exact divisions only).
 These kernels back the signature, kernel-extraction and integer-relation
 machinery, so no floating point is allowed in this module.
 """
@@ -191,18 +192,15 @@ def kernel_basis(a) -> list[list[int]]:
 def solve_exact(a, b):
     """One rational solution of a x = b, or None if inconsistent.
 
-    Nothing in the library calls it; it stays because the benchmark's
-    tracer, bench/tracer.py, wraps it by name.
+    The last `kernel_basis` vector of [a | -b] is t (x, 1) when the last
+    column is free (b is consistent) and ends in 0 otherwise.  Nothing in
+    the library calls it; bench/tracer.py wraps it by name.
     """
-    rows, cols = len(a), len(a[0])
-    m, _ = _integer_rows([list(row) + [bv] for row, bv in zip(a, b)])
-    pivots, d, _ = _gauss_jordan(m, cols)
-    if any(row[cols] for row in m[len(pivots):]):
+    basis = kernel_basis([list(row) + [-bv] for row, bv in zip(a, b)])
+    if not basis or not basis[-1][-1]:
         return None
-    x = [Fraction(0)] * cols
-    for i, pc in enumerate(pivots):
-        x[pc] = Fraction(m[i][cols], d)
-    return x
+    *tx, t = basis[-1]
+    return [Fraction(x, t) for x in tx]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -5,9 +5,10 @@ trailing zeros (the zero polynomial is the empty tuple).  The module
 supplies what the isometry layer needs done exactly: characteristic
 polynomials (Faddeev-LeVerrier, in Python ints for integer matrices),
 cyclotomic factor stripping, squarefree parts, and Sturm-chain root
-isolation.  Cyclotomic stripping is integral and fraction-free: trial
-division by a cached table of integer Phi_d, which are monic, so the
-loop never divides.
+isolation.  Its one long division, `_divmod_monic`, is by a monic
+divisor, so it never divides: cyclotomic stripping runs it on cached
+integer Phi_d, and `poly_divmod` on q / lead(q).  The minimal polynomial
+is the first relation `linalg_exact.kernel_basis` finds among powers of M.
 Largest-root isolation counts with the Sturm chain only until the root
 is alone in its interval and then bisects on the sign of the squarefree
 part, in integers.
@@ -17,10 +18,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import lcm
 
 from .errors import ContractError, PreconditionError
-from .linalg_exact import mat_mul
+from .linalg_exact import identity_matrix, kernel_basis, mat_mul
 
 Poly = tuple[Fraction, ...]
 
@@ -40,35 +42,31 @@ def poly_neg(p: Poly) -> Poly:
     return tuple(-c for c in p)
 
 
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return poly(out)
+def _divmod_monic(p, q):
+    """(quotient, remainder) of coefficient lists p by a monic q.
+
+    q's leading coefficient is 1, so the loop only multiplies and
+    subtracts: int coefficients stay ints, Fractions stay Fractions.
+    The remainder is the low len(q) - 1 slots, trailing zeros kept.
+    """
+    rem, dq = list(p), len(q) - 1
+    quo = [0] * max(len(p) - dq, 0)
+    for shift in range(len(quo) - 1, -1, -1):
+        f = rem[shift + dq]
+        if f:
+            quo[shift] = f
+            for i in range(dq):
+                rem[shift + i] -= f * q[i]
+    return quo, rem[:dq]
 
 
 def poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+    """(quotient, remainder) of p by q: `_divmod_monic` by q / lead(q), quotient / lead(q)."""
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    dq, lead = degree(q), q[-1]
-    while len(rem) - 1 >= dq and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dq:
-            break
-        shift = len(rem) - 1 - dq
-        f = rem[-1] / lead
-        quo[shift] = f
-        for i, c in enumerate(q):
-            rem[shift + i] -= f * c
-        rem.pop()
-    return poly(quo), poly(rem)
+    lead = q[-1]
+    quo, rem = _divmod_monic(p, monic(q))
+    return poly(c / lead for c in quo), poly(rem)
 
 
 def derivative(p: Poly) -> Poly:
@@ -141,50 +139,19 @@ def charpoly(m) -> Poly:
 
 
 def minimal_polynomial(m) -> Poly:
-    """Monic minimal polynomial via Krylov sequences, one basis vector at a time.
+    """Monic minimal polynomial: the first `kernel_basis` vector of I, M, ..., M^n.
 
-    Nothing in the library calls it (`is_semisimple` tests rad(chi)(M) = 0);
-    it stays because the benchmark's tracer, bench/tracer.py, wraps it by name.
+    With M^k flattened into column k, the first free column is the first
+    power that depends on the lower ones.  Nothing in the library calls it
+    (`is_semisimple` tests rad(chi)(M) = 0); bench/tracer.py wraps it by name.
     """
     n = len(m)
-    mf = [[Fraction(x) for x in row] for row in m]
-    result: Poly = poly([1])
-    for start in range(n):
-        v = [Fraction(int(i == start)) for i in range(n)]
-        krylov = [v]
-        # echelon of collected vectors: rows with pivot bookkeeping
-        ech: list[list[Fraction]] = []
-        piv: list[int] = []
-        combos: list[list[Fraction]] = []  # expresses ech rows in krylov coords
-        while True:
-            w = krylov[-1]
-            reduced = list(w)
-            combo = [Fraction(0)] * len(krylov)
-            combo[-1] = Fraction(1)
-            for row, p, cmb in zip(ech, piv, combos):
-                f = reduced[p]
-                if f:
-                    reduced = [x - f * y for x, y in zip(reduced, row)]
-                    combo = [
-                        x - f * (cmb[i] if i < len(cmb) else 0)
-                        for i, x in enumerate(combo)
-                    ]
-            pivot = next((i for i, x in enumerate(reduced) if x), None)
-            if pivot is None:
-                # 0 = sum combo[i] v_i with combo[-1] = 1, so combo itself is
-                # the monic annihilator of this Krylov sequence
-                ann = poly(combo)
-                g = poly_gcd(result, ann)
-                result = poly_divmod(poly_mul(result, ann), g)[0]
-                break
-            inv = 1 / reduced[pivot]
-            ech.append([x * inv for x in reduced])
-            piv.append(pivot)
-            combos.append([x * inv for x in combo])
-            krylov.append([sum(r * x for r, x in zip(row, w)) for row in mf])
-        if degree(result) == n:
-            break
-    return monic(result)
+    if not n:
+        return poly([1])
+    mf = [[x if isinstance(x, int) else Fraction(x) for x in row] for row in m]
+    powers = list(accumulate([mf] * n, mat_mul, initial=identity_matrix(n)))
+    flat = [[pk[i][j] for pk in powers] for i in range(n) for j in range(n)]
+    return monic(poly(kernel_basis(flat)[0]))
 
 
 @lru_cache(maxsize=None)
@@ -199,24 +166,6 @@ def euler_phi(d: int) -> int:
     if m > 1:
         result -= result // m
     return result
-
-
-def _divmod_monic(p, q):
-    """(quotient, remainder) of coefficient lists p by a monic q.
-
-    q's leading coefficient is 1, so the loop only multiplies and
-    subtracts: int coefficients stay ints, Fractions stay Fractions.
-    The remainder is the low len(q) - 1 slots, trailing zeros kept.
-    """
-    rem, dq = list(p), len(q) - 1
-    quo = [0] * max(len(p) - dq, 0)
-    for shift in range(len(quo) - 1, -1, -1):
-        f = rem[shift + dq]
-        if f:
-            quo[shift] = f
-            for i in range(dq):
-                rem[shift + i] -= f * q[i]
-    return quo, rem[:dq]
 
 
 @lru_cache(maxsize=None)

@@ -148,10 +148,16 @@ class Surface222:
         ).reshape(3, 3, 3)
         seed = d.get("seed")
         if seed is not None:
-            seed = integral(seed, "surface seed")
-            if not 0 <= seed < 2**64:
-                raise PreconditionError(f"surface seed must lie in [0, 2^64), got {seed}")
+            seed = u64_seed(seed, "surface seed")
         return cls(c, seed=seed)
+
+
+def u64_seed(seed, what: str) -> int:
+    """A seed read by :func:`exact.integral` that lies in [0, 2^64), else a PreconditionError."""
+    seed = integral(seed, what)
+    if not 0 <= seed < 2**64:
+        raise PreconditionError(f"{what} must lie in [0, 2^64), got {seed}")
+    return seed
 
 
 def random_surface(seed: int) -> Surface222:

@@ -15,9 +15,10 @@ The exact linear algebra the oracles need (determinant, inverse, rank,
 kernel, solve) is a frozen Fraction Gauss-Jordan elimination, kept apart
 from the library's fraction-free integer routine so that each checks the
 other.  The degree-form oracles are the literal (2n)!-permutation sums.
-The characteristic polynomial, the hafnian, the largest-root isolation,
-LLL and cyclotomic stripping are frozen in their plain forms (Fraction
-Faddeev-LeVerrier, the (2n-1)!! matching recursion, bisection by Sturm
+The characteristic polynomial, the minimal polynomial, the hafnian, the
+largest-root isolation, LLL and cyclotomic stripping are frozen in their
+plain forms (Fraction Faddeev-LeVerrier, Krylov annihilators over a
+Fraction echelon, the (2n-1)!! matching recursion, bisection by Sturm
 counts at every step, LLL on rational Gram-Schmidt data, trial division
 by Fraction cyclotomics), so the library's integer, memoized, sign-only
 and fraction-free kernels are checked against code they do not share.  The fiber-curve cells, the per-step orbit binning
@@ -456,7 +457,8 @@ def frozen_evaluate_matrix(p, m):
 
 
 # ---------------------------------------------------------------------------
-# frozen plain kernels (oracles for charpoly, hafnian, isolation, LLL, stripping)
+# frozen plain kernels (oracles for charpoly, the minimal polynomial, hafnian,
+# isolation, LLL, stripping)
 # ---------------------------------------------------------------------------
 
 def frozen_charpoly(m):
@@ -474,6 +476,56 @@ def frozen_charpoly(m):
                 mk[i][i] += ck
             mk = frozen_mat_mul(mf, mk)
     return tuple(coeffs)
+
+
+def frozen_poly_mul(p, q):
+    out = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _frozen_poly(out)
+
+
+def frozen_minimal_polynomial(m):
+    """Monic minimal polynomial: the lcm of the Krylov annihilators of e_1, e_2, ...
+
+    Each Krylov sequence is reduced against a Fraction echelon of its own,
+    the route the library took before it read the polynomial off its
+    kernel routine.
+    """
+    n = len(m)
+    mf = [[Fraction(x) for x in row] for row in m]
+    result = (Fraction(1),)
+    for start in range(n):
+        krylov = [[Fraction(int(i == start)) for i in range(n)]]
+        ech, piv, combos = [], [], []  # echelon rows, their pivots, their Krylov coordinates
+        while True:
+            w = krylov[-1]
+            reduced = list(w)
+            combo = [Fraction(0)] * (len(krylov) - 1) + [Fraction(1)]
+            for row, p, cmb in zip(ech, piv, combos):
+                f = reduced[p]
+                if f:
+                    reduced = [x - f * y for x, y in zip(reduced, row)]
+                    combo = [x - f * (cmb[i] if i < len(cmb) else 0) for i, x in enumerate(combo)]
+            pivot = next((i for i, x in enumerate(reduced) if x), None)
+            if pivot is None:
+                # 0 = sum combo[i] v_i with combo[-1] = 1: the monic annihilator of this sequence
+                ann = _frozen_poly(combo)
+                g, b = result, ann
+                while b:
+                    g, b = b, _frozen_divmod(g, b)[1]
+                result = _frozen_divmod(frozen_poly_mul(result, ann), g)[0]
+                result = tuple(c / result[-1] for c in result)
+                break
+            inv = 1 / reduced[pivot]
+            ech.append([x * inv for x in reduced])
+            piv.append(pivot)
+            combos.append([x * inv for x in combo])
+            krylov.append([sum(r * x for r, x in zip(row, w)) for row in mf])
+        if len(result) - 1 == n:
+            break
+    return result
 
 
 def frozen_hafnian(a):

@@ -150,6 +150,21 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("coords,code", [
+    ("7" * 5000, 1), ("1/" + "7" * 5000, 1), ("0." + "7" * 5000, 1), ("sqrt" + "7" * 5000, 1),
+    ("sqrt1000000000000000000000000000057", 1), ("sqrt1000000000001", 1), ("sqrt0", 1),
+    ("(" * 3000 + "1" + ")" * 3000, 1), ("sqrt1000000000000", 0),
+], ids=["5000-digits", "5000-digit-denominator", "5000-digit-decimal", "5000-digit-radicand",
+        "radicand-10^33", "radicand-past-bound", "radicand-0", "nested-3000-deep", "radicand-10^12"])
+def test_torus_coords_past_the_grammar_bounds(coords, code, capsys):
+    # the digit limit, the radicand bound and the nesting depth are parse errors, not tracebacks
+    assert main(["torus", "hull", "--coords=" + coords]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error:")
+
+
 def test_torus_orbit_csv(capsys):
     code, out = run_cli(
         ["torus", "orbit", "--coords", "1/2", "--n", "4", "--format", "csv"], capsys
@@ -285,6 +300,33 @@ def test_k3_surface_seed_is_a_u64(seed, code, tmp_path, capsys):
         assert "surface seed" in err
     else:
         assert json.loads(out)["result"]["surface"].get("seed") == d.get("seed")
+
+
+@pytest.mark.parametrize("argv,env,code", [
+    (["k3", "sample", "--n", "1", "--seed", "-1"], None, 2),
+    (["k3", "sample", "--n", "1", "--seed", str(2**64)], None, 2),
+    (["k3", "sample", "--n", "1", "--seed", str(2**64 - 1)], None, 0),
+    (["k3", "sample", "--n", "1", "--surface", "SURFACE", "--seed", "-1"], None, 2),
+    (["k3", "involve", "--n", "1"], "-5", 2),
+    (["k3", "orbit", "--n", "10", "--seed", "-1"], None, 2),
+    (["k3", "orbit", "--n", "10", "--format", "csv", "--seed", "-1"], None, 2),
+    (["k3", "ergo", "--l", "10", "--trials", "2", "--mc", "100", "--seed", "-1"], None, 2),
+    (["k3", "ergo", "--contrast", "--l", "10", "--seed", str(2**64)], None, 2),
+], ids=["sample-negative", "sample-2^64", "sample-u64-max", "sample-with-file", "involve-env",
+        "orbit", "orbit-csv", "ergo", "contrast-2^64"])
+def test_k3_seed_is_a_u64(argv, env, code, tmp_path, monkeypatch, capsys):
+    # the --seed and PARABOLIC_LAB_SEED of every k3 subcommand obey a surface file's seed check
+    f = tmp_path / "surface.json"
+    f.write_text(json.dumps({"coeffs": [[1, 0]] * 27, "seed": 7}))
+    if env is None:
+        monkeypatch.delenv("PARABOLIC_LAB_SEED", raising=False)
+    else:
+        monkeypatch.setenv("PARABOLIC_LAB_SEED", env)
+    assert main([str(f) if a == "SURFACE" else a for a in argv]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("precondition violation: seed must lie in [0, 2^64)")
 
 
 def test_k3_involve_cli(capsys, monkeypatch):

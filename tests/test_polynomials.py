@@ -6,7 +6,7 @@ import pytest
 from parabolic_lab.errors import PreconditionError
 from parabolic_lab.isometry import eichler_transvection
 from parabolic_lab.lattice import e8_lattice, hyperbolic_plane
-from parabolic_lab.linalg_exact import det_exact, mat_mul
+from parabolic_lab.linalg_exact import det_exact, inverse_exact, mat_mul
 from parabolic_lab.polynomials import (
     cauchy_root_bound,
     charpoly,
@@ -21,12 +21,19 @@ from parabolic_lab.polynomials import (
     poly,
     poly_divmod,
     poly_gcd,
-    poly_mul,
     squarefree_part,
     strip_cyclotomic_factors,
 )
 
-from helpers import frozen_charpoly, frozen_cyclotomic, frozen_isolate, frozen_strip
+from helpers import (
+    _frozen_divmod,
+    frozen_charpoly,
+    frozen_cyclotomic,
+    frozen_isolate,
+    frozen_minimal_polynomial,
+    frozen_poly_mul,
+    frozen_strip,
+)
 
 
 def test_charpoly_matches_determinant():
@@ -84,16 +91,17 @@ def test_isolate_matches_frozen_bisection():
     for m in _transvection_words(1, rng, 6):
         cases.append((charpoly(m), Fraction(1)))
     # non-squarefree, and several roots above 1
-    cases.append((poly_mul(poly([-3, 0, 1]), poly([-3, 0, 1])), Fraction(1)))
-    cases.append((poly_mul(poly([-2, 1]), poly_mul(poly([-2, 1]), poly([-5, 0, 1]))), Fraction(1)))
-    cases.append((poly_mul(poly([-6, 11, -6, 1]), poly([-7, 0, 1])), Fraction(1)))
+    cases.append((frozen_poly_mul(poly([-3, 0, 1]), poly([-3, 0, 1])), Fraction(1)))
+    p = frozen_poly_mul(poly([-2, 1]), frozen_poly_mul(poly([-2, 1]), poly([-5, 0, 1])))
+    cases.append((p, Fraction(1)))
+    cases.append((frozen_poly_mul(poly([-6, 11, -6, 1]), poly([-7, 0, 1])), Fraction(1)))
     # a root r = 1 + m 2^-k at a bisection midpoint: with lower = (r - t B) / (1 - t)
     # for a dyadic t, r is a dyadic point of (lower, B], B the Cauchy bound
     for k, m, extra, t in ((1, 1, (1, 0, 1), Fraction(1, 2)), (3, 5, (-1, 1), Fraction(3, 4)),
                            (4, 9, (2, 0, 1), Fraction(5, 8)), (2, 7, (3, 1), Fraction(1, 4)),
                            (5, 1, (-1, 0, 1), Fraction(13, 16))):
         r = 1 + Fraction(m, 2**k)
-        p = poly_mul(poly([-r, 1]), poly(extra))
+        p = frozen_poly_mul(poly([-r, 1]), poly(extra))
         lower = (r - t * cauchy_root_bound(p)) / (1 - t)
         got = isolate_largest_root_above(p, lower)
         assert got[1] == r  # the root ended at hi exactly
@@ -115,6 +123,31 @@ def test_minimal_polynomial():
         mp_ = minimal_polynomial(m)
         assert not poly_divmod(charpoly(m), mp_)[1]
         assert all(x == 0 for row in evaluate_matrix(mp_, m) for x in row)
+    # against the frozen Krylov route: int, Fraction and float entries, Jordan
+    # blocks hidden by a unimodular change of basis, and the 0x0 matrix
+    assert minimal_polynomial([]) == frozen_minimal_polynomial([]) == (1,)
+    mats = [[[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)] for n in range(1, 9)]
+    mats += [[[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+             for n in range(1, 7)]
+    mats.append([[0.5, -1.25], [3, 0.0]])
+    for blocks in (((2, 3), (2, 1), (-1, 2)), ((1, 2), (1, 2)), ((0, 4), (3, 1)),
+                   ((1, 1), (1, 1), (1, 1)), ((-2, 2), (5, 2), (-2, 1))):
+        n = sum(size for _, size in blocks)
+        j = [[0] * n for _ in range(n)]
+        k = 0
+        for lam, size in blocks:
+            for i in range(k, k + size):
+                j[i][i] = lam
+                if i + 1 < k + size:
+                    j[i][i + 1] = 1
+            k += size
+        u = [[int(r == c) for c in range(n)] for r in range(n)]
+        for _ in range(2 * n):
+            r, c = rng.sample(range(n), 2)
+            u[r] = [x + rng.choice((-1, 1)) * y for x, y in zip(u[r], u[c])]
+        mats.append(mat_mul(mat_mul(u, j), inverse_exact(u)))
+    for m in mats:
+        assert minimal_polynomial(m) == frozen_minimal_polynomial(m), m
 
 
 def test_cyclotomics():
@@ -141,7 +174,7 @@ def test_cyclotomic_matches_frozen_and_divides_x_to_the_d_minus_1():
     prod_ = poly([1])
     for e in range(1, d + 1):
         if d % e == 0:
-            prod_ = poly_mul(prod_, cyclotomic(e))
+            prod_ = frozen_poly_mul(prod_, cyclotomic(e))
     assert prod_ == poly([-1] + [0] * (d - 1) + [1])
 
 
@@ -152,9 +185,9 @@ def test_strip_matches_frozen_fraction_strip():
         # a random factor, seldom cyclotomic, times up to three cyclotomics
         p = poly([rng.randint(-4, 4) for _ in range(rng.randint(0, 4))] + [rng.choice((1, 2, 3))])
         for _ in range(rng.randint(0, 3)):
-            p = poly_mul(p, cyclotomic(rng.choice(indices)))
+            p = frozen_poly_mul(p, cyclotomic(rng.choice(indices)))
         if trial % 3 == 1:
-            p = poly_mul(p, poly([Fraction(rng.randint(-5, 5), rng.randint(1, 5)), 1]))
+            p = frozen_poly_mul(p, poly([Fraction(rng.randint(-5, 5), rng.randint(1, 5)), 1]))
         if trial % 4 == 2:
             p = poly([c * Fraction(rng.randint(1, 7), rng.randint(1, 7)) for c in p])
         rem, found = strip_cyclotomic_factors(p)
@@ -165,7 +198,7 @@ def test_strip_matches_frozen_fraction_strip():
 
 
 def test_strip_cyclotomic_factors():
-    p = poly_mul(cyclotomic(4), poly_mul(cyclotomic(1), cyclotomic(1)))
+    p = frozen_poly_mul(cyclotomic(4), frozen_poly_mul(cyclotomic(1), cyclotomic(1)))
     rem, found = strip_cyclotomic_factors(p)
     assert degree(rem) == 0 and found == {1: 2, 4: 1}
     rem, found = strip_cyclotomic_factors(poly([1, -6, 1]))  # Pell: x^2-6x+1
@@ -173,7 +206,7 @@ def test_strip_cyclotomic_factors():
 
 
 def test_squarefree():
-    p = poly_mul(poly([-1, 1]), poly([-1, 1]))
+    p = frozen_poly_mul(poly([-1, 1]), poly([-1, 1]))
     assert squarefree_part(p) == poly([-1, 1])
     assert poly_gcd(poly([-1, 0, 1]), poly([-1, 1])) == poly([-1, 1])
 
@@ -196,5 +229,11 @@ def test_divmod_roundtrip():
             continue
         q, r = poly_divmod(a, b)
         assert poly(
-            [x + y for x, y in zip(list(poly_mul(q, b)) + [0] * 10, list(r) + [0] * 10)]
+            [x + y for x, y in zip(list(frozen_poly_mul(q, b)) + [0] * 10, list(r) + [0] * 10)]
         ) == a or (not a and not q and not r)
+    # against the frozen long division, on non-monic Fraction divisors
+    for _ in range(60):
+        a = poly([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(0, 8))])
+        b = poly([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(0, 4))]
+                 + [Fraction(rng.choice((-3, -2, 2, 5)), rng.randint(1, 7))])
+        assert poly_divmod(a, b) == _frozen_divmod(a, b), (a, b)
