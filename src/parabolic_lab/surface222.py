@@ -37,6 +37,9 @@ Every diagnostic is one :func:`_walk` of fiberwise maps: a step refused
 near the branch locus costs one interruption and a nudge or resample.
 The budget is 0.1% of the length for fiber orbits and 1% for random-word
 and contrast trajectories; past it, ContractError (CLI exit code 3).
+Birkhoff calls on one surface that differ only in the test function share
+one run, one walk and one Monte Carlo draw for every function; the surface
+memoizes the last BIRKHOFF_MEMO runs by their arguments and thresholds.
 
 Charts: every P^1 coordinate is stored as a complex pair (c0, c1)
 normalized to max(|c0|, |c1|) = 1; renormalization after every map is the
@@ -53,7 +56,9 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import islice
+from operator import add, attrgetter
 
 import numpy as np
 
@@ -68,6 +73,8 @@ BRANCH_DISC_REL = 1e-8
 LEAD_COEFF_REL = 1e-10
 MODERATE_CHART = 0.2  # |c0| below this means "too close to infinity" for affine work
 BIN_BLOCK = 1 << 16  # orbit points held for array cell binning at a time (~10 MB)
+WALK_BLOCK = 1 << 8  # trajectory points held for the test-function sums at a time
+BIRKHOFF_MEMO = 64  # Birkhoff runs a surface keeps, the oldest dropped first
 
 REFERENCE_SEED = 20220222
 
@@ -118,8 +125,14 @@ class Surface222:
         """The Vieta swap of each axis, its coefficients bound once (see :func:`_vieta_swap`)."""
         return tuple(_vieta_swap(table) for table in self._tables)
 
+    @cached_property
+    def _birkhoff_memo(self):
+        """The runs of :func:`_birkhoff_runs` on this surface, by their key."""
+        return {}
+
     def __reduce__(self):
-        # the cached swaps are closures, which pickle cannot carry; rebuild them on demand
+        # the cached swaps are closures, which pickle cannot carry, and the Birkhoff
+        # memo is recomputable; rebuild both on demand
         return (Surface222, (self.coeffs, self.seed))
 
     def to_json_dict(self) -> dict:
@@ -771,7 +784,7 @@ def translation_check(
 # ergodicity diagnostics
 # ---------------------------------------------------------------------------
 
-# fid -> (the axis whose sphere coordinate w the function reads, None if none; w -> value)
+# fid -> (the axis whose sphere coordinate w the function reads, None if none; w -> float)
 TEST_FUNCTIONS = {
     "one": (None, lambda w: 1.0),
     "x_abs2": ("x", lambda w: abs(w) ** 2),
@@ -786,12 +799,12 @@ def eval_test_function(fid: str, point: SurfacePoint) -> float:
     return float(fn(None if axis is None else sphere_coord(getattr(point, axis))))
 
 
-def _mc_space_average(surface: Surface222, fid: str, samples: int, rng):
-    """Importance-sampled space average against the 1/|dF/dz|^2 chart density.
+def _mc_draw(surface: Surface222, samples: int, rng):
+    """An importance sample of the 1/|dF/dz|^2 chart density: (weights, spheres).
 
     Proposal: Fubini-Study-uniform (x, y), both z roots; weight
-    (1 + |x|^2)^2 (1 + |y|^2)^2 / |dF/dz|^2 per root.  Self-normalized;
-    returns (average, standard error, effective sample size).
+    (1 + |x|^2)^2 (1 + |y|^2)^2 / |dF/dz|^2 per root.  Each list holds one
+    entry per root: its weights, and its sphere coordinates by axis.
     """
     c = surface.coeffs
     g = rng.normal(size=(4, samples))
@@ -819,37 +832,119 @@ def _mc_space_average(surface: Surface222, fid: str, samples: int, rng):
     fs_weight = (1 + np.abs(x) ** 2) ** 2 * (1 + np.abs(y) ** 2) ** 2
     wx = x / (1 + np.abs(x) ** 2)
     wy = y / (1 + np.abs(y) ** 2)
-    axis, fn = TEST_FUNCTIONS[fid]
     weights = []
-    values = []
+    spheres = []
     for r0, r1 in roots:
         tz = r1 / r0
         fz = 2 * aa * tz + bb
-        w = fs_weight / np.abs(fz) ** 2
-        sphere = {"x": wx, "y": wy, "z": tz / (1 + np.abs(tz) ** 2)}
-        weights.append(w)
-        values.append(np.real(fn(sphere.get(axis)) + np.zeros_like(w)))
-    w = np.concatenate(weights)
-    v = np.concatenate(values)
-    wsum = float(np.sum(w))
-    avg = float(np.sum(w * v) / wsum)
-    # delta-method standard error of the self-normalized estimator
-    se = float(np.sqrt(np.sum((w * (v - avg)) ** 2)) / wsum)
-    ess = wsum**2 / float(np.sum(w**2))
-    return avg, se, ess
+        weights.append(fs_weight / np.abs(fz) ** 2)
+        spheres.append({"x": wx, "y": wy, "z": tz / (1 + np.abs(tz) ** 2)})
+    return weights, spheres
 
 
-def _trajectory_mean(step, recover, start: SurfacePoint, length: int, fid: str):
-    """(mean of the test function over a :func:`_walk`, its interruptions).
+def _mc_space_averages(surface: Surface222, fids, samples: int, rng) -> dict:
+    """fid -> (average, standard error, effective sample size) over one :func:`_mc_draw`.
 
-    The budget is 1% of the length.  The sum is plain left-to-right float
-    additions, so the mean does not depend on how sum() rounds.
+    The self-normalized importance-sampling estimate of each test
+    function's space average; the draw, its weights and its effective
+    sample size are shared by all `fids`.  ContractError when the weights
+    sum to 0 (every draw refused).
     """
+    weights, spheres = _mc_draw(surface, samples, rng)
+    w = np.concatenate(weights)
+    wsum = float(np.sum(w))
+    if wsum == 0:
+        raise ContractError(f"no weight among {samples} Monte Carlo draws; space average undefined")
+    ess = wsum**2 / float(np.sum(w**2))
+    zero = np.zeros_like(weights[0])  # both roots carry one weight per kept (x, y)
+    averages = {}
+    for fid in fids:
+        axis, fn = TEST_FUNCTIONS[fid]
+        v = np.concatenate([np.real(fn(sphere.get(axis)) + zero) for sphere in spheres])
+        avg = float(np.sum(w * v) / wsum)
+        # delta-method standard error of the self-normalized estimator
+        se = float(np.sqrt(np.sum((w * (v - avg)) ** 2)) / wsum)
+        averages[fid] = (avg, se, ess)
+    return averages
+
+
+def _trajectory_means(step, recover, start: SurfacePoint, length: int, fids):
+    """(the mean of each test function in `fids` over a :func:`_walk`, its interruptions).
+
+    The budget is 1% of the length.  The points come WALK_BLOCK at a
+    time; each axis the functions read goes through :func:`sphere_coord`
+    once per point, and each sum is plain left-to-right float additions,
+    so a mean depends neither on how sum() rounds nor on which other
+    functions share the walk.
+    """
+    reads = [TEST_FUNCTIONS[fid] for fid in fids]
+    axes = {axis for axis, _ in reads} - {None}
     stats: dict = {}
-    total = 0.0
-    for point in _walk(step, recover, start, length, max(1, length // 100), stats):
-        total += eval_test_function(fid, point)
-    return total / length, stats["interruptions"]
+    walk = _walk(step, recover, start, length, max(1, length // 100), stats)
+    totals = [0.0] * len(reads)
+    while block := list(islice(walk, WALK_BLOCK)):
+        w = {axis: list(map(sphere_coord, map(attrgetter(axis), block))) for axis in axes}
+        w[None] = [None] * len(block)
+        totals = [reduce(add, map(fn, w[axis]), total) for total, (axis, fn) in zip(totals, reads)]
+    return [total / length for total in totals], stats["interruptions"]
+
+
+class _Letters:
+    """The draws ``int(rng.integers(n))`` makes one call at a time, taken in batches.
+
+    A batch of k draws consumes rng's stream as k single calls do, but
+    runs ahead of the walk; :meth:`sync` puts rng back where the single
+    calls would have left it, and must come before anything else draws.
+    """
+
+    def __init__(self, rng, n: int):
+        self.rng, self.n = rng, n
+        self.batch, self.used, self.state = [], 0, None
+
+    def __next__(self) -> int:
+        if self.used == len(self.batch):
+            self.state = self.rng.bit_generator.state
+            self.batch, self.used = self.rng.integers(self.n, size=256).tolist(), 0
+        self.used += 1
+        return self.batch[self.used - 1]
+
+    def sync(self):
+        """rng, drawn as far as the letters handed out so far."""
+        self.rng.bit_generator.state = self.state
+        self.rng.integers(self.n, size=self.used)
+        self.batch, self.used = [], 0
+        return self.rng
+
+
+def _birkhoff_runs(surface: Surface222, word_length, trials, mc_samples, seed, pairs):
+    """(fid -> (trial means, (space average, se, ess)), interruptions) for every fid.
+
+    The letters, starts, resamples and the Monte Carlo draw depend on the
+    arguments, never on the fid, so one walk and one draw serve all of
+    TEST_FUNCTIONS; the run is memoized as :func:`birkhoff_ergodicity_test` says.
+    """
+    key = (word_length, trials, mc_samples, seed, tuple(map(tuple, pairs)),
+           BRANCH_DISC_REL, LEAD_COEFF_REL, ON_SURFACE_TOL, SAMPLE_RESIDUAL_TOL)
+    memo = surface._birkhoff_memo
+    if key not in memo:
+        fids = tuple(TEST_FUNCTIONS)
+        trial_means = []
+        interruptions = 0
+        for t in range(trials):
+            rng = np.random.default_rng([seed, 0xB1, t])
+            start = sample_point(surface, rng)
+            letters = _Letters(rng, len(pairs))
+            means, hits = _trajectory_means(  # a fresh letter before every attempt, refused or not
+                lambda p: parabolic_map(surface, pairs[next(letters)], p),
+                lambda p: sample_point(surface, letters.sync()), start, word_length, fids)
+            trial_means.append(means)
+            interruptions += hits
+        space = _mc_space_averages(surface, fids, mc_samples, np.random.default_rng([seed, 0x5C]))
+        if len(memo) == BIRKHOFF_MEMO:
+            del memo[next(iter(memo))]
+        memo[key] = ({fid: (means, space[fid]) for fid, means in zip(fids, zip(*trial_means))},
+                     interruptions)
+    return memo[key]
 
 
 def birkhoff_ergodicity_test(
@@ -870,6 +965,15 @@ def birkhoff_ergodicity_test(
     This is a heuristic consistency diagnostic, not a proof; the output
     says so.  A too-small effective MC sample size is flagged, never
     silently ignored.
+
+    Calls on one surface that differ only in `fid` share one run: the
+    first walks the trials and draws the MC sample for every test
+    function, and the others read the surface's memo.  It is keyed by
+    (word_length, trials, mc_samples, seed, pairs) and the branch, lead,
+    on-surface and sampling thresholds at call time, and keeps the last
+    BIRKHOFF_MEMO keys, dropping the oldest first.  The preconditions are
+    checked first, a run that raises is not kept, and every call returns a
+    fresh report.
     """
     if fid not in TEST_FUNCTIONS:
         raise PreconditionError(f"unknown test function {fid!r}")
@@ -877,20 +981,12 @@ def birkhoff_ergodicity_test(
         raise PreconditionError("trials must be >= 2 to estimate the time-average spread")
     if word_length < 1:
         raise PreconditionError("word_length must be >= 1")
-    trial_means = []
-    interruptions = 0
-    for t in range(trials):
-        rng = np.random.default_rng([seed, 0xB1, t])
-        start = sample_point(surface, rng)
-        mean, hits = _trajectory_mean(  # a fresh letter before every attempt, refused or not
-            lambda p: parabolic_map(surface, pairs[int(rng.integers(len(pairs)))], p),
-            lambda p: sample_point(surface, rng), start, word_length, fid)
-        trial_means.append(mean)
-        interruptions += hits
+    if mc_samples < 1:
+        raise PreconditionError("mc_samples must be >= 1")
+    runs, interruptions = _birkhoff_runs(surface, word_length, trials, mc_samples, seed, pairs)
+    trial_means, (space_avg, se_space, ess) = runs[fid]
     time_avg = float(np.mean(trial_means))
     se_time = float(np.std(trial_means, ddof=1) / math.sqrt(trials))
-    rng_mc = np.random.default_rng([seed, 0x5C])
-    space_avg, se_space, ess = _mc_space_average(surface, fid, mc_samples, rng_mc)
     se = math.hypot(se_time, se_space)
     z = abs(time_avg - space_avg) / se if se > 0 else 0.0
     return {
@@ -898,7 +994,7 @@ def birkhoff_ergodicity_test(
         "test_function": fid,
         "time_average": time_avg,
         "time_se": se_time,
-        "trial_means": trial_means,
+        "trial_means": list(trial_means),
         "space_average": space_avg,
         "space_se": se_space,
         "mc_effective_samples": ess,
@@ -942,10 +1038,10 @@ def ergodicity_contrast(
             rng_t = np.random.default_rng([seed, 0xF2, i, t])
             start = sample_fiber_point(surface, pair, base, rng_t)
             # resample on the start's stored base: renormalizing `base` may move its last bits
-            mean, hits = _trajectory_mean(
+            (mean,), hits = _trajectory_means(
                 lambda p: parabolic_map(surface, pair, p),
                 lambda p: sample_fiber_point(surface, pair, start.coord(base_axis), rng_t),
-                start, word_length, fid)
+                start, word_length, (fid,))
             means.append(mean)
             interruptions += hits
         fiber_means.append(float(np.mean(means)))

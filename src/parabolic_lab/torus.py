@@ -167,8 +167,8 @@ def rational_hull(
     for fixed precision and parameters.  Raises PrecisionError when tol
     is below what the stored precision can resolve.
     """
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise PreconditionError(f"tol must be positive and finite, got {tol}")
     if height_bound < 1:
         raise PreconditionError("height_bound must be >= 1")
     tv = as_translation_vector(x)

@@ -399,8 +399,13 @@ def test_nonfinite_floats_are_strict_json():
     ["k3", "ergo", "--contrast", "--l", "0"],
     ["k3", "orbit", "--n", "100", "--grid", "0"],
     ["k3", "orbit", "--n", "100", "--grid", "-3"],
+    ["k3", "ergo", "--l", "10", "--trials", "2", "--mc", "0"],
+    ["k3", "ergo", "--l", "10", "--trials", "2", "--mc", "-5"],
+    ["torus", "hull", "--coords", "sqrt2", "--tol", "nan"],
+    ["torus", "hull", "--coords", "sqrt2", "--tol", "inf"],
 ], ids=["sample-n0", "involve-n0", "orbit-n0", "orbit-fibers0", "ergo-trials1", "ergo-l0",
-        "contrast-l0", "orbit-grid0", "orbit-grid-neg"])
+        "contrast-l0", "orbit-grid0", "orbit-grid-neg", "ergo-mc0", "ergo-mc-neg",
+        "hull-tol-nan", "hull-tol-inf"])
 def test_degenerate_counts_are_preconditions(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 import json
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -397,8 +398,81 @@ def test_walk_budget_overrun_raises_on_both_sides(monkeypatch):
 @pytest.mark.parametrize("surface", [S, s2.random_surface(5)], ids=["reference", "random5"])
 @pytest.mark.parametrize("fid", ["one", "x_re", "z_abs2"])
 def test_mc_space_average_matches_frozen(surface, fid):
-    got = s2._mc_space_average(surface, fid, 20000, np.random.default_rng(3))
+    # one draw serves every test function; each average equals the frozen per-fid one
+    got = s2._mc_space_averages(surface, tuple(s2.TEST_FUNCTIONS), 20000,
+                                np.random.default_rng(3))[fid]
     assert got == frozen_mc_space_average(surface, fid, 20000, np.random.default_rng(3))
+
+
+_SMALL = dict(word_length=300, trials=3, mc_samples=3000)
+
+
+def test_birkhoff_shares_one_run_per_seed(monkeypatch):
+    surfaces = [s2.reference_surface(), s2.random_surface(5)]
+    calls = [(k, fid, seed) for k in range(2) for fid in s2.TEST_FUNCTIONS for seed in (0, 7, 2024)]
+    random.Random(12).shuffle(calls)
+    samples = _count_calls(monkeypatch, "sample_point")
+    hits = {}
+    for k, fid, seed in calls:
+        rep = s2.birkhoff_ergodicity_test(surfaces[k], fid, seed=seed, **_SMALL)
+        assert rep == frozen_birkhoff(surfaces[k], fid, seed=seed, **_SMALL)
+        hits[k, seed] = rep["branch_interruptions"]
+    # one walk per surface and seed: its starts and resamples, not one walk per fid
+    assert samples[0] == sum(_SMALL["trials"] + h for h in hits.values())
+    assert [len(surface._birkhoff_memo) for surface in surfaces] == [3, 3]
+
+
+def test_birkhoff_memo_is_keyed_on_the_thresholds(monkeypatch):
+    surface = s2.reference_surface()
+    kwargs = dict(word_length=400, trials=3, mc_samples=2000)
+    default = [s2.birkhoff_ergodicity_test(surface, "x_re", seed=seed, **kwargs) for seed in range(4)]
+    monkeypatch.setattr(s2, "BRANCH_DISC_REL", 1e-3)
+    patched = [s2.birkhoff_ergodicity_test(surface, "x_re", seed=seed, **kwargs) for seed in range(4)]
+    assert patched == [frozen_birkhoff(surface, "x_re", seed=seed, **kwargs) for seed in range(4)]
+    assert sum(rep["branch_interruptions"] for rep in patched) == 3
+    assert patched != default
+
+
+def test_birkhoff_memo_keeps_no_failed_run(monkeypatch):
+    surface = s2.reference_surface()
+    monkeypatch.setattr(s2, "BRANCH_DISC_REL", 1e-2)
+    kwargs = dict(word_length=100, trials=3, mc_samples=2000, seed=1)
+    for _ in range(2):
+        with pytest.raises(ContractError, match="2 branch interruptions exceed the budget of 1"):
+            s2.birkhoff_ergodicity_test(surface, "x_re", **kwargs)
+    assert surface._birkhoff_memo == {}
+
+
+def test_birkhoff_reports_are_fresh():
+    surface = s2.reference_surface()
+    first = s2.birkhoff_ergodicity_test(surface, "y_abs2", seed=3, **_SMALL)
+    first["trial_means"][0] = 99.0
+    first["trial_means"].append(1.0)
+    first["z_score"] = -1.0
+    again = s2.birkhoff_ergodicity_test(surface, "y_abs2", seed=3, **_SMALL)
+    assert again == frozen_birkhoff(surface, "y_abs2", seed=3, **_SMALL)
+
+
+def test_birkhoff_memo_is_bounded_and_not_pickled(monkeypatch):
+    surface = s2.random_surface(5)
+    tiny = dict(word_length=10, trials=2, mc_samples=100)
+    seeds = range(s2.BIRKHOFF_MEMO + 1)
+    reports = [s2.birkhoff_ergodicity_test(surface, "x_abs2", seed=seed, **tiny) for seed in seeds]
+    assert len(surface._birkhoff_memo) == s2.BIRKHOFF_MEMO
+    clone = pickle.loads(pickle.dumps(surface))
+    assert "_birkhoff_memo" not in vars(clone)
+    assert [s2.birkhoff_ergodicity_test(clone, "x_abs2", seed=seed, **tiny) for seed in seeds] == reports
+    samples = _count_calls(monkeypatch, "sample_point")
+    s2.birkhoff_ergodicity_test(surface, "x_re", seed=seeds[-1], **tiny)
+    assert samples[0] == 0  # the newest run is kept
+    s2.birkhoff_ergodicity_test(surface, "x_re", seed=0, **tiny)
+    assert samples[0] >= tiny["trials"]  # the oldest was dropped and walks again
+
+
+def test_weightless_mc_draw_is_a_contract_error(monkeypatch):
+    monkeypatch.setattr(s2, "BRANCH_DISC_REL", 1e6)  # the guard refuses every draw
+    with pytest.raises(ContractError, match="no weight among 100 Monte Carlo draws"):
+        s2._mc_space_averages(S, ("one",), 100, np.random.default_rng(0))
 
 
 def test_birkhoff_constant_function_exact():
@@ -418,6 +492,9 @@ def test_nonpositive_lengths_and_grids_are_preconditions():
         s2.birkhoff_ergodicity_test(S, "one", word_length=0, trials=2, mc_samples=100)
     with pytest.raises(PreconditionError, match="word_length"):
         s2.ergodicity_contrast(S, word_length=0)
+    for mc in (0, -5):
+        with pytest.raises(PreconditionError, match="mc_samples"):
+            s2.birkhoff_ergodicity_test(S, "one", word_length=10, trials=2, mc_samples=mc)
     for grid in (0, -3):
         with pytest.raises(PreconditionError, match="grid"):
             s2.fiber_cells(S, ("y", "z"), (1.0 + 0j, 0.5 + 0j), grid=grid)

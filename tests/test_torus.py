@@ -73,8 +73,9 @@ def test_orbit_closure_dims():
 def test_precision_guard():
     with pytest.raises(PrecisionError):
         rational_hull((0.5,), tol=1e-60)
-    with pytest.raises(PreconditionError):
-        rational_hull((0.5,), tol=-1)
+    for tol in (-1, math.nan, math.inf):
+        with pytest.raises(PreconditionError):
+            rational_hull((0.5,), tol=tol)
 
 
 def test_hull_idempotent_after_projection():
