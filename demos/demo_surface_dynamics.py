@@ -27,7 +27,7 @@ print("anti-symplectic: dF/dz at the two roots sum to", abs(fp + fq))
 pm = s2.parabolic_map(S, ("y", "z"), p)
 print("\nparabolic pair (y,z): x coordinate untouched:", pm.x is p.x)
 print("1-form preserved on the fiber:",
-      s2.translation_check(S, ("y", "z"), p.x, p, tol=1e-6))
+      s2.translation_check(S, ("y", "z"), p.x, p))
 
 print("\nfiber orbit coverage (N = 2e4, G = 12):")
 base = s2._fs_pair(np.random.default_rng(1))

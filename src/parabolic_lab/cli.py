@@ -16,13 +16,14 @@ rows for ``--format csv``) and :func:`main` writes the artifact.
 Every artifact embeds the resolved configuration, its SHA-256 hash and
 the seed.  The configuration is derived in one place: ``{"subcommand":
 "<group> <cmd>"}`` plus every resolved option except ``--out`` (so
-``torus orbit`` and ``k3 orbit`` record ``format``, and ``torus orbit``
-records its ``start`` default of zeros).  Floats are rendered with 17
-significant digits, so identical configurations produce byte-identical
-outputs (multi-worker runs merge in task order and use per-task RNG
-streams derived from the master seed).  Exit codes: 0 success, 1 usage
-or malformed input, 2 precondition violation, 3 numerical-contract
-failure.
+``torus orbit`` and ``k3 orbit`` record ``format``, ``torus orbit``
+records its ``start`` default of zeros, and ``k3 ergo --contrast``
+records the ``trials`` and ``mc`` it never reads as null).  Floats are
+rendered with 17 significant digits, so identical configurations produce
+byte-identical outputs (multi-worker runs merge in task order and use
+per-task RNG streams derived from the master seed).  Exit codes: 0
+success, 1 usage or malformed input, 2 precondition violation, 3
+numerical-contract failure.
 
 Real-valued inputs accept exact expressions (rationals, sqrtD, sums,
 products, parenthesized groups), e.g. ``--coords "sqrt2,2*sqrt2"`` or
@@ -339,8 +340,12 @@ def cmd_torus_weyl(args) -> dict:
 
 
 def cmd_torus_scan(args) -> dict:
-    spec = _load_json_file(args.family)
-    family = [[parse_real(c) for c in coeffs] for coeffs in spec["coords"]]
+    coords = _load_json_file(args.family)["coords"]
+    if not isinstance(coords, list) or not all(
+        isinstance(coeffs, list) and all(isinstance(c, str) for c in coeffs) for coeffs in coords
+    ):
+        raise ParseError("family coords must be a list of lists of expression strings")
+    family = [[parse_real(c) for c in coeffs] for coeffs in coords]
     grid = parse_real_vector(args.grid)
     return semicontinuity_scan(family, grid, args.height_bound, args.tol).to_json_dict()
 
@@ -481,7 +486,7 @@ def _chart_coords(pair) -> tuple[int, float, float]:
 
 
 def cmd_k3_orbit(args) -> dict | Csv:
-    _require_positive(args, "n", "fibers")
+    _require_positive(args, "n", "fibers", "workers")
     surface = _surface_from_args(args)
     pair = tuple(args.pair)
     if pair not in s2.PAIRS:
@@ -524,6 +529,7 @@ def cmd_k3_orbit(args) -> dict | Csv:
 def cmd_k3_ergo(args) -> dict:
     surface = _surface_from_args(args)
     if args.contrast:
+        args.trials = args.mc = None  # the contrast reads neither; recorded in the config as null
         return s2.ergodicity_contrast(
             surface, ("y", "z"), args.f, word_length=args.l, seed=args.seed
         )

@@ -192,8 +192,11 @@ def amgm_rigidity_check(
     Returns EQUAL when the premises hold within tol and the forms agree
     within the documented stability bound; PREMISE_VIOLATED when the
     ratios are off; COUNTEREXAMPLE only if the bound fails, which the
-    AM-GM equality case rules out for positive-definite inputs.
+    AM-GM equality case rules out for positive-definite inputs.  tol must
+    be positive and finite.
     """
+    if not 0 < tol < math.inf:
+        raise PreconditionError(f"tol must be positive and finite, got {tol}")
     mean, detratio = amgm_mixed_ratios(h1, h2)
     if abs(mean - 1) >= tol or abs(detratio - 1) >= tol:
         return RigidityVerdict.PREMISE_VIOLATED

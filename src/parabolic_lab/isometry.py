@@ -17,6 +17,9 @@ with |lambda| > 1).  Classification here runs entirely on exact data:
 * the loxodromic eigenvalue is isolated by Sturm bisection and polished
   with mpmath.
 
+Each isometry is classified once, on first use; :func:`classify` and
+:func:`limit_nef_class` both read the verdict it keeps.
+
 Floating point only ever appears in loxodromic payloads, never in the
 classification logic, so spectra close to the unit circle cannot be
 misclassified.
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 
@@ -83,6 +87,33 @@ class LatticeIsometry:
         object.__setattr__(self, "matrix", m)
         if not verify_isometry(self.lattice, m):
             raise PreconditionError("matrix does not preserve the Gram matrix")
+
+    @cached_property
+    def _trichotomy(self) -> tuple[IsometryClass, list[list[int]] | None]:
+        """(:func:`classify`'s verdict, N^2 if Parabolic else None); a raise caches nothing."""
+        pos, neg = self.lattice.signature
+        if pos != 1 or neg < 1:
+            raise PreconditionError(f"classification needs signature (1, n), n >= 1; got {(pos, neg)}")
+        det, time_ok = self.det, is_time_preserving(self)
+        if det != 1 or not time_ok:
+            return OutsideSOPlus(det=det, time_preserving=time_ok), None
+        p = charpoly(self.matrix)
+        rem, factors = strip_cyclotomic_factors(p)
+        if len(rem) != 1:
+            # not quasi-unipotent: some eigenvalue is off the unit circle
+            return _loxodromic_payload(self, p), None
+        order = lcm(*factors)
+        nil = mat_sub(mat_pow(self.matrix, order), identity_matrix(len(self.matrix)))
+        if not any(map(any, nil)):
+            return Elliptic(order=order), None
+        nil2 = mat_mul(nil, nil)
+        column = next((col for col in zip(*nil2) if any(col)), None)
+        if column is None or any(map(any, mat_mul(nil, nil2))):
+            raise ContractError("parabolic isometry with N^2 = 0 or N^3 != 0 (bug)")
+        v = primitive_vector(column)  # the sign-fixed generator of the image of N^2
+        if self.lattice.q(v) != 0 or self.apply(v) != v:
+            raise ContractError("extracted fixed vector fails its invariants (bug)")
+        return Parabolic(fixed_vector=v), nil2
 
     def apply(self, v) -> Vector:
         v = self.lattice.check_vector(v)
@@ -197,40 +228,6 @@ def is_time_preserving(g: LatticeIsometry) -> bool:
     return g.lattice.bbf(g.apply(w), w) > 0
 
 
-def _outside_so_plus(g: LatticeIsometry) -> OutsideSOPlus | None:
-    """The OutsideSOPlus verdict on g, or None when g lies in SO+(1, n)."""
-    pos, neg = g.lattice.signature
-    if pos != 1 or neg < 1:
-        raise PreconditionError(f"classification needs signature (1, n), n >= 1; got {(pos, neg)}")
-    det, time_ok = g.det, is_time_preserving(g)
-    return None if det == 1 and time_ok else OutsideSOPlus(det=det, time_preserving=time_ok)
-
-
-def _jordan_data(m, p) -> tuple[int, list[list[int]], list[list[int]]] | None:
-    """(L, N, N^2) with N = m^L - I, or None when m is not quasi-unipotent.
-
-    p is the characteristic polynomial of m.  L is the lcm of the indices
-    of its cyclotomic factors, so m^L is unipotent.
-    """
-    rem, factors = strip_cyclotomic_factors(p)
-    if len(rem) != 1:
-        return None
-    order = lcm(*factors)
-    nil = mat_sub(mat_pow(m, order), identity_matrix(len(m)))
-    return order, nil, mat_mul(nil, nil)
-
-
-def _fixed_isotropic_vector(g: LatticeIsometry, nil, nil2) -> Vector:
-    """Primitive, sign-fixed generator of the image of N^2 (a line when N^3 = 0)."""
-    column = next((col for col in zip(*nil2) if any(col)), None)
-    if column is None or any(map(any, mat_mul(nil, nil2))):
-        raise ContractError("parabolic isometry with N^2 = 0 or N^3 != 0 (bug)")
-    v = primitive_vector(column)
-    if g.lattice.q(v) != 0 or g.apply(v) != v:
-        raise ContractError("extracted fixed vector fails its invariants (bug)")
-    return v
-
-
 def _loxodromic_payload(g: LatticeIsometry, p) -> Loxodromic:
     """Eigenvalue > 1 and the two isotropic eigendirections; p is g's charpoly."""
     interval = isolate_largest_root_above(p, Fraction(1))
@@ -298,21 +295,10 @@ def classify(g: LatticeIsometry) -> IsometryClass:
     """Trichotomy of a verified integral isometry of a signature-(1, n) lattice.
 
     Returns Elliptic/Parabolic/Loxodromic for elements of SO+(1, n) and
-    OutsideSOPlus(det, time_preserving) otherwise.
+    OutsideSOPlus(det, time_preserving) otherwise.  The verdict is computed
+    once per isometry and shared with :func:`limit_nef_class`.
     """
-    outside = _outside_so_plus(g)
-    if outside is not None:
-        return outside
-    m = [list(r) for r in g.matrix]
-    p = charpoly(m)
-    jordan = _jordan_data(m, p)
-    if jordan is None:
-        # not quasi-unipotent: some eigenvalue is off the unit circle
-        return _loxodromic_payload(g, p)
-    order, nil, nil2 = jordan
-    if not any(map(any, nil)):
-        return Elliptic(order=order)
-    return Parabolic(fixed_vector=_fixed_isotropic_vector(g, nil, nil2))
+    return g._trichotomy[0]
 
 
 def eichler_transvection(lattice: QuadLattice, e, v) -> LatticeIsometry:
@@ -363,14 +349,11 @@ def limit_nef_class(g: LatticeIsometry, w) -> tuple[float, ...]:
         raise PreconditionError("w must lie in the open positive cone (q(w, w) > 0)")
     if next((x for x in w if x), 0) <= 0:
         raise PreconditionError("w must have positive first nonzero coordinate")
-    outside = _outside_so_plus(g)
-    m = [list(r) for r in g.matrix]
-    jordan = None if outside else _jordan_data(m, charpoly(m))
-    if jordan is None or not any(map(any, jordan[1])):
-        tag = (outside or (Elliptic if jordan else Loxodromic)).tag
-        raise PreconditionError(f"limit direction needs a parabolic isometry, got {tag}")
-    v = _fixed_isotropic_vector(g, *jordan[1:])
-    limit = mat_vec(jordan[2], w)
+    cls, nil2 = g._trichotomy
+    if nil2 is None:
+        raise PreconditionError(f"limit direction needs a parabolic isometry, got {cls.tag}")
+    v = cls.fixed_vector
+    limit = mat_vec(nil2, w)
     if not any(limit):
         raise ContractError("N^2 w = 0 for w in the positive cone (bug)")
     if any(a * d != b * c for (a, b), (c, d) in combinations(zip(limit, v), 2)):

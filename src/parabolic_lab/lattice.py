@@ -224,6 +224,8 @@ def represents_in_range(
     """
     if lo > hi:
         raise PreconditionError("need lo <= hi")
+    if coeff_bound < 1:
+        raise PreconditionError("coeff_bound must be >= 1")
     witnesses: dict[int, Vector] = {}
     for v in sorted(_canonical_sign(w) for w in _box(lattice.rank, coeff_bound)):
         if not any(v) or not is_primitive(v):
@@ -275,6 +277,8 @@ def scan_orthogonal_negatives(
     guarantee is that every listed square is <= -2N, so none falls in
     (-2N, 0).
     """
+    if box_bound < 1:
+        raise PreconditionError("box_bound must be >= 1")
     lat = marked.lattice
     y = lat.check_vector(marked.y)
     gy = [sum(r * x for r, x in zip(row, y)) for row in lat.gram]

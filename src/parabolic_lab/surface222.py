@@ -40,6 +40,10 @@ and contrast trajectories; past it, ContractError (CLI exit code 3).
 Birkhoff calls on one surface that differ only in the test function share
 one run, one walk and one Monte Carlo draw for every function; the surface
 memoizes the last BIRKHOFF_MEMO runs by their arguments and thresholds.
+The sampling retries, the fiber-cell probe grid and hit count, the 1-form
+check's step and tolerance and a random word's two maps are module
+constants (SAMPLE_TRIES, FIBER_REFINE, MIN_HITS, FD_STEP,
+TRANSLATION_TOL, WORD_PAIRS), not parameters.
 
 Charts: every P^1 coordinate is stored as a complex pair (c0, c1)
 normalized to max(|c0|, |c1|) = 1; renormalization after every map is the
@@ -75,6 +79,11 @@ MODERATE_CHART = 0.2  # |c0| below this means "too close to infinity" for affine
 BIN_BLOCK = 1 << 16  # orbit points held for array cell binning at a time (~10 MB)
 WALK_BLOCK = 1 << 8  # trajectory points held for the test-function sums at a time
 BIRKHOFF_MEMO = 64  # Birkhoff runs a surface keeps, the oldest dropped first
+SAMPLE_TRIES = 64  # draws sample_point and sample_fiber_point make before a ContractError
+FIBER_REFINE = 6  # fiber_cells probes a FIBER_REFINE * G disc grid per chart
+MIN_HITS = 3  # probe hits that make a fiber cell (see fiber_cells)
+FD_STEP = 1e-6  # the central-difference step of fiber_derivative_ratio
+TRANSLATION_TOL = 1e-6  # relative tolerance of translation_check
 
 REFERENCE_SEED = 20220222
 
@@ -368,6 +377,7 @@ def involution(surface: Surface222, axis: str, point: SurfacePoint) -> SurfacePo
 
 
 PAIRS = (("y", "z"), ("x", "z"), ("x", "y"))
+WORD_PAIRS = PAIRS[:2]  # the two fiberwise maps a Birkhoff random word draws from
 
 
 def parabolic_map(surface: Surface222, pair, point: SurfacePoint) -> SurfacePoint:
@@ -430,31 +440,29 @@ def _fs_pair(rng) -> tuple[complex, complex]:
     return _normalize((complex(g[0], g[1]), complex(g[2], g[3])))
 
 
-def sample_point(surface: Surface222, rng, max_tries: int = 64) -> SurfacePoint:
+def sample_point(surface: Surface222, rng) -> SurfacePoint:
     """Random surface point: (x, y) Fubini-Study uniform, z a random root."""
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_TRIES):
         x = _fs_pair(rng)
         y = _fs_pair(rng)
         point = _sample_root(surface, SurfacePoint(x, y, (1.0 + 0j, 0j)), "z", rng)
         if point is not None:
             return point
-    raise ContractError(f"could not sample a surface point in {max_tries} tries")
+    raise ContractError(f"could not sample a surface point in {SAMPLE_TRIES} tries")
 
 
-def sample_fiber_point(
-    surface: Surface222, pair, base_pair, rng, max_tries: int = 64
-) -> SurfacePoint:
+def sample_fiber_point(surface: Surface222, pair, base_pair, rng) -> SurfacePoint:
     """Random point on the fiber where the complementary coordinate equals base_pair."""
     first, second = pair
     (base_axis,) = [a for a in AXES if a not in pair]
     base_pair = _normalize(base_pair)
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_TRIES):
         moving = _fs_pair(rng)
         parts = {base_axis: base_pair, first: moving, second: (1.0 + 0j, 0j)}
         point = _sample_root(surface, SurfacePoint(**parts), second, rng)
         if point is not None:
             return point
-    raise ContractError(f"could not sample a fiber point in {max_tries} tries")
+    raise ContractError(f"could not sample a fiber point in {SAMPLE_TRIES} tries")
 
 
 # ---------------------------------------------------------------------------
@@ -529,32 +537,25 @@ def pair_cell(point: SurfacePoint, pair, grid: int) -> tuple:
     return chart_cell(point.coord(first), grid) + chart_cell(point.coord(second), grid)
 
 
-def fiber_cells(
-    surface: Surface222,
-    pair,
-    base_pair,
-    grid: int = 16,
-    refine: int = 6,
-    min_hits: int = 3,
-) -> set:
+def fiber_cells(surface: Surface222, pair, base_pair, grid: int = 16) -> set:
     """Cells the fiber curve passes through, by dense chart sampling.
 
-    Samples a refine*G grid on the unit disc of both charts of each fiber
-    coordinate, solves the quadratic for the other, and keeps the
-    :func:`pair_cell` cells hit at least min_hits times (cells grazed once
+    Samples a FIBER_REFINE*G grid on the unit disc of both charts of each
+    fiber coordinate, solves the quadratic for the other, and keeps the
+    :func:`pair_cell` cells hit at least MIN_HITS times (cells grazed once
     or twice are corner clips an orbit may legitimately take very long to
     visit).  All probes of one sweep are solved as arrays; probes that fail
-    the leading-coefficient or branch guard are skipped.  min_hits = 3 was
+    the leading-coefficient or branch guard are skipped.  MIN_HITS = 3 was
     calibrated on the fixed-seed reference surface: 10^5 iterates at
     G = 16 then cover at least 95% of the tube on virtually every smooth
     fiber.
     """
-    if grid < 1 or refine < 1:
-        raise PreconditionError("grid and refine must be >= 1")
+    if grid < 1:
+        raise PreconditionError("grid must be >= 1")
     first, second = pair
     (base_axis,) = [a for a in AXES if a not in pair]
     base_pair = _normalize(base_pair)
-    m = refine * grid
+    m = FIBER_REFINE * grid
     u = 2 * (np.arange(m) + 0.5) / m - 1
     cc = (u[:, None] + 1j * u).ravel()
     cc = cc[np.abs(cc) <= 1]
@@ -569,7 +570,7 @@ def fiber_cells(
             coords = {sweep_axis: swept, solve_axis: root}
             keys.append(_pair_keys(coords[first], coords[second], grid))
     cells, hits = np.unique(np.concatenate(keys), return_counts=True)
-    return set(_key_cells(cells[hits >= min_hits], grid))
+    return set(_key_cells(cells[hits >= MIN_HITS], grid))
 
 
 @dataclass(frozen=True)
@@ -659,14 +660,13 @@ def fiber_orbit(
     length: int,
     grid: int = 16,
     rng=None,
-    min_hits: int = 3,
 ) -> FiberOrbitReport:
     """Iterate the fiberwise map and report coverage of the fiber's grid cells.
 
     Branch-point refusals are nudged, resampled and budgeted by :func:`orbit_trace`.
     """
     base_pair = _normalize(base_pair)
-    reference = fiber_cells(surface, pair, base_pair, grid, min_hits=min_hits)
+    reference = fiber_cells(surface, pair, base_pair, grid)
     if not reference:
         raise ContractError("fiber tube sampling found no cells; fiber likely singular")
     first, second = pair
@@ -736,34 +736,23 @@ def _move_along_fiber(
     return moved.replace(second, sec, res)
 
 
-def fiber_derivative_ratio(
-    surface: Surface222, pair, map_fn, point: SurfacePoint, step: float = 1e-6
-):
+def fiber_derivative_ratio(surface: Surface222, pair, map_fn, point: SurfacePoint):
     """(d(first')/d(first) along the fiber, dF/dsecond ratio) for a fiber map.
 
     The map preserves the fiber 1-form  d(first) / (dF/dsecond)  exactly
     when the two returned values agree; a single involution returns a
     ratio of -1 instead (it flips the form's sign).
     """
-    if step <= 0 or step < 1e-14:
-        raise PreconditionError("derivative step underflow")
     first, second = pair
     image = map_fn(point)
-    plus = map_fn(_move_along_fiber(surface, pair, point, step))
-    minus = map_fn(_move_along_fiber(surface, pair, point, -step))
-    deriv = (plus.affine(first) - minus.affine(first)) / (2 * step)
+    plus = map_fn(_move_along_fiber(surface, pair, point, FD_STEP))
+    minus = map_fn(_move_along_fiber(surface, pair, point, -FD_STEP))
+    deriv = (plus.affine(first) - minus.affine(first)) / (2 * FD_STEP)
     ratio = axis_partial(surface, image, second) / axis_partial(surface, point, second)
     return deriv, ratio
 
 
-def translation_check(
-    surface: Surface222,
-    pair,
-    base_pair,
-    point: SurfacePoint,
-    tol: float = 1e-6,
-    step: float = 1e-6,
-) -> bool:
+def translation_check(surface: Surface222, pair, base_pair, point: SurfacePoint) -> bool:
     """Does the fiberwise map preserve the fiber's holomorphic 1-form at `point`?
 
     Verifies d(first')/d(first) = (dF/dsecond at image) / (dF/dsecond at
@@ -775,9 +764,9 @@ def translation_check(
     if proj_distance(point.coord(base_axis), base_pair) > 1e-9:
         raise PreconditionError("point does not lie on the stated fiber")
     deriv, ratio = fiber_derivative_ratio(
-        surface, pair, lambda p: parabolic_map(surface, pair, p), point, step
+        surface, pair, lambda p: parabolic_map(surface, pair, p), point
     )
-    return abs(deriv - ratio) <= tol * max(1.0, abs(ratio))
+    return abs(deriv - ratio) <= TRANSLATION_TOL * max(1.0, abs(ratio))
 
 
 # ---------------------------------------------------------------------------
@@ -916,14 +905,14 @@ class _Letters:
         return self.rng
 
 
-def _birkhoff_runs(surface: Surface222, word_length, trials, mc_samples, seed, pairs):
+def _birkhoff_runs(surface: Surface222, word_length, trials, mc_samples, seed):
     """(fid -> (trial means, (space average, se, ess)), interruptions) for every fid.
 
     The letters, starts, resamples and the Monte Carlo draw depend on the
     arguments, never on the fid, so one walk and one draw serve all of
     TEST_FUNCTIONS; the run is memoized as :func:`birkhoff_ergodicity_test` says.
     """
-    key = (word_length, trials, mc_samples, seed, tuple(map(tuple, pairs)),
+    key = (word_length, trials, mc_samples, seed,
            BRANCH_DISC_REL, LEAD_COEFF_REL, ON_SURFACE_TOL, SAMPLE_RESIDUAL_TOL)
     memo = surface._birkhoff_memo
     if key not in memo:
@@ -933,9 +922,9 @@ def _birkhoff_runs(surface: Surface222, word_length, trials, mc_samples, seed, p
         for t in range(trials):
             rng = np.random.default_rng([seed, 0xB1, t])
             start = sample_point(surface, rng)
-            letters = _Letters(rng, len(pairs))
+            letters = _Letters(rng, len(WORD_PAIRS))
             means, hits = _trajectory_means(  # a fresh letter before every attempt, refused or not
-                lambda p: parabolic_map(surface, pairs[next(letters)], p),
+                lambda p: parabolic_map(surface, WORD_PAIRS[next(letters)], p),
                 lambda p: sample_point(surface, letters.sync()), start, word_length, fids)
             trial_means.append(means)
             interruptions += hits
@@ -954,13 +943,12 @@ def birkhoff_ergodicity_test(
     trials: int = 16,
     mc_samples: int = 10**6,
     seed: int = 0,
-    pairs=(("y", "z"), ("x", "z")),
 ) -> dict:
     """Compare random-word time averages of a test function to the space average.
 
-    Uniform i.i.d. letters from the two fiberwise maps; `trials`
-    independent words and starting points; the space average is the
-    Monte Carlo integral against the chart density 1/|dF/dz|^2.  Returns
+    Uniform i.i.d. letters from the two fiberwise maps of WORD_PAIRS;
+    `trials` independent words and starting points; the space average is
+    the Monte Carlo integral against the chart density 1/|dF/dz|^2.  Returns
     both estimates, their spreads, and the z-score of the difference.
     This is a heuristic consistency diagnostic, not a proof; the output
     says so.  A too-small effective MC sample size is flagged, never
@@ -969,7 +957,7 @@ def birkhoff_ergodicity_test(
     Calls on one surface that differ only in `fid` share one run: the
     first walks the trials and draws the MC sample for every test
     function, and the others read the surface's memo.  It is keyed by
-    (word_length, trials, mc_samples, seed, pairs) and the branch, lead,
+    (word_length, trials, mc_samples, seed) and the branch, lead,
     on-surface and sampling thresholds at call time, and keeps the last
     BIRKHOFF_MEMO keys, dropping the oldest first.  The preconditions are
     checked first, a run that raises is not kept, and every call returns a
@@ -983,7 +971,7 @@ def birkhoff_ergodicity_test(
         raise PreconditionError("word_length must be >= 1")
     if mc_samples < 1:
         raise PreconditionError("mc_samples must be >= 1")
-    runs, interruptions = _birkhoff_runs(surface, word_length, trials, mc_samples, seed, pairs)
+    runs, interruptions = _birkhoff_runs(surface, word_length, trials, mc_samples, seed)
     trial_means, (space_avg, se_space, ess) = runs[fid]
     time_avg = float(np.mean(trial_means))
     se_time = float(np.std(trial_means, ddof=1) / math.sqrt(trials))
@@ -1023,6 +1011,8 @@ def ergodicity_contrast(
     a large ratio is the detection signal.  `branch_interruptions` counts
     the refused steps over all trajectories.
     """
+    if n_fibers < 2 or trials_per_fiber < 2:
+        raise PreconditionError("n_fibers and trials_per_fiber must be >= 2 to estimate variances")
     if word_length < 1:
         raise PreconditionError("word_length must be >= 1")
     (base_axis,) = [a for a in AXES if a not in pair]

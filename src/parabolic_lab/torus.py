@@ -85,10 +85,10 @@ class TranslationVector:
             )
 
 
-def as_translation_vector(x, precision: int = DEFAULT_PRECISION) -> TranslationVector:
+def as_translation_vector(x) -> TranslationVector:
     if isinstance(x, TranslationVector):
         return x
-    return TranslationVector(tuple(x), precision)
+    return TranslationVector(tuple(x))
 
 
 @dataclass(frozen=True)
@@ -246,9 +246,9 @@ def rational_hull(
     )
 
 
-def orbit_closure_dim(x, height_bound: int = DEFAULT_HEIGHT_BOUND, tol: float = DEFAULT_TOL) -> int:
+def orbit_closure_dim(x) -> int:
     """Dimension of the orbit closure; equals n exactly when orbits are dense."""
-    return rational_hull(x, height_bound, tol).dimension
+    return rational_hull(x).dimension
 
 
 def project_to_hull(x, hull: RationalSubspace) -> TranslationVector:

@@ -188,6 +188,16 @@ def test_torus_scan_cli(tmp_path, capsys):
     assert [d for _, d in res["points"]] == [2, 1]
 
 
+@pytest.mark.parametrize("coords", [[[0, 1], [1]], [["0", "1"], 5], 3, [["0", None]]],
+                         ids=["numbers", "bare-number", "not-a-list", "null"])
+def test_torus_scan_family_must_hold_expression_strings(coords, tmp_path, capsys):
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({"coords": coords}))
+    assert main(["torus", "scan", "--family", str(fam), "--grid", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "expression strings" in err and "Traceback" not in err
+
+
 def test_hodge_cli(tmp_path, capsys):
     f = tmp_path / "fujiki.json"
     f.write_text(json.dumps({"rank": 2, "gram": [[0, 1], [1, 0]], "n": 1, "c": "1", "K": "1"}))
@@ -352,6 +362,15 @@ def test_k3_contrast_counts_interruptions(capsys, monkeypatch):
     assert json.loads(out)["result"]["branch_interruptions"] == 7
 
 
+def test_contrast_config_drops_the_options_it_ignores(capsys):
+    # the contrast reads neither --trials nor --mc, so they cannot split equal runs apart
+    outs = [run_cli(["k3", "ergo", "--contrast", "--l", "50", *extra], capsys)
+            for extra in (["--trials", "2"], ["--trials", "5"], ["--mc", "7"])]
+    assert outs[0][0] == 0 and outs[0] == outs[1] == outs[2]
+    config = json.loads(outs[0][1])["config"]
+    assert config["trials"] is None and config["mc"] is None
+
+
 def test_k3_orbit_csv_trace(capsys):
     code, out = run_cli(
         ["k3", "orbit", "--pair", "yz", "--n", "4", "--format", "csv", "--seed", "4"],
@@ -403,10 +422,26 @@ def test_nonfinite_floats_are_strict_json():
     ["k3", "ergo", "--l", "10", "--trials", "2", "--mc", "-5"],
     ["torus", "hull", "--coords", "sqrt2", "--tol", "nan"],
     ["torus", "hull", "--coords", "sqrt2", "--tol", "inf"],
+    ["hodge", "amgm", "-i", "pair.json", "--tol", "nan"],
+    ["hodge", "amgm", "-i", "pair.json", "--tol", "0"],
+    ["hodge", "amgm", "-i", "pair.json", "--tol", "-1"],
+    ["hodge", "amgm", "-i", "pair.json", "--tol", "inf"],
+    ["lattice", "seed", "--a-sq", "2", "--N", "1", "--scan-bound", "0"],
+    ["lattice", "seed", "--a-sq", "2", "--N", "1", "--scan-bound", "-1"],
+    ["lattice", "represent", "-i", "s.json", "--lo", "-5", "--hi", "5", "--bound", "0"],
+    ["lattice", "represent", "-i", "s.json", "--lo", "-5", "--hi", "5", "--bound", "-2"],
+    ["k3", "orbit", "--n", "10", "--workers", "0"],
+    ["k3", "orbit", "--n", "10", "--workers", "-3"],
 ], ids=["sample-n0", "involve-n0", "orbit-n0", "orbit-fibers0", "ergo-trials1", "ergo-l0",
         "contrast-l0", "orbit-grid0", "orbit-grid-neg", "ergo-mc0", "ergo-mc-neg",
-        "hull-tol-nan", "hull-tol-inf"])
-def test_degenerate_counts_are_preconditions(argv, capsys):
+        "hull-tol-nan", "hull-tol-inf", "amgm-tol-nan", "amgm-tol0", "amgm-tol-neg",
+        "amgm-tol-inf", "seed-scan0", "seed-scan-neg", "represent-bound0",
+        "represent-bound-neg", "orbit-workers0", "orbit-workers-neg"])
+def test_degenerate_counts_are_preconditions(argv, tmp_path, monkeypatch, capsys):
+    # an empty box, a tolerance that decides nothing or no worker must not print a result
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pair.json").write_text(json.dumps({"h1": [[1, 0], [0, 1]], "h2": [[1, 0], [0, 1]]}))
+    (tmp_path / "s.json").write_text(json.dumps({"rank": 2, "gram": [[0, 1], [1, 0]]}))
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "precondition violation" in err and "Traceback" not in err

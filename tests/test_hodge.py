@@ -139,6 +139,10 @@ def test_rigidity_verdicts():
     assert amgm_rigidity_check(eye, eye) == RigidityVerdict.EQUAL
     h = HermitianForm(np.diag([2.0, 0.5]))
     assert amgm_rigidity_check(h, eye) == RigidityVerdict.PREMISE_VIOLATED
+    # a tolerance that is not positive and finite would decide the verdict by itself
+    for tol in (math.nan, 0.0, -1.0, math.inf):
+        with pytest.raises(PreconditionError, match="tol must be positive and finite"):
+            amgm_rigidity_check(eye, eye, tol)
     rng = np.random.default_rng(12)
     for _ in range(50):
         n = int(rng.integers(1, 5))

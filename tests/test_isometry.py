@@ -83,6 +83,13 @@ def test_classify_computes_the_charpoly_once(monkeypatch):
     monkeypatch.setattr(isometry, "charpoly", lambda m: calls.append(m) or charpoly(m))
     g = LatticeIsometry(PELL, ((3, 2), (4, 3)))
     assert isinstance(classify(g), Loxodromic) and len(calls) == 1
+    # one trichotomy per isometry: limit_nef_class reads the verdict classify computed
+    t = eichler_transvection(U2, (1, 0, 0), (0, 0, 1))
+    assert isinstance(classify(t), Parabolic) and classify(t) is classify(t)
+    assert limit_nef_class(t, (2, 1, 0)) == (1.0, 0.0, 0.0) and len(calls) == 2
+    # the kept verdict is no field: eq, hash and repr see the matrix and lattice only
+    fresh = LatticeIsometry(U2, t.matrix)
+    assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
 
 
 def test_classify_inverse_matches():
@@ -249,8 +256,11 @@ def test_parabolic_fixed_vector_unique_and_stable_under_powers():
 
 
 def test_classify_requires_hyperbolic_signature():
-    with pytest.raises(PreconditionError):
-        classify(LatticeIsometry(diagonal_lattice(1, 1), ((1, 0), (0, 1))))
+    g = LatticeIsometry(diagonal_lattice(1, 1), ((1, 0), (0, 1)))
+    # a refusal is not kept as a verdict: every call raises it again
+    for call in (classify, classify, lambda g: limit_nef_class(g, (1, 0))):
+        with pytest.raises(PreconditionError, match=r"signature \(1, n\)"):
+            call(g)
 
 
 def test_fuzz_words_against_oracle():

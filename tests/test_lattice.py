@@ -134,6 +134,9 @@ def test_represents_in_range():
     )
     assert attained == [-8, -2]
     assert represents_in_range(diagonal_lattice(1), 1, 1, 1) == [(1, (1,))]
+    for bound in (0, -2):  # an empty box represents nothing
+        with pytest.raises(PreconditionError, match="coeff_bound"):
+            represents_in_range(U, -5, 5, bound)
 
 
 def test_seed_lattice_guarantees():
@@ -153,6 +156,9 @@ def test_seed_lattice_no_short_orthogonal_negatives():
     marked = build_parabolic_seed_lattice(4, 3)
     found = scan_orthogonal_negatives(marked, 10)
     assert found and all(q <= -6 for _, q in found)
+    for bound in (0, -1):  # an empty scan certifies nothing
+        with pytest.raises(PreconditionError, match="box_bound"):
+            scan_orthogonal_negatives(marked, bound)
     # independent exhaustive re-scan with a different loop structure
     lat = marked.lattice
     for a in range(-10, 11):

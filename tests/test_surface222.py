@@ -1,6 +1,7 @@
 import json
 import pickle
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -170,7 +171,7 @@ def test_translation_check_parabolic_passes():
     passed = attempted = 0
     for p in POINTS[:60]:
         try:
-            ok = s2.translation_check(S, ("y", "z"), p.x, p, tol=1e-6)
+            ok = s2.translation_check(S, ("y", "z"), p.x, p)
         except (BranchPointError, ContractError):
             continue
         attempted += 1
@@ -498,6 +499,21 @@ def test_nonpositive_lengths_and_grids_are_preconditions():
     for grid in (0, -3):
         with pytest.raises(PreconditionError, match="grid"):
             s2.fiber_cells(S, ("y", "z"), (1.0 + 0j, 0.5 + 0j), grid=grid)
+
+
+@pytest.mark.parametrize("counts", [dict(n_fibers=1), dict(trials_per_fiber=1)],
+                         ids=["one-fiber", "one-trial"])
+def test_contrast_needs_two_fibers_and_two_trials(counts, monkeypatch):
+    # the variance of one mean is NaN: refused before any walk, with no numpy warning
+    def walked(*args, **kwargs):
+        raise AssertionError("the contrast walked before refusing")
+
+    monkeypatch.setattr(s2, "sample_fiber_point", walked)
+    monkeypatch.setattr(s2, "_trajectory_means", walked)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="must be >= 2"):
+            s2.ergodicity_contrast(S, word_length=20, **counts)
 
 
 def test_json_roundtrip():
