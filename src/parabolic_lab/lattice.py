@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import mul
 
 from .errors import DegenerateLatticeError, DimensionMismatchError, PreconditionError
 from .exact import ParseError, integral, integral_rows
@@ -184,13 +185,21 @@ def is_primitive(v) -> bool:
     return gcd(*(integral(x, "vector") for x in v)) == 1
 
 
-def _canonical_sign(v: Vector) -> Vector:
-    lead = next((x for x in v if x), 0)
-    return v if lead >= 0 else tuple(-x for x in v)
+def _square(gram):
+    """v -> q(v, v) for an int tuple v, with the Gram rows bound once."""
+    return lambda v: sum(a * sum(map(mul, row, v)) for a, row in zip(v, gram))
 
 
 def _box(rank: int, bound: int):
     return itertools.product(range(-bound, bound + 1), repeat=rank)
+
+
+def _half_box(rank: int, bound: int):
+    """The nonzero box vectors whose first nonzero coordinate is positive, lexicographically."""
+    for lead in reversed(range(rank)):
+        for head in range(1, bound + 1):
+            for tail in _box(rank - lead - 1, bound):
+                yield (0,) * lead + (head,) + tail
 
 
 def find_isotropic(lattice: QuadLattice, coeff_bound: int) -> list[Vector]:
@@ -202,16 +211,8 @@ def find_isotropic(lattice: QuadLattice, coeff_bound: int) -> list[Vector]:
     """
     if coeff_bound < 1:
         raise PreconditionError("coeff_bound must be >= 1")
-    out = set()
-    for v in _box(lattice.rank, coeff_bound):
-        if not any(v):
-            continue
-        v = _canonical_sign(v)
-        if v in out or not is_primitive(v):
-            continue
-        if lattice.q(v) == 0:
-            out.add(v)
-    return sorted(out)
+    q = _square(lattice.gram)
+    return [v for v in _half_box(lattice.rank, coeff_bound) if gcd(*v) == 1 and q(v) == 0]
 
 
 def represents_in_range(
@@ -226,13 +227,13 @@ def represents_in_range(
         raise PreconditionError("need lo <= hi")
     if coeff_bound < 1:
         raise PreconditionError("coeff_bound must be >= 1")
+    q = _square(lattice.gram)
     witnesses: dict[int, Vector] = {}
-    for v in sorted(_canonical_sign(w) for w in _box(lattice.rank, coeff_bound)):
-        if not any(v) or not is_primitive(v):
-            continue
-        val = lattice.q(v)
-        if lo <= val <= hi and val not in witnesses:
-            witnesses[val] = v
+    for v in _half_box(lattice.rank, coeff_bound):
+        if gcd(*v) == 1:
+            val = q(v)
+            if lo <= val <= hi and val not in witnesses:
+                witnesses[val] = v
     return sorted(witnesses.items())
 
 
@@ -273,25 +274,37 @@ def scan_orthogonal_negatives(
 ) -> list[tuple[Vector, int]]:
     """Exhaustive scan for eta orthogonal to the marked y with q(eta) < 0.
 
-    Returns the (eta, q(eta)) pairs found in the box; the seed-lattice
-    guarantee is that every listed square is <= -2N, so none falls in
-    (-2N, 0).
+    Returns the (eta, q(eta)) pairs found in the box, in lexicographic
+    order; the seed-lattice guarantee is that every listed square is
+    <= -2N, so none falls in (-2N, 0).
+
+    Only the box points of y^perp are visited.  With k the last index
+    where (Gy)_k != 0, the coordinates before k run over the box, v_k is
+    solved from v . Gy = 0 and kept when it is an integer in the box, and
+    the coordinates after k (where Gy vanishes) run freely: about
+    (2B+1)^(n-1) vectors instead of (2B+1)^n.  When Gy = 0 every box
+    vector is orthogonal and the whole box is scanned.
     """
     if box_bound < 1:
         raise PreconditionError("box_bound must be >= 1")
     lat = marked.lattice
     y = lat.check_vector(marked.y)
-    gy = [sum(r * x for r, x in zip(row, y)) for row in lat.gram]
-    out = []
-    for v in _box(lat.rank, box_bound):
-        if not any(v):
-            continue
-        if sum(a * b for a, b in zip(v, gy)) != 0:
-            continue
-        qv = lat.q(v)
-        if qv < 0:
-            out.append((v, qv))
-    return out
+    gy = [sum(map(mul, row, y)) for row in lat.gram]
+    q = _square(lat.gram)
+    return [(v, qv) for v in _orthogonal_box(gy, box_bound) if (qv := q(v)) < 0]
+
+
+def _orthogonal_box(gy: list[int], bound: int):
+    """The box vectors v with v . gy = 0, in order (see scan_orthogonal_negatives)."""
+    k = max((i for i, g in enumerate(gy) if g), default=None)
+    if k is None:
+        yield from _box(len(gy), bound)
+        return
+    for head in _box(k, bound):
+        vk, r = divmod(-sum(map(mul, head, gy)), gy[k])
+        if not r and -bound <= vk <= bound:
+            for tail in _box(len(gy) - k - 1, bound):
+                yield head + (vk,) + tail
 
 
 # ---------------------------------------------------------------------------

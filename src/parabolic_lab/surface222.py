@@ -82,6 +82,7 @@ BIRKHOFF_MEMO = 64  # Birkhoff runs a surface keeps, the oldest dropped first
 SAMPLE_TRIES = 64  # draws sample_point and sample_fiber_point make before a ContractError
 FIBER_REFINE = 6  # fiber_cells probes a FIBER_REFINE * G disc grid per chart
 MIN_HITS = 3  # probe hits that make a fiber cell (see fiber_cells)
+MAX_GRID = 128  # largest fiber_cells grid: (FIBER_REFINE * G)^2 probes, ~0.4 GB peak at 128
 FD_STEP = 1e-6  # the central-difference step of fiber_derivative_ratio
 TRANSLATION_TOL = 1e-6  # relative tolerance of translation_check
 
@@ -550,8 +551,8 @@ def fiber_cells(surface: Surface222, pair, base_pair, grid: int = 16) -> set:
     G = 16 then cover at least 95% of the tube on virtually every smooth
     fiber.
     """
-    if grid < 1:
-        raise PreconditionError("grid must be >= 1")
+    if not 1 <= grid <= MAX_GRID:
+        raise PreconditionError(f"grid must be between 1 and {MAX_GRID}")
     first, second = pair
     (base_axis,) = [a for a in AXES if a not in pair]
     base_pair = _normalize(base_pair)

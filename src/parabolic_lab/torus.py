@@ -291,6 +291,8 @@ def weyl_sum(x, k, count: int) -> float:
     if count < 1:
         raise PreconditionError("need count >= 1")
     tv = as_translation_vector(x)
+    if len(k) != tv.n:
+        raise PreconditionError("k must have one entry per coordinate")
     with mp.workprec(tv.precision):
         vals = tv.mpf_values()
         step = mp.fsum(ki * v for ki, v in zip(k, vals))

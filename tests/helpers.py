@@ -27,8 +27,11 @@ before the library computed them as arrays.  The fiber orbit, the
 random-word and the single-fiber trajectories are frozen as the three
 loops they were before the library shared one walker, together with the
 involution and root sampling that wrote out their own branch guards.
-The surface names only the tests use (the Fermat-like surface, the
-residual, the inverse fiber map) live here too.
+The three lattice box scans are frozen as the whole-box loops they were
+before the library enumerated only the orthogonal complement of y and
+the sign-canonical half of the box.  The surface names only the tests
+use (the Fermat-like surface, the residual, the inverse fiber map) live
+here too.
 """
 
 from __future__ import annotations
@@ -245,6 +248,67 @@ def planted_relation_instance(rng: random.Random, max_n: int = 6, max_height: in
         if max(abs(c) for row in want for c in row) > max_height:
             continue
         return tuple(x), 160, want
+
+
+# ---------------------------------------------------------------------------
+# frozen box scans (oracle for the lattice scans)
+# ---------------------------------------------------------------------------
+#
+# The three lattice scans as whole-box loops: every vector of the
+# (2B+1)^n box is visited, signs are normalized per vector and q goes
+# through the lattice's checked bilinear form.
+
+def _frozen_is_primitive(v) -> bool:
+    return gcd(*v) == 1
+
+
+def _frozen_canonical_sign(v):
+    lead = next((x for x in v if x), 0)
+    return v if lead >= 0 else tuple(-x for x in v)
+
+
+def _frozen_box(rank, bound):
+    return itertools.product(range(-bound, bound + 1), repeat=rank)
+
+
+def frozen_find_isotropic(lattice, coeff_bound):
+    out = set()
+    for v in _frozen_box(lattice.rank, coeff_bound):
+        if not any(v):
+            continue
+        v = _frozen_canonical_sign(v)
+        if v in out or not _frozen_is_primitive(v):
+            continue
+        if lattice.q(v) == 0:
+            out.add(v)
+    return sorted(out)
+
+
+def frozen_represents_in_range(lattice, lo, hi, coeff_bound):
+    witnesses = {}
+    for v in sorted(_frozen_canonical_sign(w) for w in _frozen_box(lattice.rank, coeff_bound)):
+        if not any(v) or not _frozen_is_primitive(v):
+            continue
+        val = lattice.q(v)
+        if lo <= val <= hi and val not in witnesses:
+            witnesses[val] = v
+    return sorted(witnesses.items())
+
+
+def frozen_scan_orthogonal_negatives(marked, box_bound=10):
+    lat = marked.lattice
+    y = lat.check_vector(marked.y)
+    gy = [sum(r * x for r, x in zip(row, y)) for row in lat.gram]
+    out = []
+    for v in _frozen_box(lat.rank, box_bound):
+        if not any(v):
+            continue
+        if sum(a * b for a, b in zip(v, gy)) != 0:
+            continue
+        qv = lat.q(v)
+        if qv < 0:
+            out.append((v, qv))
+    return out
 
 
 # ---------------------------------------------------------------------------

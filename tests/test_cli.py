@@ -36,6 +36,13 @@ def test_lattice_seed_roundtrip(capsys):
     assert art["config"]["seed"] == 0
 
 
+def test_lattice_seed_artifact_is_pinned(tmp_path, capsys):
+    # the scan's count and largest square, byte for byte as the whole-box scan wrote them
+    out = tmp_path / "seed.json"
+    assert main(["lattice", "seed", "--a-sq", "4", "--N", "3", "--out", str(out)]) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "data" / "lattice_seed_a4_N3.json").read_bytes()
+
+
 def test_byte_identical_outputs(capsys):
     _, out1 = run_cli(["torus", "hull", "--coords", "sqrt2,2*sqrt2"], capsys)
     _, out2 = run_cli(["torus", "hull", "--coords", "sqrt2,2*sqrt2"], capsys)
@@ -432,13 +439,20 @@ def test_nonfinite_floats_are_strict_json():
     ["lattice", "represent", "-i", "s.json", "--lo", "-5", "--hi", "5", "--bound", "-2"],
     ["k3", "orbit", "--n", "10", "--workers", "0"],
     ["k3", "orbit", "--n", "10", "--workers", "-3"],
+    ["k3", "orbit", "--n", "10", "--grid", str(s2.MAX_GRID + 1)],
+    ["k3", "orbit", "--n", "10", "--grid", "100000"],
+    ["torus", "weyl", "--coords", "sqrt2,sqrt3", "--k", "1", "--n", "10"],
+    ["torus", "weyl", "--coords", "sqrt2", "--k", "1,1", "--n", "10"],
 ], ids=["sample-n0", "involve-n0", "orbit-n0", "orbit-fibers0", "ergo-trials1", "ergo-l0",
         "contrast-l0", "orbit-grid0", "orbit-grid-neg", "ergo-mc0", "ergo-mc-neg",
         "hull-tol-nan", "hull-tol-inf", "amgm-tol-nan", "amgm-tol0", "amgm-tol-neg",
         "amgm-tol-inf", "seed-scan0", "seed-scan-neg", "represent-bound0",
-        "represent-bound-neg", "orbit-workers0", "orbit-workers-neg"])
+        "represent-bound-neg", "orbit-workers0", "orbit-workers-neg", "orbit-grid-past-max",
+        "orbit-grid-100000", "weyl-k-short", "weyl-k-long"])
 def test_degenerate_counts_are_preconditions(argv, tmp_path, monkeypatch, capsys):
-    # an empty box, a tolerance that decides nothing or no worker must not print a result
+    # an empty box, a tolerance that decides nothing, no worker, a probe grid past
+    # MAX_GRID (refused before it is allocated) or a k of the wrong length must not
+    # print a result
     monkeypatch.chdir(tmp_path)
     (tmp_path / "pair.json").write_text(json.dumps({"h1": [[1, 0], [0, 1]], "h2": [[1, 0], [0, 1]]}))
     (tmp_path / "s.json").write_text(json.dumps({"rank": 2, "gram": [[0, 1], [1, 0]]}))

@@ -7,7 +7,9 @@ import pytest
 
 from parabolic_lab.errors import DegenerateLatticeError, DimensionMismatchError, PreconditionError
 from parabolic_lab.exact import ParseError
+from parabolic_lab.linalg_exact import det_exact
 from parabolic_lab.lattice import (
+    MarkedLattice,
     QuadLattice,
     build_parabolic_seed_lattice,
     diagonal_lattice,
@@ -20,6 +22,12 @@ from parabolic_lab.lattice import (
     lattice_to_json,
     represents_in_range,
     scan_orthogonal_negatives,
+)
+
+from helpers import (
+    frozen_find_isotropic,
+    frozen_represents_in_range,
+    frozen_scan_orthogonal_negatives,
 )
 
 U = hyperbolic_plane()
@@ -168,6 +176,68 @@ def test_seed_lattice_no_short_orthogonal_negatives():
                 if any(v) and lat.bbf(v, marked.y) == 0:
                     q = lat.q(v)
                     assert not (-6 < q < 0), v
+
+
+def _assert_scans_match_frozen(marked, b, lo=-30, hi=30):
+    lat = marked.lattice
+    assert scan_orthogonal_negatives(marked, b) == frozen_scan_orthogonal_negatives(marked, b)
+    assert find_isotropic(lat, b) == frozen_find_isotropic(lat, b)
+    assert represents_in_range(lat, lo, hi, b) == frozen_represents_in_range(lat, lo, hi, b)
+
+
+def test_scans_match_frozen_on_seed_grid():
+    for a_sq in (2, 4, 6, 8, 10):
+        for big_n in (1, 2, 3, 4, 5):
+            marked = build_parabolic_seed_lattice(a_sq, big_n)
+            for bound in (1, 2, 10):
+                _assert_scans_match_frozen(marked, bound)
+
+
+def test_scans_match_frozen_on_random_lattices():
+    rng = random.Random(14)
+    inner_solves = checked = 0
+    while checked < 150:
+        rank = rng.randint(2, 4)
+        g = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i, rank):
+                g[i][j] = g[j][i] = rng.randint(-6, 6)
+        if det_exact(g) == 0:
+            continue
+        lat = QuadLattice(tuple(map(tuple, g)))
+        y = tuple(rng.randint(-3, 3) for _ in range(rank))
+        if not any(y):
+            continue
+        gy = [sum(r * x for r, x in zip(row, y)) for row in g]
+        inner_solves += gy[-1] == 0  # the solved coordinate is not the last one
+        lo = rng.randint(-25, 5)
+        _assert_scans_match_frozen(MarkedLattice(lat, y, y, y), rng.choice((1, 2, 3)), lo, lo + 20)
+        checked += 1
+    assert inner_solves
+    # (Gy) = (1, -1, 0): v_1 is solved and v_2 runs freely after it
+    lat = diagonal_lattice(1, -1, -3)
+    _assert_scans_match_frozen(MarkedLattice(lat, (1, 0, 0), (0, 0, 1), (1, 1, 0)), 4)
+
+
+def test_scan_orthogonal_negatives_non_integral_solve():
+    # (Gy) = (2, 3): v_1 = -2 v_0 / 3 is a fraction unless 3 | v_0
+    marked = MarkedLattice(diagonal_lattice(1, -3), (1, 0), (0, 1), (2, -1))
+    assert scan_orthogonal_negatives(marked, 5) == [((-3, 2), -3), ((3, -2), -3)]
+    _assert_scans_match_frozen(marked, 5)
+
+
+def test_scan_orthogonal_negatives_degenerate_y():
+    # Gy = 0 puts the whole box in y^perp: y in the radical, and y = 0
+    radical = QuadLattice(((1, 0, 0), (0, 0, 0), (0, 0, -1)), allow_degenerate=True)
+    for marked in (
+        MarkedLattice(radical, (1, 0, 0), (0, 0, 1), (0, 1, 0)),
+        MarkedLattice(build_parabolic_seed_lattice(2, 5).lattice, (1, 0, 0), (0, 1, 0), (0, 0, 0)),
+    ):
+        for bound in (1, 3):
+            _assert_scans_match_frozen(marked, bound)
+            box = itertools.product(range(-bound, bound + 1), repeat=3)
+            found = scan_orthogonal_negatives(marked, bound)
+            assert len(found) == sum(marked.lattice.q(v) < 0 for v in box)
 
 
 def test_seed_lattice_preconditions():
