@@ -38,6 +38,7 @@ from .linalg_exact import det_exact, primitive_vector
 Vector = tuple[int, ...]
 
 _JSON_SAFE = 2**53
+MAX_SCAN = 10**6  # box vectors one lattice scan may visit
 
 
 @dataclass(frozen=True)
@@ -190,6 +191,14 @@ def _square(gram):
     return lambda v: sum(a * sum(map(mul, row, v)) for a, row in zip(v, gram))
 
 
+def _check_box(name: str, bound: int, visits: int) -> None:
+    """Refuse an empty box, and one whose scan would visit more than MAX_SCAN vectors."""
+    if bound < 1:
+        raise PreconditionError(f"{name} must be >= 1")
+    if visits > MAX_SCAN:
+        raise PreconditionError(f"{name} makes the scan visit more than MAX_SCAN = {MAX_SCAN} vectors")
+
+
 def _box(rank: int, bound: int):
     return itertools.product(range(-bound, bound + 1), repeat=rank)
 
@@ -209,8 +218,7 @@ def find_isotropic(lattice: QuadLattice, coeff_bound: int) -> list[Vector]:
     lexicographically.  Bounded brute force; existence results for
     indefinite lattices of rank >= 5 (Meyer) are not exploited.
     """
-    if coeff_bound < 1:
-        raise PreconditionError("coeff_bound must be >= 1")
+    _check_box("coeff_bound", coeff_bound, ((2 * coeff_bound + 1) ** lattice.rank - 1) // 2)
     q = _square(lattice.gram)
     return [v for v in _half_box(lattice.rank, coeff_bound) if gcd(*v) == 1 and q(v) == 0]
 
@@ -225,8 +233,7 @@ def represents_in_range(
     """
     if lo > hi:
         raise PreconditionError("need lo <= hi")
-    if coeff_bound < 1:
-        raise PreconditionError("coeff_bound must be >= 1")
+    _check_box("coeff_bound", coeff_bound, ((2 * coeff_bound + 1) ** lattice.rank - 1) // 2)
     q = _square(lattice.gram)
     witnesses: dict[int, Vector] = {}
     for v in _half_box(lattice.rank, coeff_bound):
@@ -285,11 +292,10 @@ def scan_orthogonal_negatives(
     (2B+1)^(n-1) vectors instead of (2B+1)^n.  When Gy = 0 every box
     vector is orthogonal and the whole box is scanned.
     """
-    if box_bound < 1:
-        raise PreconditionError("box_bound must be >= 1")
     lat = marked.lattice
     y = lat.check_vector(marked.y)
     gy = [sum(map(mul, row, y)) for row in lat.gram]
+    _check_box("box_bound", box_bound, (2 * box_bound + 1) ** (lat.rank - any(gy)))
     q = _square(lat.gram)
     return [(v, qv) for v in _orthogonal_box(gy, box_bound) if (qv := q(v)) < 0]
 

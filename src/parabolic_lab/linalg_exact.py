@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import PreconditionError
 from .exact import integral_rows
@@ -33,11 +34,11 @@ def transpose(a) -> Matrix:
 
 def mat_mul(a, b) -> Matrix:
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a, v) -> list:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def mat_sub(a, b) -> Matrix:
@@ -45,15 +46,14 @@ def mat_sub(a, b) -> Matrix:
 
 
 def mat_pow(a, k: int) -> Matrix:
+    """a^k (k >= 0), squaring left to right: no I * a product, no square past the last bit."""
     if k < 0:
         raise ValueError("use inverse_exact for negative powers")
-    result = identity_matrix(len(a))
-    base = [list(r) for r in a]
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        k >>= 1
+    result = [list(r) for r in a] if k else identity_matrix(len(a))
+    for bit in bin(k)[3:]:
+        result = mat_mul(result, result)
+        if bit == "1":
+            result = mat_mul(result, a)
     return result
 
 

@@ -9,9 +9,10 @@ isolation.  Its one long division, `_divmod_monic`, is by a monic
 divisor, so it never divides: cyclotomic stripping runs it on cached
 integer Phi_d, and `poly_divmod` on q / lead(q).  The minimal polynomial
 is the first relation `linalg_exact.kernel_basis` finds among powers of M.
-Largest-root isolation counts with the Sturm chain only until the root
-is alone in its interval and then bisects on the sign of the squarefree
-part, in integers.
+Gcds, squarefree parts and Sturm chains come from one integer
+pseudo-remainder, `_primitive_rem`, whose result is a positive multiple
+of the Fraction remainder; largest-root isolation counts sign changes
+along that chain and bisects, all in Python ints.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 
 from .errors import ContractError, PreconditionError
 from .linalg_exact import identity_matrix, kernel_basis, mat_mul
@@ -36,10 +37,6 @@ def poly(coeffs) -> Poly:
 
 def degree(p: Poly) -> int:
     return len(p) - 1
-
-
-def poly_neg(p: Poly) -> Poly:
-    return tuple(-c for c in p)
 
 
 def _divmod_monic(p, q):
@@ -80,19 +77,60 @@ def monic(p: Poly) -> Poly:
     return tuple(c / lead for c in p)
 
 
+def _primitive(p) -> list[int]:
+    """p scaled to integers by its denominators' lcm, over their content (sign kept)."""
+    p = [c if isinstance(c, int) else Fraction(c) for c in p]
+    d = lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (d // c.denominator) for c in p]
+    g = gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
+
+
+def _primitive_rem(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of a positive multiple of the remainder of a by a nonzero b.
+
+    Each pseudo-division step by sign(lead b) * b multiplies by |lead b|:
+    Collins's primitive remainder sequence (J. ACM 14, 1967), signs kept.
+    """
+    lead, rem = abs(b[-1]), list(a)
+    low = b[:-1] if b[-1] > 0 else [-c for c in b[:-1]]
+    while rem and (len(rem) >= len(b) or not rem[-1]):
+        f = rem.pop()
+        if f:
+            shift = len(rem) - len(low)
+            rem = [lead * c for c in rem]
+            for i, c in enumerate(low):
+                rem[shift + i] -= f * c
+    return _primitive(rem)
+
+
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    a, b = p, q
+    """Monic gcd of p and q, from the primitive remainder sequence in integers."""
+    a, b = _primitive(p), _primitive(q)
     while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return monic(a)
+        a, b = b, _primitive_rem(a, b)
+    return monic(poly(a))
+
+
+def _squarefree_ints(p) -> list[int]:
+    """Primitive p / gcd(p, p') with a positive lead ([] for p = 0), divided in integers:
+    both are primitive, so it is exact by Gauss's lemma, and a remainder raises ContractError."""
+    rem, quo = _primitive(p), []
+    g = _primitive(poly_gcd(rem, [i * c for i, c in enumerate(rem)][1:])) or [1]
+    while len(rem) >= len(g):
+        f, r = divmod(rem.pop(), g[-1])
+        quo.append(f)
+        shift = len(rem) - len(g) + 1
+        for i, c in enumerate(g[:-1]):
+            rem[shift + i] -= f * c
+        if r or (len(rem) < len(g) and any(rem)):
+            raise ContractError("gcd(p, p') does not divide p exactly")
+    return quo[::-1] if not quo or quo[0] > 0 else [-c for c in reversed(quo)]
 
 
 def squarefree_part(p: Poly) -> Poly:
-    """p divided by gcd(p, p'): same roots, each with multiplicity one."""
-    if degree(p) < 1:
-        return monic(p)
-    g = poly_gcd(p, derivative(p))
-    return monic(poly_divmod(p, g)[0])
+    """p divided by gcd(p, p'): same roots, each with multiplicity one; monic."""
+    return monic(poly(_squarefree_ints(p)))
 
 
 def evaluate(p: Poly, x) -> Fraction:
@@ -215,25 +253,6 @@ def strip_cyclotomic_factors(p: Poly) -> tuple[Poly, dict[int, int]]:
     return poly(rem), found
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
-    chain = [poly(p), derivative(p)]
-    while chain[-1]:
-        rem = poly_divmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append(poly_neg(rem))
-    return [c for c in chain if c]
-
-
-def _sign_variations(chain: list[Poly], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = evaluate(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
 def cauchy_root_bound(p: Poly) -> Fraction:
     """All complex roots of p lie strictly inside |z| <= bound."""
     if degree(p) < 1:
@@ -246,43 +265,45 @@ def isolate_largest_root_above(p: Poly, lower: Fraction = Fraction(1)) -> tuple[
     """Isolating interval (lo, hi] for the largest real root of p above `lower`.
 
     Returns None when there is no real root in (lower, cauchy bound].
-    Bisection keeps everything in exact rationals; callers refine the
-    interval numerically afterwards.
+    Bisection runs in Python ints on (a / den, b / den], den doubling with
+    each halving; callers refine the interval numerically afterwards.
 
-    Sturm counts on the squarefree part isolate the root; the refinement
-    to width 2^-80 then needs only the sign of that part at each
-    midpoint, since its root in (lo, hi] is simple: the root lies above
-    a nonzero mid exactly when the signs at mid and hi differ, which
-    covers a root at hi itself (sign 0 there); a root at mid moves hi
-    onto it.
+    The Sturm chain of the squarefree part is its primitive remainder
+    sequence: each element is a positive multiple of the Fraction one, so
+    every sign count is the same.  Once the root is alone in (lo, hi], the
+    refinement to width 2^-80 needs only the squarefree part's sign at each
+    midpoint, since that root is simple: it lies above a nonzero mid exactly
+    when the signs at mid and hi differ, which covers a root at hi itself
+    (sign 0 there); a root at mid moves hi onto it.
     """
-    sqf = squarefree_part(p)
-    chain = sturm_chain(sqf)
+    sqf = _squarefree_ints(p)
+    chain = [c for c in (sqf, [i * c for i, c in enumerate(sqf)][1:]) if c]
+    while len(chain) > 1 and (rem := _primitive_rem(chain[-2], chain[-1])):
+        chain.append([-c for c in rem])
 
-    def roots_in(a: Fraction, b: Fraction) -> int:
-        return _sign_variations(chain, a) - _sign_variations(chain, b)
+    def variations(num: int, den: int) -> int:
+        signs = [s for s in (_homogeneous_sign(c, num, den) for c in chain) if s]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
 
-    hi = cauchy_root_bound(p)
-    if roots_in(lower, hi) == 0:
+    lower, hi = Fraction(lower), cauchy_root_bound(p)
+    den = lcm(lower.denominator, hi.denominator)
+    a, b = lower.numerator * (den // lower.denominator), hi.numerator * (den // hi.denominator)
+    va, vb = variations(a, den), variations(b, den)
+    if va == vb:
         return None
-    lo = lower
     # first narrow to an interval holding exactly the largest root
-    while roots_in(lo, hi) > 1:
-        mid = (lo + hi) / 2
-        if roots_in(mid, hi) >= 1:
-            lo = mid
+    while va - vb > 1:
+        mid, den, a, b = a + b, 2 * den, 2 * a, 2 * b
+        vm = variations(mid, den)
+        if vm > vb:
+            a, va = mid, vm
         else:
-            hi = mid
-    # then shrink until tight enough for numeric polishing, in integers:
-    # lo = a / den, hi = b / den, and den doubles with every halving
-    den = lo.denominator * hi.denominator
-    a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
-    scale = lcm(*(c.denominator for c in sqf))
-    ints = [c.numerator * (scale // c.denominator) for c in sqf]
-    sign_hi = _homogeneous_sign(ints, b, den)
+            b, vb = mid, vm
+    # then shrink until tight enough for numeric polishing
+    sign_hi = _homogeneous_sign(sqf, b, den)
     while (b - a) << 80 > den:
         mid, den, a, b = a + b, 2 * den, 2 * a, 2 * b
-        sign_mid = _homogeneous_sign(ints, mid, den)
+        sign_mid = _homogeneous_sign(sqf, mid, den)
         if sign_mid and sign_mid != sign_hi:
             a = mid
         else:

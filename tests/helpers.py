@@ -442,6 +442,19 @@ def frozen_mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
+def frozen_mat_vec(a, v):
+    """a v as the single column of a times the column matrix v."""
+    return [row[0] for row in frozen_mat_mul(a, [[x] for x in v])]
+
+
+def frozen_mat_pow(a, k):
+    """a^k as I * a * ... * a, one factor at a time."""
+    acc = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    for _ in range(k):
+        acc = frozen_mat_mul(acc, a)
+    return acc
+
+
 def _frozen_poly(coeffs):
     """Ascending Fraction coefficients without trailing zeros."""
     out = [Fraction(c) for c in coeffs]
@@ -480,6 +493,14 @@ def frozen_squarefree_part(p):
         a, b = b, _frozen_divmod(a, b)[1]
     quo = _frozen_divmod(p, a)[0]
     return tuple(c / quo[-1] for c in quo)
+
+
+def frozen_poly_gcd(p, q):
+    """Monic gcd by Euclid's algorithm over Fractions (the zero polynomial for p = q = 0)."""
+    a, b = _frozen_poly(p), _frozen_poly(q)
+    while b:
+        a, b = b, _frozen_divmod(a, b)[1]
+    return tuple(c / a[-1] for c in a)
 
 
 def frozen_sturm_chain(p):

@@ -43,6 +43,17 @@ def test_lattice_seed_artifact_is_pinned(tmp_path, capsys):
     assert out.read_bytes() == (Path(__file__).parent / "data" / "lattice_seed_a4_N3.json").read_bytes()
 
 
+def test_loxodromic_classify_artifact_is_pinned(tmp_path, monkeypatch, capsys):
+    # the product of the seed lattice's transvections along (0, 0, 1) and (1, 0, -1):
+    # verdict, eigenvalue and eigendirections byte for byte as the Fraction Sturm chain wrote them
+    monkeypatch.delenv("PARABOLIC_LAB_SEED", raising=False)
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    out = tmp_path / "lox.json"
+    assert main(["isometry", "classify", "-i", "tests/data/loxodromic_isometry.json",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == Path("tests/data/isometry_classify_loxodromic.json").read_bytes()
+
+
 def test_byte_identical_outputs(capsys):
     _, out1 = run_cli(["torus", "hull", "--coords", "sqrt2,2*sqrt2"], capsys)
     _, out2 = run_cli(["torus", "hull", "--coords", "sqrt2,2*sqrt2"], capsys)
@@ -435,6 +446,7 @@ def test_nonfinite_floats_are_strict_json():
     ["hodge", "amgm", "-i", "pair.json", "--tol", "inf"],
     ["lattice", "seed", "--a-sq", "2", "--N", "1", "--scan-bound", "0"],
     ["lattice", "seed", "--a-sq", "2", "--N", "1", "--scan-bound", "-1"],
+    ["lattice", "seed", "--a-sq", "2", "--N", "1", "--scan-bound", "1000000"],
     ["lattice", "represent", "-i", "s.json", "--lo", "-5", "--hi", "5", "--bound", "0"],
     ["lattice", "represent", "-i", "s.json", "--lo", "-5", "--hi", "5", "--bound", "-2"],
     ["k3", "orbit", "--n", "10", "--workers", "0"],
@@ -446,13 +458,13 @@ def test_nonfinite_floats_are_strict_json():
 ], ids=["sample-n0", "involve-n0", "orbit-n0", "orbit-fibers0", "ergo-trials1", "ergo-l0",
         "contrast-l0", "orbit-grid0", "orbit-grid-neg", "ergo-mc0", "ergo-mc-neg",
         "hull-tol-nan", "hull-tol-inf", "amgm-tol-nan", "amgm-tol0", "amgm-tol-neg",
-        "amgm-tol-inf", "seed-scan0", "seed-scan-neg", "represent-bound0",
-        "represent-bound-neg", "orbit-workers0", "orbit-workers-neg", "orbit-grid-past-max",
-        "orbit-grid-100000", "weyl-k-short", "weyl-k-long"])
+        "amgm-tol-inf", "seed-scan0", "seed-scan-neg", "seed-scan-past-max",
+        "represent-bound0", "represent-bound-neg", "orbit-workers0", "orbit-workers-neg",
+        "orbit-grid-past-max", "orbit-grid-100000", "weyl-k-short", "weyl-k-long"])
 def test_degenerate_counts_are_preconditions(argv, tmp_path, monkeypatch, capsys):
-    # an empty box, a tolerance that decides nothing, no worker, a probe grid past
-    # MAX_GRID (refused before it is allocated) or a k of the wrong length must not
-    # print a result
+    # an empty box, a box past MAX_SCAN (refused before the scan), a tolerance that
+    # decides nothing, no worker, a probe grid past MAX_GRID (refused before it is
+    # allocated) or a k of the wrong length must not print a result
     monkeypatch.chdir(tmp_path)
     (tmp_path / "pair.json").write_text(json.dumps({"h1": [[1, 0], [0, 1]], "h2": [[1, 0], [0, 1]]}))
     (tmp_path / "s.json").write_text(json.dumps({"rank": 2, "gram": [[0, 1], [1, 0]]}))

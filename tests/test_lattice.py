@@ -1,12 +1,14 @@
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from parabolic_lab.errors import DegenerateLatticeError, DimensionMismatchError, PreconditionError
 from parabolic_lab.exact import ParseError
+from parabolic_lab import lattice as lattice_module
 from parabolic_lab.linalg_exact import det_exact
 from parabolic_lab.lattice import (
     MarkedLattice,
@@ -238,6 +240,32 @@ def test_scan_orthogonal_negatives_degenerate_y():
             box = itertools.product(range(-bound, bound + 1), repeat=3)
             found = scan_orthogonal_negatives(marked, bound)
             assert len(found) == sum(marked.lattice.q(v) < 0 for v in box)
+
+
+def test_oversized_boxes_are_refused_before_the_scan():
+    t0 = time.perf_counter()
+    for call in (lambda: find_isotropic(k3_lattice(), 1),  # about 1.6e10 half-box vectors
+                 lambda: represents_in_range(k3_lattice(), -2, 2, 1),
+                 lambda: scan_orthogonal_negatives(build_parabolic_seed_lattice(2, 1), 10**6)):
+        with pytest.raises(PreconditionError, match="MAX_SCAN"):
+            call()
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_scan_cap_counts_visited_vectors(monkeypatch):
+    # half boxes ((2B+1)^n - 1) / 2, y^perp (2B+1)^(n-1), the whole box when Gy = 0
+    seed = build_parabolic_seed_lattice(2, 5)
+    zero_y = MarkedLattice(seed.lattice, (1, 0, 0), (0, 1, 0), (0, 0, 0))
+    for cap, calls in ((220, [lambda: find_isotropic(diagonal_lattice(1, -3), 10),
+                              lambda: represents_in_range(diagonal_lattice(1, -3), -5, 5, 10)]),
+                       (441, [lambda: scan_orthogonal_negatives(seed, 10)]),
+                       (9261, [lambda: scan_orthogonal_negatives(zero_y, 10)])):
+        for call in calls:
+            monkeypatch.setattr(lattice_module, "MAX_SCAN", cap)
+            call()
+            monkeypatch.setattr(lattice_module, "MAX_SCAN", cap - 1)
+            with pytest.raises(PreconditionError, match="MAX_SCAN"):
+                call()
 
 
 def test_seed_lattice_preconditions():

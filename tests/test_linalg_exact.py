@@ -16,11 +16,22 @@ from parabolic_lab.linalg_exact import (
     mat_eq,
     mat_mul,
     mat_pow,
+    mat_vec,
     rank_exact,
     solve_exact,
 )
 
-from helpers import frozen_det, frozen_inverse, frozen_kernel, frozen_lll, frozen_rank, frozen_solve
+from helpers import (
+    frozen_det,
+    frozen_inverse,
+    frozen_kernel,
+    frozen_lll,
+    frozen_mat_mul,
+    frozen_mat_pow,
+    frozen_mat_vec,
+    frozen_rank,
+    frozen_solve,
+)
 
 
 def test_det_and_inverse():
@@ -38,6 +49,32 @@ def test_mat_pow():
     m = [[1, 1], [0, 1]]
     assert mat_pow(m, 5) == [[1, 5], [0, 1]]
     assert mat_pow(m, 0) == identity_matrix(2)
+
+
+def _entries(rng, kind, rows, cols):
+    def pick():
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return rng.randint(-6, 6)
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+    return [[pick() for _ in range(cols)] for _ in range(rows)]
+
+
+def test_matrix_products_match_frozen():
+    rng = random.Random(15)
+    for kind in ("int", "fraction", "mixed"):
+        for rows, inner, cols in ((1, 1, 1), (2, 3, 4), (4, 2, 1), (3, 3, 3), (5, 5, 5), (0, 0, 0)):
+            a, b = _entries(rng, kind, rows, inner), _entries(rng, kind, inner, cols)
+            v = [row[0] for row in _entries(rng, kind, inner, 1)]
+            assert mat_mul(a, b) == frozen_mat_mul(a, b)
+            assert mat_vec(a, v) == frozen_mat_vec(a, v)
+        for n in (0, 1, 2, 3, 5):
+            a = _entries(rng, kind, n, n)
+            for k in (0, 1, 2, 5):
+                assert mat_pow(a, k) == frozen_mat_pow(a, k), (a, k)
+                assert mat_pow(tuple(map(tuple, a)), k) == frozen_mat_pow(a, k)
+    a = [[2, 1], [1, 1]]
+    assert mat_pow(a, 1) == a and mat_pow(a, 1)[0] is not a[0]  # a copy, not the argument
 
 
 def test_kernel_and_rank():

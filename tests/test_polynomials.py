@@ -26,12 +26,15 @@ from parabolic_lab.polynomials import (
 )
 
 from helpers import (
+    _frozen_derivative,
     _frozen_divmod,
     frozen_charpoly,
     frozen_cyclotomic,
     frozen_isolate,
     frozen_minimal_polynomial,
+    frozen_poly_gcd,
     frozen_poly_mul,
+    frozen_squarefree_part,
     frozen_strip,
 )
 
@@ -109,6 +112,61 @@ def test_isolate_matches_frozen_bisection():
     assert isolate_largest_root_above(poly([-2, 1]), Fraction(1))[1] == 2  # first midpoint
     for p, lower in cases:
         assert isolate_largest_root_above(p, lower) == frozen_isolate(p, lower)
+
+
+def _integer_kernel_cases():
+    """Nonconstant polynomials for the integer remainder kernels and their oracles.
+
+    Charpolys of rank-10 and rank-18 transvection words, Fraction and
+    non-monic coefficients (some leads negative), linear polynomials, and
+    squares and cubes for repeated roots.
+    """
+    rng = random.Random(15)
+    words = _transvection_words(1, rng, 3) + _transvection_words(2, rng, 2)
+    cases = [charpoly(m) for m in words]
+    for _ in range(10):
+        lead = Fraction(rng.choice((-7, -2, -1, 3, 5)), rng.randint(1, 4))
+        cases.append(poly([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                           for _ in range(rng.randint(1, 5))] + [lead]))
+    cases += [poly([-2, 1]), poly([3, -1]), poly([Fraction(-5, 2), Fraction(3, 4)]), poly([0, -4])]
+    for _ in range(5):
+        base = poly([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+                    + [rng.choice((-2, 1, 3))])
+        cases += [frozen_poly_mul(base, base), frozen_poly_mul(base, frozen_poly_mul(base, base))]
+    cases.append(frozen_poly_mul(poly([Fraction(-3, 2), 1]), poly([Fraction(-3, 2), 1])))
+    cases.append(frozen_poly_mul(charpoly(words[-1]), poly([-5, 0, 1])))
+    return cases
+
+
+LOWERS = (Fraction(1), Fraction(0), Fraction(-3, 2))
+
+
+def test_integer_isolation_matches_frozen_on_kernel_cases():
+    found = 0
+    for p in _integer_kernel_cases():
+        for lower in LOWERS:
+            got = isolate_largest_root_above(p, lower)
+            assert got == frozen_isolate(p, lower), (p, lower)
+            found += got is not None
+    assert found > 40  # most cases do have a root to isolate
+    # constants have no roots (the frozen oracle's Cauchy bound needs degree >= 1)
+    for p in ((), poly([5]), poly([Fraction(-2, 3)])):
+        for lower in LOWERS:
+            assert isolate_largest_root_above(p, lower) is None
+
+
+def test_squarefree_and_gcd_match_frozen_euclid():
+    cases = _integer_kernel_cases() + [poly([5]), poly([Fraction(-2, 3)])]
+    for p in cases:
+        sqf = squarefree_part(p)
+        assert sqf == frozen_squarefree_part(p), p
+        assert all(type(c) is Fraction for c in sqf) and sqf[-1] == 1
+        for q in (_frozen_derivative(p), frozen_poly_mul(p, poly([1, 1])), poly([-1, 1]), ()):
+            assert poly_gcd(p, q) == frozen_poly_gcd(p, q), (p, q)
+            assert poly_gcd(q, p) == frozen_poly_gcd(q, p), (q, p)
+    for a, b in zip(cases, cases[1:]):
+        assert poly_gcd(a, b) == frozen_poly_gcd(a, b), (a, b)
+    assert squarefree_part(()) == poly_gcd((), ()) == ()
 
 
 def test_minimal_polynomial():
