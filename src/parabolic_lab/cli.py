@@ -686,7 +686,8 @@ def main(argv=None) -> int:
         config["subcommand"] = f"{args.group} {args.cmd}"
         emit(args.out, config, result)
     except (ParseError, FileNotFoundError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        print(f"error: {reason}", file=sys.stderr)
         return 1
     except PreconditionError as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)

@@ -14,15 +14,18 @@ with |lambda| > 1).  Classification here runs entirely on exact data:
   Manifolds*, GTM 149, 4.7), so N^3 = 0 and N^2 has rank 1: the parabolic
   fixed vector is the primitive generator of the image of N^2, and the
   limit direction of g^i(w) is that of the integer vector N^2 w;
-* the loxodromic eigenvalue is isolated by Sturm bisection and polished
-  with mpmath.
+* off that branch the stripping leaves f, the minimal polynomial of
+  lambda and 1/lambda (a Salem number or a quadratic unit; McMullen,
+  *J. reine angew. Math.* 545, 2002): lambda is isolated and polished on
+  f, and both eigendirections come from one column v(x) of adj(x I - M)
+  in Z[x]/(f), certified by M v = x v and q(v, v) = 0 mod f.
 
 Each isometry is classified once, on first use; :func:`classify` and
 :func:`limit_nef_class` both read the verdict it keeps.
 
-Floating point only ever appears in loxodromic payloads, never in the
-classification logic, so spectra close to the unit circle cannot be
-misclassified.
+Floating point only ever appears when a loxodromic payload is rounded,
+never in the classification logic or its certificates, so spectra close
+to the unit circle cannot be misclassified and an exact 0 prints as 0.0.
 
 Orientation: the trichotomy is a statement about SO+(1, n).  Integral
 isometries with determinant -1 or that exchange the two components of the
@@ -43,8 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
+from operator import mul
 
 import mpmath as mp
 
@@ -63,6 +67,7 @@ from .linalg_exact import (
     transpose,
 )
 from .polynomials import (
+    _divmod_monic,
     charpoly,
     evaluate_matrix,
     isolate_largest_root_above,
@@ -101,7 +106,7 @@ class LatticeIsometry:
         rem, factors = strip_cyclotomic_factors(p)
         if len(rem) != 1:
             # not quasi-unipotent: some eigenvalue is off the unit circle
-            return _loxodromic_payload(self, p), None
+            return _loxodromic_payload(self, p, rem), None
         order = lcm(*factors)
         nil = mat_sub(mat_pow(self.matrix, order), identity_matrix(len(self.matrix)))
         if not any(map(any, nil)):
@@ -228,67 +233,61 @@ def is_time_preserving(g: LatticeIsometry) -> bool:
     return g.lattice.bbf(g.apply(w), w) > 0
 
 
-def _loxodromic_payload(g: LatticeIsometry, p) -> Loxodromic:
-    """Eigenvalue > 1 and the two isotropic eigendirections; p is g's charpoly."""
-    interval = isolate_largest_root_above(p, Fraction(1))
+def _loxodromic_payload(g: LatticeIsometry, p, f) -> Loxodromic:
+    """Eigenvalue > 1 and the two isotropic eigendirections, read off f.
+
+    p is g's charpoly and f its non-cyclotomic factor, whose roots include
+    lambda and 1/lambda: the isolation and polish run on f, and one exact
+    v(x) mod f (:func:`_eigenvector_mod_f`) is rounded at both roots.
+    """
+    interval = isolate_largest_root_above(f, Fraction(1))
     if interval is None:
         raise ContractError("loxodromic isometry with no real eigenvalue > 1 (bug)")
-    lo, hi = interval
+    fi = [int(x) for x in f]
+    v = _eigenvector_mod_f(g, p, fi)
+    lead = next(i for i, vi in enumerate(v) if any(vi))
     with mp.workdps(LOXODROMIC_EIGENVALUE_DPS):
-        coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(p)]
-        mid = (mp.mpf(lo.numerator) / lo.denominator + mp.mpf(hi.numerator) / hi.denominator) / 2
-        lam = +mp.findroot(lambda x: mp.polyval(coeffs, x), mid)
-        expanding = _eigenvector(g, lam)
-        contracting = _eigenvector(g, 1 / lam)
-    scale = max(abs(x) for row in g.lattice.gram for x in row)
-    for v in (expanding, contracting):
-        qv = _float_q(g.lattice, v)
-        if abs(qv) > 1e-9 * max(1.0, scale):
-            raise ContractError("loxodromic eigendirection is not isotropic (bug)")
-    return Loxodromic(eigenvalue=lam, expanding=expanding, contracting=contracting)
+        mid = sum(mp.mpf(end.numerator) / end.denominator for end in interval) / 2
+        lam = +mp.findroot(lambda x: mp.polyval(fi[::-1], x), mid)
+        directions = []
+        for x in (lam, 1 / lam):
+            vals = [mp.polyval(vi[::-1], x) for vi in v]
+            scale = max(map(abs, vals)) * (1 if vals[lead] > 0 else -1)
+            directions.append(tuple(float(y / scale) for y in vals))
+    return Loxodromic(lam, *directions)
 
 
-def _float_q(lattice: QuadLattice, v) -> float:
-    gv = [sum(r * x for r, x in zip(row, v)) for row in lattice.gram]
-    return float(sum(a * b for a, b in zip(v, gv)))
+def _eigenvector_mod_f(g: LatticeIsometry, p, f: list[int]) -> list[list[int]]:
+    """The first column of adj(x I - M) that is not 0 mod f, as n polynomials mod f.
 
-
-def _eigenvector(g: LatticeIsometry, lam: mp.mpf) -> tuple[float, ...]:
-    """Null direction of (M - lam I) by high-precision elimination."""
-    n = g.lattice.rank
-    a = [[mp.mpf(x) for x in row] for row in g.matrix]
-    for i in range(n):
-        a[i][i] -= lam
-    cols = list(range(n))
-    row = 0
-    pivots = []
-    for col in range(n):
-        piv = max(range(row, n), key=lambda r: abs(a[r][col]), default=None)
-        if piv is None or abs(a[piv][col]) < mp.mpf(10) ** (-LOXODROMIC_EIGENVALUE_DPS + 8):
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for r in range(n):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-    free = [c for c in cols if c not in pivots]
-    if not free:
-        raise ContractError("no null direction at the computed eigenvalue (bug)")
-    fc = free[0]
-    v = [mp.mpf(0)] * n
-    v[fc] = mp.mpf(1)
-    for r, pc in enumerate(pivots):
-        v[pc] = -a[r][fc]
-    sup = max(abs(x) for x in v)
-    v = [x / sup for x in v]
-    lead = next(x for x in v if abs(x) > 1e-30)
-    if lead < 0:
-        v = [-x for x in v]
-    return tuple(float(x) for x in v)
+    Column j is sum w_k x^k, w_(n-1) = e_j, w_(k-1) = M w_k + p_k e_j
+    (Faddeev-LeVerrier).  For an irreducible f it is then not 0 at any root
+    r of f, so it spans ker(M - r I) when r is simple.  Certified exactly:
+    M v = x v and q(v, v) = 0 mod f.
+    """
+    m, n, c = g.matrix, len(g.matrix), [int(x) for x in p]
+    for j in range(n):
+        ws = [[int(i == j) for i in range(n)]]
+        for k in range(n - 1, 0, -1):
+            ws.append(mat_vec(m, ws[-1]))
+            ws[-1][j] += c[k]
+        v = [_divmod_monic(coeffs[::-1], f)[1] for coeffs in zip(*ws)]
+        if any(map(any, v)):
+            break
+    else:
+        raise ContractError("adj(x I - M) vanishes mod f (bug)")
+    cols = [list(col) for col in zip(*v)]  # cols[k] is the coefficient vector of x^k
+    x_cols = [[0] * n] + cols[:-1]  # x v(x), before x^deg f is reduced
+    if any(mat_vec(m, col) != [a - fk * b for a, b in zip(xc, cols[-1])]
+           for col, xc, fk in zip(cols, x_cols, f)):
+        raise ContractError("M v(x) != x v(x) mod f (bug)")
+    g_cols = [mat_vec(g.lattice.gram, col) for col in cols]
+    qvv = [0] * (2 * len(cols) - 1)
+    for s, t in product(range(len(cols)), repeat=2):
+        qvv[s + t] += sum(map(mul, cols[s], g_cols[t]))
+    if any(_divmod_monic(qvv, f)[1]):
+        raise ContractError("q(v(x), v(x)) != 0 mod f (bug)")
+    return v
 
 
 def classify(g: LatticeIsometry) -> IsometryClass:

@@ -10,6 +10,9 @@ polynomial and matrix kernels: the oracle runs on frozen copies of them.
 The parabolic fixed vector is re-derived by the kernel route (the radical
 of the form on ker(g - I)) and the limit direction by exact exponent
 doubling, the two routes the library used before it read both off N^2.
+The loxodromic payload is frozen as it was before the library read the
+eigendirections off one exact vector in Z[x]/(f): the eigenvalue polished
+on the whole charpoly, then a Gauss-Jordan elimination on mpf entries.
 
 The exact linear algebra the oracles need (determinant, inverse, rank,
 kernel, solve) is a frozen Fraction Gauss-Jordan elimination, kept apart
@@ -44,12 +47,18 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import mpmath as mp
 import numpy as np
 
 from parabolic_lab import surface222 as s2
 from parabolic_lab.errors import BranchPointError, ContractError
 from parabolic_lab.lattice import QuadLattice, diagonal_lattice, hyperbolic_plane
-from parabolic_lab.isometry import LatticeIsometry, eichler_transvection
+from parabolic_lab.isometry import (
+    LOXODROMIC_EIGENVALUE_DPS,
+    LatticeIsometry,
+    Loxodromic,
+    eichler_transvection,
+)
 
 MAX_BRUTE_ORDER = 1000
 
@@ -136,6 +145,96 @@ def parabolic_payload_ok(g: LatticeIsometry, v) -> bool:
     if lead <= 0:
         return False
     return g.apply(v) == tuple(v) and g.lattice.q(v) == 0
+
+
+def frozen_loxodromic_payload(g: LatticeIsometry) -> Loxodromic:
+    """The loxodromic payload as the library computed it before it worked in Z[x]/(f).
+
+    The eigenvalue is isolated and polished on the whole charpoly p, and
+    each eigendirection is the null direction of (M - lambda I) from a
+    Gauss-Jordan elimination on mpf entries, with pivots below
+    10^(8 - LOXODROMIC_EIGENVALUE_DPS) skipped and a float isotropy check.
+    Where the exact coordinate is 0 it leaves float noise.
+    """
+    p = frozen_charpoly(g.matrix)
+    interval = frozen_isolate(p, Fraction(1))
+    if interval is None:
+        raise ContractError("loxodromic isometry with no real eigenvalue > 1 (bug)")
+    lo, hi = interval
+    with mp.workdps(LOXODROMIC_EIGENVALUE_DPS):
+        coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(p)]
+        mid = (mp.mpf(lo.numerator) / lo.denominator + mp.mpf(hi.numerator) / hi.denominator) / 2
+        lam = +mp.findroot(lambda x: mp.polyval(coeffs, x), mid)
+        expanding = _frozen_eigenvector(g, lam)
+        contracting = _frozen_eigenvector(g, 1 / lam)
+    scale = max(abs(x) for row in g.lattice.gram for x in row)
+    for v in (expanding, contracting):
+        qv = _frozen_float_q(g.lattice, v)
+        if abs(qv) > 1e-9 * max(1.0, scale):
+            raise ContractError("loxodromic eigendirection is not isotropic (bug)")
+    return Loxodromic(eigenvalue=lam, expanding=expanding, contracting=contracting)
+
+
+def frozen_eigen_certificates(g: LatticeIsometry, v, f) -> tuple[bool, bool]:
+    """(M v = x v mod f, q(v, v) = 0 mod f) for coordinate polynomials v, over Fractions."""
+    def add(p, q):
+        return _frozen_poly(a + b for a, b in itertools.zip_longest(p, q, fillvalue=0))
+
+    def zero_mod_f(p):
+        return not any(_frozen_divmod(p, _frozen_poly(f))[1])
+
+    vs = [_frozen_poly(vi) for vi in v]
+    eigen = all(
+        zero_mod_f(functools.reduce(add, (frozen_poly_mul((a,), vj) for a, vj in zip(row, vs)),
+                                    frozen_poly_mul((0, -1), vi)))
+        for row, vi in zip(g.matrix, vs)
+    )
+    qvv = functools.reduce(add, (frozen_poly_mul((gij,), frozen_poly_mul(vi, vj))
+                                 for row, vi in zip(g.lattice.gram, vs) for gij, vj in zip(row, vs)), ())
+    return eigen, zero_mod_f(qvv)
+
+
+def _frozen_float_q(lattice: QuadLattice, v) -> float:
+    gv = [sum(r * x for r, x in zip(row, v)) for row in lattice.gram]
+    return float(sum(a * b for a, b in zip(v, gv)))
+
+
+def _frozen_eigenvector(g: LatticeIsometry, lam: mp.mpf) -> tuple[float, ...]:
+    """Null direction of (M - lam I) by high-precision elimination."""
+    n = g.lattice.rank
+    a = [[mp.mpf(x) for x in row] for row in g.matrix]
+    for i in range(n):
+        a[i][i] -= lam
+    cols = list(range(n))
+    row = 0
+    pivots = []
+    for col in range(n):
+        piv = max(range(row, n), key=lambda r: abs(a[r][col]), default=None)
+        if piv is None or abs(a[piv][col]) < mp.mpf(10) ** (-LOXODROMIC_EIGENVALUE_DPS + 8):
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv = 1 / a[row][col]
+        a[row] = [x * inv for x in a[row]]
+        for r in range(n):
+            if r != row and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+        pivots.append(col)
+        row += 1
+    free = [c for c in cols if c not in pivots]
+    if not free:
+        raise ContractError("no null direction at the computed eigenvalue (bug)")
+    fc = free[0]
+    v = [mp.mpf(0)] * n
+    v[fc] = mp.mpf(1)
+    for r, pc in enumerate(pivots):
+        v[pc] = -a[r][fc]
+    sup = max(abs(x) for x in v)
+    v = [x / sup for x in v]
+    lead = next(x for x in v if abs(x) > 1e-30)
+    if lead < 0:
+        v = [-x for x in v]
+    return tuple(float(x) for x in v)
 
 
 # ---------------------------------------------------------------------------

@@ -43,15 +43,27 @@ def test_lattice_seed_artifact_is_pinned(tmp_path, capsys):
     assert out.read_bytes() == (Path(__file__).parent / "data" / "lattice_seed_a4_N3.json").read_bytes()
 
 
-def test_loxodromic_classify_artifact_is_pinned(tmp_path, monkeypatch, capsys):
-    # the product of the seed lattice's transvections along (0, 0, 1) and (1, 0, -1):
-    # verdict, eigenvalue and eigendirections byte for byte as the Fraction Sturm chain wrote them
+def _classify_artifact(word: str, tmp_path, monkeypatch) -> bytes:
     monkeypatch.delenv("PARABOLIC_LAB_SEED", raising=False)
     monkeypatch.chdir(Path(__file__).parent.parent)
     out = tmp_path / "lox.json"
-    assert main(["isometry", "classify", "-i", "tests/data/loxodromic_isometry.json",
-                 "--out", str(out)]) == 0
-    assert out.read_bytes() == Path("tests/data/isometry_classify_loxodromic.json").read_bytes()
+    assert main(["isometry", "classify", "-i", f"tests/data/{word}", "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_loxodromic_classify_artifact_is_pinned(tmp_path, monkeypatch, capsys):
+    # the product of the seed lattice's transvections along (0, 0, 1) and (1, 0, -1):
+    # verdict, eigenvalue and eigendirections byte for byte as the Fraction Sturm chain wrote them
+    got = _classify_artifact("loxodromic_isometry.json", tmp_path, monkeypatch)
+    assert got == Path("tests/data/isometry_classify_loxodromic.json").read_bytes()
+
+
+def test_rank10_loxodromic_classify_artifact_is_pinned(tmp_path, monkeypatch, capsys):
+    # a three-transvection word on U + E8(-1): its contracting direction has an exact 0 at
+    # index 5, which the mpf elimination printed as -2.0164452537927412e-52
+    got = _classify_artifact("loxodromic_isometry_rank10.json", tmp_path, monkeypatch)
+    assert got == Path("tests/data/isometry_classify_loxodromic_rank10.json").read_bytes()
+    assert b"e-52" not in got
 
 
 def test_byte_identical_outputs(capsys):
@@ -137,6 +149,30 @@ def test_non_integral_matrix_entries(argv, entry, code, tmp_path, capsys):
                                "matrix": [[entry, 0, 0], [0, 1, 0], [0, 0, 1]]}))
     assert main(argv[:2] + ["-i", str(iso)] + argv[2:]) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+_SEED_GRAM = '{"gram": [[2, 0, 1], [0, -10, 0], [1, 0, 0]]}'
+
+
+@pytest.mark.parametrize("text,code,message", [
+    ('{"lattice": %s}' % _SEED_GRAM, 1, "error: missing key 'matrix'"),
+    ('[{"lattice": %s}]' % _SEED_GRAM, 1, "expected a JSON object, not list"),
+    ('{"lattice": %s, "matrix": [[1, 0, 0], [0, 1], [0, 0, 1]]}' % _SEED_GRAM, 2, "rows of equal length"),
+    ('{"lattice": %s, "matrix": "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]"}' % _SEED_GRAM, 1, "list of rows"),
+    ('{"lattice": %s, "matrix": [[1.5, 0, 0], [0, 1, 0], [0, 0, 1]]}' % _SEED_GRAM, 2, "got 1.5"),
+    ('{"lattice": %s, "matrix": [[true, 0, 0], [0, 1, 0], [0, 0, 1]]}' % _SEED_GRAM, 1, "got True"),
+    ('{"lattice": %s, "matrix": [[1e400, 0, 0], [0, 1, 0], [0, 0, 1]]}' % _SEED_GRAM, 2, "got inf"),
+    ('{"lattice": %s, "matrix": [[1, 1, 0], [0, 1, 0], [0, 0, 1]]}' % _SEED_GRAM, 2,
+     "does not preserve the Gram matrix"),
+    ('{"lattice": {"gram": [[1, 0], [0, 1]]}, "matrix": [[1, 0], [0, 1]]}', 2, "got (2, 0)"),
+], ids=["missing-key", "not-an-object", "ragged", "string-matrix", "entry-1.5", "entry-true",
+        "entry-1e400", "not-an-isometry", "signature-2-0"])
+def test_isometry_classify_bad_inputs(text, code, message, tmp_path, capsys):
+    iso = tmp_path / "iso.json"
+    iso.write_text(text)
+    assert main(["isometry", "classify", "-i", str(iso)]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("text", ['{"gram": 5}', '{"gram": [1, 2]}', "[1, 2]", "5"],

@@ -6,6 +6,8 @@ import pytest
 from helpers import (
     classification_lattices,
     doubling_limit,
+    frozen_eigen_certificates,
+    frozen_loxodromic_payload,
     oracle_tag,
     parabolic_payload_ok,
     random_word,
@@ -33,9 +35,18 @@ from parabolic_lab.lattice import (
     QuadLattice,
     build_parabolic_seed_lattice,
     diagonal_lattice,
+    e8_lattice,
     hyperbolic_plane,
 )
-from parabolic_lab.polynomials import charpoly, degree, derivative, minimal_polynomial, poly_gcd
+from parabolic_lab.polynomials import (
+    charpoly,
+    degree,
+    derivative,
+    minimal_polynomial,
+    poly_gcd,
+    strip_cyclotomic_factors,
+)
+from parabolic_lab.surface222 import WORD_PAIRS
 
 U = hyperbolic_plane()
 PELL = diagonal_lattice(2, -1)
@@ -281,3 +292,110 @@ def test_fuzz_words_against_oracle():
             assert float(cls.eigenvalue) > 1
         # inverse symmetry of the tag
         assert classify(inverse(g)).tag == cls.tag
+
+
+def _unimodular_word(copies: int, letters) -> LatticeIsometry:
+    """A word on U + E8(-1)^copies in the transvections along e_axis (axis 0 or 1, in U)
+    and e_k (k >= 2, in the E8 summands); letters are (axis, k, inverted)."""
+    lat = U
+    for _ in range(copies):
+        lat = lat.direct_sum(e8_lattice())
+    n = lat.rank
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    g = LatticeIsometry(lat, tuple(unit))
+    for axis, k, inverted in letters:
+        t = eichler_transvection(lat, unit[axis], unit[k])
+        g = compose(g, inverse(t) if inverted else t)
+    return g
+
+
+def _same_direction(new, old) -> bool:
+    """Entry by entry ==, except an exact 0.0 where the elimination left noise below 1e-40."""
+    return len(new) == len(old) and all(
+        a == b or (a == 0.0 and abs(b) < 1e-40) for a, b in zip(new, old))
+
+
+def test_loxodromic_payload_matches_the_frozen_elimination():
+    rng = random.Random(1616)
+    words = []
+    for lat, gens in classification_lattices():
+        words += [random_word(lat, gens, rng) for _ in range(30)]
+    for copies in (1, 2):
+        n = 2 + 8 * copies
+        for _ in range(6):
+            start = rng.randrange(2)
+            words.append(_unimodular_word(copies, [
+                ((start + i) % 2, rng.randrange(2, n), rng.random() < 0.5) for i in range(3)]))
+    # the Pell matrix beside a fixed <-2>: both directions start with an exact 0
+    words.append(LatticeIsometry(diagonal_lattice(-2, 2, -1), ((1, 0, 0), (0, 3, 2), (0, 4, 3))))
+    checked = {}
+    for g in words:
+        cls = classify(g)
+        if not isinstance(cls, Loxodromic):
+            continue
+        old = frozen_loxodromic_payload(g)
+        assert all(next(x for x in d if x) > 0 for d in (cls.expanding, cls.contracting))
+        assert cls.eigenvalue == old.eigenvalue, g.matrix
+        assert _same_direction(cls.expanding, old.expanding), (g.matrix, cls, old)
+        assert _same_direction(cls.contracting, old.contracting), (g.matrix, cls, old)
+        checked[g.lattice.rank] = checked.get(g.lattice.rank, 0) + 1
+    assert set(checked) == {2, 3, 4, 10, 18} and sum(checked.values()) >= 60, checked
+
+
+# the seed-7 `exact` bench words 375 (rank 10) and 378 (rank 18), whose contracting
+# directions the mpf elimination printed with -2.0164452537927412e-52 at an exact 0
+NOISE_WORDS = [
+    (1, [(1, 6, False), (0, 4, False), (1, 8, False)], 5),
+    (2, [(1, 8, False), (0, 6, False), (1, 13, True)], 7),
+]
+
+
+@pytest.mark.parametrize("copies,letters,index", NOISE_WORDS, ids=["rank10", "rank18"])
+def test_exact_zero_coordinate_prints_as_zero(copies, letters, index):
+    g = _unimodular_word(copies, letters)
+    cls = classify(g)
+    assert frozen_loxodromic_payload(g).contracting[index] == -2.0164452537927412e-52
+    assert cls.contracting[index] == 0.0 and cls.expanding[index] == 0.0
+    # the exact eigenvector behind both directions, and both certificates, rechecked over Fractions
+    p = charpoly(g.matrix)
+    f, _ = strip_cyclotomic_factors(p)
+    v = isometry._eigenvector_mod_f(g, p, [int(c) for c in f])
+    assert not any(v[index]) and any(map(any, v))
+    assert frozen_eigen_certificates(g, v, f) == (True, True)
+
+
+def test_eigenvector_certificates_refuse_a_wrong_factor():
+    g = LatticeIsometry(PELL, ((3, 2), (4, 3)))  # charpoly x^2 - 6x + 1
+    with pytest.raises(ContractError, match=r"M v\(x\) != x v\(x\)"):
+        isometry._eigenvector_mod_f(g, charpoly(g.matrix), [1, -3, 1])
+    # eigenvalue 1 of a loxodromic word on U + <-2>: its eigenvector is not isotropic
+    te = eichler_transvection(U2, (1, 0, 0), (0, 0, 1))
+    tf = eichler_transvection(U2, (0, 1, 0), (0, 0, 1))
+    g = compose(te, tf)
+    p = charpoly(g.matrix)
+    assert isinstance(classify(g), Loxodromic) and sum(p) == 0  # p(1) = 0
+    with pytest.raises(ContractError, match=r"q\(v\(x\), v\(x\)\) != 0"):
+        isometry._eigenvector_mod_f(g, p, [-1, 1])
+
+
+# Neron-Severi lattice of a (2,2,2) surface on H_x, H_y, H_z, and the action of the
+# three involutions: sigma_x* sends H_x to -H_x + 2 H_y + 2 H_z and fixes H_y, H_z (Wehler 1988)
+NS = QuadLattice(((0, 2, 2), (2, 0, 2), (2, 2, 0)))
+SIGMA = {
+    "x": LatticeIsometry(NS, ((-1, 0, 0), (2, 1, 0), (2, 0, 1))),
+    "y": LatticeIsometry(NS, ((1, 2, 0), (0, -1, 0), (0, 2, 1))),
+    "z": LatticeIsometry(NS, ((1, 0, 2), (0, 1, 2), (0, 0, -1))),
+}
+
+
+def test_neron_severi_action_of_the_surface_maps():
+    # the two maps a Birkhoff random word draws from each preserve one fibration
+    yz, xz = (compose(SIGMA[a], SIGMA[b]) for a, b in WORD_PAIRS)
+    assert classify(yz) == Parabolic(fixed_vector=(1, 0, 0))  # H_x
+    assert classify(xz) == Parabolic(fixed_vector=(0, 1, 0))  # H_y
+    lox = classify(compose(yz, xz))
+    assert isinstance(lox, Loxodromic)
+    with mp.workdps(60):
+        assert abs(lox.eigenvalue - (17 + 12 * mp.sqrt(2))) < mp.mpf(10) ** -40
+    cls = classify(SIGMA["x"])
+    assert isinstance(cls, OutsideSOPlus) and cls.det == -1
