@@ -78,7 +78,6 @@ from .surface222 import (
     SurfacePoint,
     birkhoff_ergodicity_test,
     ergodicity_contrast,
-    eval_f,
     fiber_orbit,
     involution,
     parabolic_map,

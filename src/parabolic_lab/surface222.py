@@ -85,6 +85,9 @@ MIN_HITS = 3  # probe hits that make a fiber cell (see fiber_cells)
 MAX_GRID = 128  # largest fiber_cells grid: (FIBER_REFINE * G)^2 probes, ~0.4 GB peak at 128
 FD_STEP = 1e-6  # the central-difference step of fiber_derivative_ratio
 TRANSLATION_TOL = 1e-6  # relative tolerance of translation_check
+# the largest coefficient modulus a surface may have: past these, quadratics,
+# Monte Carlo weights or their squares overflow or underflow
+COEFF_MIN, COEFF_MAX = 1e-50, 1e50
 
 REFERENCE_SEED = 20220222
 
@@ -110,6 +113,12 @@ class Surface222:
                 raise PreconditionError(
                     f"surface is degenerate in {AXES[axis]}: no quadratic term"
                 )
+        # np.abs returns inf, not an OverflowError, past the largest float
+        size = float(np.abs(c).max())
+        if not COEFF_MIN <= size <= COEFF_MAX:
+            raise PreconditionError(
+                f"largest coefficient modulus {size:.3e} outside [{COEFF_MIN:.0e}, {COEFF_MAX:.0e}]"
+            )
 
     @cached_property
     def _tables(self):
@@ -271,23 +280,22 @@ def axis_quadratic(surface: Surface222, point: SurfacePoint, axis: str):
     return a, b, c
 
 
-def _quad(a, b, c, pair) -> complex:
-    """A t1^2 + B t1 t0 + C t0^2 at the projective pair (t0 : t1)."""
-    t0, t1 = pair
-    return a * t1 * t1 + b * t1 * t0 + c * t0 * t0
-
-
-def eval_f(surface: Surface222, point: SurfacePoint) -> complex:
-    """Homogeneous evaluation at normalized coordinates."""
-    return _quad(*axis_quadratic(surface, point, "z"), point.z)
-
-
 def _guard(a, b, c):
-    """(scale, disc) of A t^2 + B t + C; BranchPointError where the swap degenerates."""
-    scale = max(abs(a), abs(b), abs(c))
+    """(scale, disc) of A t^2 + B t + C; BranchPointError where the swap degenerates.
+
+    scale is max(|A|, |B|, |C|), taken as max() takes it: a later modulus
+    replaces the earlier only when strictly greater, NaN included.
+    """
+    scale = lead = abs(a)
+    m = abs(b)
+    if m > scale:
+        scale = m
+    m = abs(c)
+    if m > scale:
+        scale = m
     if scale == 0:
         raise BranchPointError("quadratic vanished identically at this point")
-    if abs(a) < LEAD_COEFF_REL * scale:
+    if lead < LEAD_COEFF_REL * scale:
         raise BranchPointError("leading coefficient too small; fiber degenerates")
     disc = b * b - 4 * a * c
     if abs(disc) < BRANCH_DISC_REL * scale * scale:
@@ -295,26 +303,36 @@ def _guard(a, b, c):
     return scale, disc
 
 
-def _polish(a, b, c, pair):
-    """(pair, residual) after one or two Newton steps in the dominant chart."""
-    c0, c1 = pair
+def _polish(a, b, c, c0, c1):
+    """(pair, residual) after one or two Newton steps in the dominant chart.
+
+    The pair is normalized as :func:`_normalize` does it and the residual
+    is |A t1^2 + B t1 t0 + C t0^2| there, both computed inline.
+    """
     for _ in range(2):
         if abs(c1) <= abs(c0):
             t = c1 / c0
             df = 2 * a * t + b
-            if abs(df) == 0:
+            if df == 0:
                 break
             t -= (a * t * t + b * t + c) / df
             c0, c1 = 1.0, t
         else:
             s = c0 / c1
             df = 2 * c * s + b
-            if abs(df) == 0:
+            if df == 0:
                 break
             s -= (c * s * s + b * s + a) / df
             c0, c1 = s, 1.0
-    pair = _normalize((c0, c1))
-    return pair, abs(_quad(a, b, c, pair))
+    m = abs(c0)
+    m1 = abs(c1)
+    if m1 > m:
+        m = m1
+    if m == 0:
+        raise ContractError("projective coordinate collapsed to (0, 0)")
+    c0 /= m
+    c1 /= m
+    return (c0, c1), abs(a * c1 * c1 + b * c1 * c0 + c * c0 * c0)
 
 
 def _vieta_swap(table):
@@ -323,9 +341,11 @@ def _vieta_swap(table):
     ``swap(u, v, t)`` takes the pairs of the two other coordinates (in
     x < y < z order) and of the moving one, and returns (image, residual).
     The coefficients are :func:`axis_quadratic`'s, formed term for term in
-    the same order, so the floats are bitwise those of the unbound path;
-    the guard, the product-or-sum choice, the polish and the residual test
-    follow, reading the module's thresholds at call time.
+    the same order.  Then come one :func:`_guard` call, the product-or-sum
+    choice and the image's normalization inline (max() spelled as
+    comparisons that pick the same float), one :func:`_polish` call and the
+    residual test, reading the module's thresholds at call time.  The
+    floats and refusals are bitwise those of the unbound path.
     """
     (c0, c1, c2, c3, c4, c5, c6, c7, c8), (b0, b1, b2, b3, b4, b5, b6, b7, b8), \
         (a0, a1, a2, a3, a4, a5, a6, a7, a8) = table
@@ -347,12 +367,24 @@ def _vieta_swap(table):
         scale, _ = _guard(a, b, c)
         t0, t1 = t
         q0, q1 = a * t1, c * t0
-        if max(abs(q0), abs(q1)) > 1e-6 * scale * max(abs(t0), abs(t1)):
-            image = (q0, q1)
-        else:
-            image = (a * t0, -(b * t0 + a * t1))
-        image, res = _polish(a, b, c, _normalize(image))
-        if res > ON_SURFACE_TOL * max(scale, 1.0):
+        m = abs(q0)
+        m1 = abs(q1)
+        if m1 > m:
+            m = m1
+        tm = abs(t0)
+        m1 = abs(t1)
+        if m1 > tm:
+            tm = m1
+        if not m > 1e-6 * scale * tm:
+            q0, q1 = a * t0, -(b * t0 + a * t1)
+            m = abs(q0)
+            m1 = abs(q1)
+            if m1 > m:
+                m = m1
+        if m == 0:
+            raise ContractError("projective coordinate collapsed to (0, 0)")
+        image, res = _polish(a, b, c, q0 / m, q1 / m)
+        if res > ON_SURFACE_TOL * (1.0 if 1.0 > scale else scale):
             raise ContractError(f"involution image off surface: residual {res:.3e}")
         return image, res
 
@@ -411,7 +443,7 @@ def _sample_root(surface: Surface222, probe: SurfacePoint, axis: str, rng):
         return None
     sq = cmath.sqrt(disc)
     qq = -(b + sq) / 2 if abs(b + sq) >= abs(b - sq) else -(b - sq) / 2
-    root, res = _polish(a, b, c, _normalize((a, qq) if rng.integers(2) == 0 else (qq, c)))
+    root, res = _polish(a, b, c, *_normalize((a, qq) if rng.integers(2) == 0 else (qq, c)))
     if res < SAMPLE_RESIDUAL_TOL * max(scale, 1.0):
         return probe.replace(axis, root, res)
     return None
@@ -730,7 +762,7 @@ def _move_along_fiber(
     y = point.affine(first)
     moved = point.replace(first, _normalize((1.0 + 0j, y + dy)), point.residual)
     a, b, c = axis_quadratic(surface, moved, second)
-    sec, res = _polish(a, b, c, point.coord(second))
+    sec, res = _polish(a, b, c, *point.coord(second))
     scale = max(abs(a), abs(b), abs(c), 1.0)
     if res > ON_SURFACE_TOL * scale:
         raise BranchPointError("could not track the fiber through the shift")
@@ -987,7 +1019,7 @@ def birkhoff_ergodicity_test(
         "space_average": space_avg,
         "space_se": se_space,
         "mc_effective_samples": ess,
-        "mc_unstable": bool(ess < 1000),
+        "mc_unstable": not ess >= 1000,
         "z_score": z,
         "word_length": word_length,
         "trials": trials,

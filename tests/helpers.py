@@ -1016,8 +1016,19 @@ def fermat_like_surface():
     return s2.Surface222(c)
 
 
+def frozen_quad(a, b, c, pair):
+    """A t1^2 + B t1 t0 + C t0^2 at the projective pair (t0 : t1)."""
+    t0, t1 = pair
+    return a * t1 * t1 + b * t1 * t0 + c * t0 * t0
+
+
+def frozen_eval_f(surface, point):
+    """F at the point's normalized coordinates, as a quadratic in z."""
+    return frozen_quad(*s2.axis_quadratic(surface, point, "z"), point.z)
+
+
 def residual_of(surface, point):
-    return abs(s2.eval_f(surface, point))
+    return abs(frozen_eval_f(surface, point))
 
 
 def parabolic_inverse(surface, pair, point):
@@ -1045,8 +1056,8 @@ def _frozen_polish(a, b, c, pair):
     return s2._normalize((c0, c1))
 
 
-def frozen_involution(surface, axis, point):
-    a, b, c = s2.axis_quadratic(surface, point, axis)
+def frozen_guard(a, b, c):
+    """(scale, disc) of A t^2 + B t + C, refusing as the swap's guard does."""
     scale = max(abs(a), abs(b), abs(c))
     if scale == 0:
         raise BranchPointError("quadratic vanished identically at this point")
@@ -1055,6 +1066,12 @@ def frozen_involution(surface, axis, point):
     disc = b * b - 4 * a * c
     if abs(disc) < s2.BRANCH_DISC_REL * scale * scale:
         raise BranchPointError("too close to a branch point")
+    return scale, disc
+
+
+def frozen_involution(surface, axis, point):
+    a, b, c = s2.axis_quadratic(surface, point, axis)
+    scale, _ = frozen_guard(a, b, c)
     t0, t1 = point.coord(axis)
     prod = (a * t1, c * t0)
     if max(abs(prod[0]), abs(prod[1])) > 1e-6 * scale * max(abs(t0), abs(t1)):

@@ -335,10 +335,13 @@ def test_k3_sample_cli(capsys):
     (list(range(1, 28)), 1),
     (5, 1),
     ([[float("nan"), 0]] + [[1, 0]] * 26, 2),
-], ids=["word-in-pair", "bare-numbers", "not-a-list", "nan"])
+    ([[1e300, 0]] + [[1, 0]] * 26, 2),
+    ([[1, 0]] * 26 + [[1e308, 1e308]], 2),
+    ([[1e-300, 0]] * 27, 2),
+], ids=["word-in-pair", "bare-numbers", "not-a-list", "nan", "huge", "modulus-overflows", "tiny"])
 def test_k3_surface_file_is_checked(coeffs, code, tmp_path, capsys):
-    # a malformed file is a parse error, a non-finite coefficient a precondition
-    # violation; neither reaches the sampler
+    # a malformed file is a parse error, a non-finite or badly scaled coefficient
+    # a precondition violation; neither reaches the sampler
     f = tmp_path / "surface.json"
     f.write_text(json.dumps({"coeffs": coeffs}))
     assert main(["k3", "sample", "--surface", str(f)]) == code

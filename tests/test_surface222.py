@@ -1,6 +1,7 @@
 import json
 import pickle
 import random
+import struct
 import warnings
 
 import numpy as np
@@ -11,15 +12,19 @@ from parabolic_lab import surface222 as s2
 
 from helpers import (
     FROZEN_TEST_FUNCTIONS,
+    _frozen_polish,
     fermat_like_surface,
     frozen_birkhoff,
     frozen_chart_cell,
     frozen_contrast,
+    frozen_eval_f,
     frozen_fiber_cells,
     frozen_fiber_orbit,
+    frozen_guard,
     frozen_involution,
     frozen_mc_space_average,
     frozen_parabolic_map,
+    frozen_quad,
     parabolic_inverse,
     residual_of,
 )
@@ -32,7 +37,7 @@ POINTS = [s2.sample_point(S, RNG) for _ in range(200)]
 def test_fermat_like_examples():
     diag = fermat_like_surface()
     p = s2.SurfacePoint((1.0 + 0j, 0j), (1.0 + 0j, 0j), (1.0 + 0j, 1.0 + 0j))
-    assert abs(s2.eval_f(diag, p)) < 1e-15
+    assert abs(frozen_eval_f(diag, p)) < 1e-15
     q = s2.involution(diag, "z", p)
     assert abs(q.z[1] / q.z[0] + 1) < 1e-12  # z -> -z when B = 0
     off = s2.SurfacePoint((1.0 + 0j, 0j), (1.0 + 0j, 0j), (1.0 + 0j, 0.5 + 0j))
@@ -46,6 +51,15 @@ def test_surface_validation():
     c[0, 0, 0] = 1.0
     with pytest.raises(PreconditionError):
         s2.Surface222(c)  # no quadratic term in any variable
+    # the largest coefficient modulus must lie in [1e-50, 1e50]
+    huge = S.coeffs.copy()
+    huge[2, 2, 2] = complex(1e308, 1e308)  # a modulus past the largest float
+    for c in [S.coeffs * 1e100, S.coeffs * 1e-300, huge,
+              np.full((3, 3, 3), 1.1e50, dtype=complex), np.full((3, 3, 3), 0.9e-50, dtype=complex)]:
+        with pytest.raises(PreconditionError, match="largest coefficient modulus"):
+            s2.Surface222(c)
+    for size in (1e50, 1e-50):
+        s2.Surface222(np.full((3, 3, 3), size, dtype=complex))
 
 
 def test_sampling_residuals():
@@ -83,12 +97,15 @@ def test_anti_symplectic_sign():
 
 
 def _outcome(fn, *args):
-    """A map's image as (coordinates, residual), or its refusal as (type, message)."""
+    """A map's image as (coordinates, residual), or its refusal as (type, message);
+    any other return value as it is."""
     try:
         q = fn(*args)
     except ContractError as exc:  # BranchPointError included
         return type(exc).__name__, str(exc)
-    return (q.x, q.y, q.z), q.residual
+    if isinstance(q, s2.SurfacePoint):
+        return (q.x, q.y, q.z), q.residual
+    return q
 
 
 def _bound_swap(surface, axis, p):
@@ -146,6 +163,45 @@ def test_vieta_swap_matches_frozen_involution(surface, patch, refusals, monkeypa
     assert np.array_equal(back.coeffs, surface.coeffs) and back.seed == surface.seed
     assert _outcome(s2.parabolic_map, back, ("y", "z"), p) == _outcome(
         s2.parabolic_map, surface, ("y", "z"), p)
+
+
+def _bits(value):
+    """Floats and complexes as their IEEE bytes (NaN payloads and signed zeros
+    compared too), through tuples; anything else as it is."""
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, complex):
+        return struct.pack("<2d", value.real, value.imag)
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    return value
+
+
+def _frozen_polish_outcome(a, b, c, c0, c1):
+    pair = _frozen_polish(a, b, c, (c0, c1))
+    return pair, abs(frozen_quad(a, b, c, pair))
+
+
+_NAN = complex(float("nan"), 0.0)
+
+
+# Ties in the max()s, an exact df == 0 start, NaN entries, infinities and an
+# all-zero quadratic: the inputs where a max() spelled as comparisons, or a
+# Newton break on df == 0 instead of abs(df) == 0, could pick another float.
+@pytest.mark.parametrize("abc", [
+    (1 + 0j, 1j, -1 + 0j), (1j, -1 + 0j, 1 + 0j), (0.6 + 0.8j, 1 + 0j, -0.8 + 0.6j),
+    (1 + 0j, 0j, -1 + 0j), (2 + 0j, 0j, 0j), (0j, 0j, 1 + 0j), (0j, 0j, 0j),
+    (_NAN, 1 + 0j, 1 + 0j), (1 + 0j, _NAN, 1 + 0j), (1 + 0j, 1 + 0j, _NAN),
+    (complex(float("inf"), 0.0), 1 + 0j, 1 + 0j), (1e-20 + 0j, 1 + 0j, 1 + 0j),
+], ids=["tie-1-i-1", "tie-i-1-1", "tie-unit", "df0", "double-root", "lead0", "zero",
+        "nan-a", "nan-b", "nan-c", "inf-a", "small-lead"])
+def test_guard_and_polish_match_frozen_on_edge_cases(abc):
+    assert _bits(_outcome(s2._guard, *abc)) == _bits(_outcome(frozen_guard, *abc))
+    for pair in [(1 + 0j, 0j), (0j, 1 + 0j), (1 + 0j, 1j), (1j, -1 + 0j),
+                 (0.6 + 0.8j, -0.8 + 0.6j), (1 + 0j, -1 + 0j), (_NAN, 1 + 0j),
+                 (1 + 0j, _NAN)]:
+        want = _outcome(_frozen_polish_outcome, *abc, *pair)
+        assert _bits(_outcome(s2._polish, *abc, *pair)) == _bits(want)
 
 
 def test_eval_test_function_matches_three_coordinate_form():
@@ -474,6 +530,15 @@ def test_weightless_mc_draw_is_a_contract_error(monkeypatch):
     monkeypatch.setattr(s2, "BRANCH_DISC_REL", 1e6)  # the guard refuses every draw
     with pytest.raises(ContractError, match="no weight among 100 Monte Carlo draws"):
         s2._mc_space_averages(S, ("one",), 100, np.random.default_rng(0))
+
+
+def test_nan_effective_sample_size_is_unstable(monkeypatch):
+    # a NaN effective sample size must raise the flag, not read as a stable draw
+    monkeypatch.setattr(s2, "_mc_space_averages", lambda surface, fids, samples, rng: {
+        fid: (0.5, 0.1, float("nan")) for fid in fids})
+    rep = s2.birkhoff_ergodicity_test(s2.random_surface(3), "x_re", word_length=20, trials=2,
+                                      mc_samples=10)
+    assert rep["mc_unstable"] is True
 
 
 def test_birkhoff_constant_function_exact():
