@@ -32,7 +32,6 @@ from .lattice import (
     e8_lattice,
     find_isotropic,
     hyperbolic_plane,
-    is_primitive,
     k3_lattice,
     represents_in_range,
     scan_orthogonal_negatives,
@@ -47,7 +46,6 @@ from .isometry import (
     compose,
     eichler_transvection,
     inverse,
-    is_quasi_unipotent,
     is_semisimple,
     limit_nef_class,
     power,

@@ -198,8 +198,8 @@ def _load_lattice(spec) -> QuadLattice:
 def _load_isometry(path: str) -> tuple[QuadLattice, object]:
     """An isometry file's lattice and its matrix as read, not yet checked.
 
-    The lattice may be inline, a path, or a `lattice seed` result, which
-    :meth:`LatticeIsometry.from_json_dict` cannot follow.
+    The lattice may be inline, a path, or a `lattice seed` result; all
+    three are read by :func:`_load_lattice`.
     """
     d = _load_json_file(path)
     return _load_lattice(d["lattice"]), d["matrix"]

@@ -297,11 +297,6 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _to_fraction(tok: str) -> Fraction:
-    # Fraction("0.25") is exact in Python >= 3.2 via the decimal path
-    return Fraction(tok)
-
-
 def parse_real(text: str) -> QuadExpr:
     """Parse an exact real expression such as ``"(sqrt5-1)/2"``."""
     tokens = _tokenize(text)
@@ -331,10 +326,11 @@ def parse_real(text: str) -> QuadExpr:
             return QuadExpr.sqrt(int(tok[4:]))
         if tok[0].isdigit():
             advance()
-            num = _to_fraction(tok)
+            # Fraction("0.25") is exact in Python >= 3.2 via the decimal path
+            num = Fraction(tok)
             if peek() == "/" and pos + 1 < len(tokens) and tokens[pos + 1][0].isdigit():
                 advance()
-                den = _to_fraction(tokens[pos])
+                den = Fraction(tokens[pos])
                 advance()
                 if den == 0:
                     raise ParseError("division by zero")

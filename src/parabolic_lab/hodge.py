@@ -48,7 +48,8 @@ _HERMITIAN_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class HermitianForm:
-    """A positive-definite Hermitian matrix (stand-in for a restricted Kaehler class)."""
+    """A positive-definite Hermitian matrix (stand-in for a restricted Kaehler class),
+    with finite entries and a determinant that is a positive finite float."""
 
     entries: np.ndarray
 
@@ -56,16 +57,22 @@ class HermitianForm:
         h = np.asarray(self.entries, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise PreconditionError("Hermitian form must be a square matrix")
+        if not np.isfinite(h).all():
+            raise PreconditionError("Hermitian form entries must be finite")
         scale = max(1.0, float(np.max(np.abs(h))))
         if np.max(np.abs(h - h.conj().T)) > _HERMITIAN_TOL * scale:
             raise PreconditionError("matrix is not Hermitian")
-        h = (h + h.conj().T) / 2
-        h.setflags(write=False)
-        object.__setattr__(self, "entries", h)
-        try:
-            np.linalg.cholesky(h)
-        except np.linalg.LinAlgError:
-            raise PreconditionError("matrix is not positive definite") from None
+        # entries near the largest float overflow here or in det; that is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = (h + h.conj().T) / 2
+            h.setflags(write=False)
+            object.__setattr__(self, "entries", h)
+            try:
+                det = self.det()
+            except np.linalg.LinAlgError:
+                raise PreconditionError("matrix is not positive definite") from None
+        if not 0 < det < math.inf:
+            raise PreconditionError(f"determinant {det:.3e} is not a positive finite float")
 
     @property
     def n(self) -> int:

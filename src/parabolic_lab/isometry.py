@@ -56,6 +56,7 @@ from .errors import ContractError, DimensionMismatchError, PreconditionError
 from .exact import integral_rows
 from .lattice import QuadLattice, Vector
 from .linalg_exact import (
+    det_exact,
     identity_matrix,
     inverse_unimodular,
     mat_eq,
@@ -122,23 +123,17 @@ class LatticeIsometry:
 
     def apply(self, v) -> Vector:
         v = self.lattice.check_vector(v)
-        return tuple(mat_vec([list(r) for r in self.matrix], list(v)))
+        return tuple(mat_vec(self.matrix, v))
 
     @property
     def det(self) -> int:
-        from .linalg_exact import det_exact
-
-        return det_exact([list(r) for r in self.matrix])
+        return det_exact(self.matrix)
 
     def to_json_dict(self) -> dict:
         return {
             "lattice": self.lattice.to_json_dict(),
             "matrix": [list(row) for row in self.matrix],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "LatticeIsometry":
-        return cls(QuadLattice.from_json_dict(d["lattice"]), d["matrix"])
 
 
 # -- classification payloads -------------------------------------------------
@@ -189,26 +184,16 @@ def compose(g: LatticeIsometry, h: LatticeIsometry) -> LatticeIsometry:
     """g after h (matrix product g.matrix @ h.matrix)."""
     if g.lattice != h.lattice:
         raise PreconditionError("isometries live on different lattices")
-    prod = mat_mul([list(r) for r in g.matrix], [list(r) for r in h.matrix])
-    return LatticeIsometry(g.lattice, tuple(tuple(r) for r in prod))
+    return LatticeIsometry(g.lattice, mat_mul(g.matrix, h.matrix))
 
 
 def power(g: LatticeIsometry, k: int) -> LatticeIsometry:
-    if k >= 0:
-        m = mat_pow([list(r) for r in g.matrix], k)
-    else:
-        m = mat_pow(inverse_unimodular([list(r) for r in g.matrix]), -k)
-    return LatticeIsometry(g.lattice, tuple(tuple(r) for r in m))
+    m = g.matrix if k >= 0 else inverse_unimodular(g.matrix)
+    return LatticeIsometry(g.lattice, mat_pow(m, abs(k)))
 
 
 def inverse(g: LatticeIsometry) -> LatticeIsometry:
     return power(g, -1)
-
-
-def is_quasi_unipotent(g: LatticeIsometry) -> bool:
-    """True iff every irreducible factor of the characteristic polynomial is cyclotomic."""
-    rem, _ = strip_cyclotomic_factors(charpoly([list(r) for r in g.matrix]))
-    return len(rem) == 1
 
 
 def is_semisimple(g: LatticeIsometry) -> bool:
@@ -219,8 +204,7 @@ def is_semisimple(g: LatticeIsometry) -> bool:
     an integer M, rad(chi) has integer coefficients (Gauss), so the Horner
     evaluation is exact and integral.
     """
-    m = [list(r) for r in g.matrix]
-    return not any(any(row) for row in evaluate_matrix(squarefree_part(charpoly(m)), m))
+    return not any(map(any, evaluate_matrix(squarefree_part(charpoly(g.matrix)), g.matrix)))
 
 
 def is_time_preserving(g: LatticeIsometry) -> bool:
@@ -326,7 +310,7 @@ def eichler_transvection(lattice: QuadLattice, e, v) -> LatticeIsometry:
         ]
         for i in range(n)
     ]
-    t = LatticeIsometry(lattice, tuple(tuple(r) for r in mat))
+    t = LatticeIsometry(lattice, mat)
     if t.apply(e) != e:
         raise ContractError("transvection does not fix e (bug)")
     return t

@@ -24,7 +24,6 @@ used rather than just <= -N to keep the lattice even.)
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -46,7 +45,6 @@ class QuadLattice:
     """An integral lattice given by a symmetric Gram matrix."""
 
     gram: tuple[tuple[int, ...], ...]
-    allow_degenerate: bool = False
 
     def __post_init__(self):
         g = tuple(map(tuple, integral_rows(self.gram, "Gram")))
@@ -58,10 +56,8 @@ class QuadLattice:
             for j in range(i):
                 if g[i][j] != g[j][i]:
                     raise PreconditionError("gram matrix must be symmetric")
-        if not self.allow_degenerate and det_exact([list(r) for r in g]) == 0:
-            raise DegenerateLatticeError(
-                "gram matrix is degenerate; pass allow_degenerate=True to keep it"
-            )
+        if det_exact(g) == 0:
+            raise DegenerateLatticeError("gram matrix is degenerate")
 
     @property
     def rank(self) -> int:
@@ -69,7 +65,7 @@ class QuadLattice:
 
     @cached_property
     def determinant(self) -> int:
-        return det_exact([list(r) for r in self.gram])
+        return det_exact(self.gram)
 
     def check_vector(self, v) -> Vector:
         v = tuple(integral(x, "vector") for x in v)
@@ -112,8 +108,7 @@ class QuadLattice:
         for i in range(m):
             for j in range(m):
                 g[n + i][n + j] = other.gram[i][j]
-        return QuadLattice(tuple(tuple(r) for r in g),
-                           allow_degenerate=self.allow_degenerate or other.allow_degenerate)
+        return QuadLattice(g)
 
     def to_json_dict(self, marks: dict[str, Vector] | None = None) -> dict:
         d = {"rank": self.rank, "gram": [[_json_int(x) for x in row] for row in self.gram]}
@@ -181,10 +176,6 @@ def _diagonalize(gram) -> tuple[int, int, Vector | None]:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def is_primitive(v) -> bool:
-    return gcd(*(integral(x, "vector") for x in v)) == 1
-
 
 def _square(gram):
     """v -> q(v, v) for an int tuple v, with the Gram rows bound once."""
@@ -332,36 +323,20 @@ def diagonal_lattice(*entries: int) -> QuadLattice:
 _E8_ADJ = [(0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
 
 
-def e8_lattice(negative: bool = True) -> QuadLattice:
-    """E8 from its standard Cartan matrix; negated by default (as in E8(-1))."""
+def e8_lattice() -> QuadLattice:
+    """E8(-1): the negated Cartan matrix of E8, negative definite."""
     g = [[0] * 8 for _ in range(8)]
     for i in range(8):
-        g[i][i] = 2
+        g[i][i] = -2
     for i, j in _E8_ADJ:
-        g[i][j] = g[j][i] = -1
-    if negative:
-        g = [[-x for x in row] for row in g]
-    return QuadLattice(tuple(tuple(r) for r in g))
+        g[i][j] = g[j][i] = 1
+    return QuadLattice(g)
 
 
 def k3_lattice() -> QuadLattice:
     """U + U + U + E8(-1) + E8(-1), the rank-22 lattice with signature (3, 19)."""
     u = hyperbolic_plane()
     lat = u.direct_sum(u).direct_sum(u)
-    e8m = e8_lattice(negative=True)
+    e8m = e8_lattice()
     return lat.direct_sum(e8m).direct_sum(e8m)
 
-
-# ---------------------------------------------------------------------------
-# file format
-# ---------------------------------------------------------------------------
-
-def lattice_to_json(lattice: QuadLattice, marks: dict[str, Vector] | None = None) -> str:
-    return json.dumps(lattice.to_json_dict(marks), sort_keys=True)
-
-
-def lattice_from_json(text: str) -> tuple[QuadLattice, dict[str, Vector]]:
-    d = json.loads(text)
-    lat = QuadLattice.from_json_dict(d)
-    marks = {k: lat.check_vector(v) for k, v in d.get("marks", {}).items()}
-    return lat, marks

@@ -7,7 +7,7 @@ polynomials (Faddeev-LeVerrier, in Python ints for integer matrices),
 cyclotomic factor stripping, squarefree parts, and Sturm-chain root
 isolation.  Its one long division, `_divmod_monic`, is by a monic
 divisor, so it never divides: cyclotomic stripping runs it on cached
-integer Phi_d, and `poly_divmod` on q / lead(q).  The minimal polynomial
+integer Phi_d, and the loxodromic eigenvectors on f.  The minimal polynomial
 is the first relation `linalg_exact.kernel_basis` finds among powers of M.
 Gcds, squarefree parts and Sturm chains come from one integer
 pseudo-remainder, `_primitive_rem`, whose result is a positive multiple
@@ -55,19 +55,6 @@ def _divmod_monic(p, q):
             for i in range(dq):
                 rem[shift + i] -= f * q[i]
     return quo, rem[:dq]
-
-
-def poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    """(quotient, remainder) of p by q: `_divmod_monic` by q / lead(q), quotient / lead(q)."""
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead = q[-1]
-    quo, rem = _divmod_monic(p, monic(q))
-    return poly(c / lead for c in quo), poly(rem)
-
-
-def derivative(p: Poly) -> Poly:
-    return poly([i * c for i, c in enumerate(p)][1:])
 
 
 def monic(p: Poly) -> Poly:
@@ -131,13 +118,6 @@ def _squarefree_ints(p) -> list[int]:
 def squarefree_part(p: Poly) -> Poly:
     """p divided by gcd(p, p'): same roots, each with multiplicity one; monic."""
     return monic(poly(_squarefree_ints(p)))
-
-
-def evaluate(p: Poly, x) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def evaluate_matrix(p: Poly, m) -> list[list[Fraction]]:

@@ -56,7 +56,6 @@ box index.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -124,20 +123,10 @@ class Surface222:
     def _tables(self):
         """Per-axis 3x9 scalar tables: table[axis][m][i*3+j] with (i, j) the
         monomial indices of the two complementary variables in x<y<z order."""
-        c = self.coeffs
-        tx = tuple(
-            tuple(complex(c[m, j, k]) for j in range(3) for k in range(3))
-            for m in range(3)
+        return tuple(
+            tuple(tuple(plane.ravel().tolist()) for plane in np.moveaxis(self.coeffs, axis, 0))
+            for axis in range(3)
         )
-        ty = tuple(
-            tuple(complex(c[i, m, k]) for i in range(3) for k in range(3))
-            for m in range(3)
-        )
-        tz = tuple(
-            tuple(complex(c[i, j, m]) for i in range(3) for j in range(3))
-            for m in range(3)
-        )
-        return (tx, ty, tz)
 
     @cached_property
     def _swaps(self):
@@ -527,7 +516,7 @@ def point_distance(p: SurfacePoint, q: SurfacePoint) -> float:
 
 
 def _chart_cells(c0, c1, grid: int):
-    """:func:`chart_cell` over arrays of P^1 points (c0 : c1), any scale.
+    """The G x G chart-grid cells of arrays of P^1 points (c0 : c1), any scale.
 
     Each cell comes back as the integer (chart * G + re index) * G + im index.
     """
@@ -553,21 +542,15 @@ def _key_cells(keys, grid: int):
     return zip(*(col.tolist() for col in columns))
 
 
-def chart_cell(pair, grid: int) -> tuple[int, int, int]:
-    """(chart flag, re index, im index) of a P^1 point on a G x G chart grid."""
-    c0, c1 = (np.array([c], dtype=complex) for c in pair)
-    chart, rest = divmod(int(_chart_cells(c0, c1, grid)[0]), grid * grid)
-    return (chart,) + divmod(rest, grid)
-
-
 def pair_cell(point: SurfacePoint, pair, grid: int) -> tuple:
-    """The grid cell of a point's two fiber coordinates.
+    """The grid cell of a point's two fiber coordinates: (chart flag, re index,
+    im index) of each, read off :func:`_pair_keys` on one-element arrays.
 
-    The library bins through :func:`_pair_keys`; this scalar form stays
-    because the benchmark's tracer, bench/tracer.py, wraps it by name.
+    The library bins whole arrays; this scalar form stays because the
+    benchmark's tracer, bench/tracer.py, wraps it by name.
     """
-    first, second = pair
-    return chart_cell(point.coord(first), grid) + chart_cell(point.coord(second), grid)
+    coords = (np.array([[c] for c in point.coord(axis)], dtype=complex) for axis in pair)
+    return next(_key_cells(_pair_keys(*coords, grid), grid))
 
 
 def fiber_cells(surface: Surface222, pair, base_pair, grid: int = 16) -> set:
@@ -1081,11 +1064,3 @@ def ergodicity_contrast(
         "variance_ratio": cross_var / within_var if within_var > 0 else float("inf"),
         "branch_interruptions": interruptions,
     }
-
-
-def surface_to_json(surface: Surface222) -> str:
-    return json.dumps(surface.to_json_dict(), sort_keys=True)
-
-
-def surface_from_json(text: str) -> Surface222:
-    return Surface222.from_json_dict(json.loads(text))

@@ -251,39 +251,6 @@ def orbit_closure_dim(x) -> int:
     return rational_hull(x).dimension
 
 
-def project_to_hull(x, hull: RationalSubspace) -> TranslationVector:
-    """Least-squares correct x so the hull's relations hold exactly (in mpf).
-
-    Solves min |x' - x| subject to K x' + c = 0 where (K | c) are the
-    relation rows; used to state the idempotence property of
-    :func:`rational_hull`.
-    """
-    tv = as_translation_vector(x)
-    if not hull.relation_basis:
-        return tv
-    with mp.workprec(tv.precision):
-        vals = list(tv.mpf_values())
-        n = tv.n
-        k_rows = [list(r[:n]) for r in hull.relation_basis]
-        resid = [
-            mp.fsum([mp.mpf(c) * v for c, v in zip(r[:n], vals)]) + r[n]
-            for r in hull.relation_basis
-        ]
-        # normal equations on the small relation system: correction = K^T (K K^T)^-1 resid
-        m = len(k_rows)
-        kkt = mp.matrix(m, m)
-        for i in range(m):
-            for j in range(m):
-                kkt[i, j] = mp.fsum(a * b for a, b in zip(k_rows[i], k_rows[j]))
-        rv = mp.matrix(resid)
-        sol = mp.lu_solve(kkt, rv)
-        corrected = [
-            v - mp.fsum(sol[i] * k_rows[i][j] for i in range(m))
-            for j, v in enumerate(vals)
-        ]
-        return TranslationVector(tuple(corrected), tv.precision)
-
-
 def weyl_sum(x, k, count: int) -> float:
     """|(1/N) sum_{j<=N} exp(2 pi i k . (j x))|, the equidistribution diagnostic."""
     if not any(k):
@@ -358,12 +325,3 @@ def semicontinuity_scan(
     max_dim = max(d for _, d in points) if points else 0
     exceptional = tuple(t for t, d in points if d < max_dim)
     return ScanReport(points=tuple(points), max_dim=max_dim, exceptional=exceptional)
-
-
-def box_coverage(points, grid_exponent: int) -> float:
-    """Fraction of 2^m-per-axis boxes hit by the points (coverage diagnostic)."""
-    g = 2**grid_exponent
-    cells = set()
-    for p in points:
-        cells.add(tuple(min(int(float(c) * g), g - 1) for c in p))
-    return len(cells) / g ** len(points[0])

@@ -34,7 +34,8 @@ The three lattice box scans are frozen as the whole-box loops they were
 before the library enumerated only the orthogonal complement of y and
 the sign-canonical half of the box.  The surface names only the tests
 use (the Fermat-like surface, the residual, the inverse fiber map) live
-here too.
+here too, and so do the two torus diagnostics only the tests use (the
+least-squares projection onto a hull and the box coverage of an orbit).
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from parabolic_lab.isometry import (
     Loxodromic,
     eichler_transvection,
 )
+from parabolic_lab.torus import RationalSubspace, TranslationVector, as_translation_vector
 
 MAX_BRUTE_ORDER = 1000
 
@@ -347,6 +349,52 @@ def planted_relation_instance(rng: random.Random, max_n: int = 6, max_height: in
         if max(abs(c) for row in want for c in row) > max_height:
             continue
         return tuple(x), 160, want
+
+
+# ---------------------------------------------------------------------------
+# torus diagnostics only the tests use
+# ---------------------------------------------------------------------------
+
+def frozen_project_to_hull(x, hull: RationalSubspace) -> TranslationVector:
+    """Least-squares correct x so the hull's relations hold exactly (in mpf).
+
+    Solves min |x' - x| subject to K x' + c = 0 where (K | c) are the
+    relation rows; used to state the idempotence property of
+    :func:`rational_hull`.
+    """
+    tv = as_translation_vector(x)
+    if not hull.relation_basis:
+        return tv
+    with mp.workprec(tv.precision):
+        vals = list(tv.mpf_values())
+        n = tv.n
+        k_rows = [list(r[:n]) for r in hull.relation_basis]
+        resid = [
+            mp.fsum([mp.mpf(c) * v for c, v in zip(r[:n], vals)]) + r[n]
+            for r in hull.relation_basis
+        ]
+        # normal equations on the small relation system: correction = K^T (K K^T)^-1 resid
+        m = len(k_rows)
+        kkt = mp.matrix(m, m)
+        for i in range(m):
+            for j in range(m):
+                kkt[i, j] = mp.fsum(a * b for a, b in zip(k_rows[i], k_rows[j]))
+        rv = mp.matrix(resid)
+        sol = mp.lu_solve(kkt, rv)
+        corrected = [
+            v - mp.fsum(sol[i] * k_rows[i][j] for i in range(m))
+            for j, v in enumerate(vals)
+        ]
+        return TranslationVector(tuple(corrected), tv.precision)
+
+
+def frozen_box_coverage(points, grid_exponent: int) -> float:
+    """Fraction of 2^m-per-axis boxes hit by the points (coverage diagnostic)."""
+    g = 2**grid_exponent
+    cells = set()
+    for p in points:
+        cells.add(tuple(min(int(float(c) * g), g - 1) for c in p))
+    return len(cells) / g ** len(points[0])
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,16 @@ def test_hermitian_validation():
         HermitianForm(np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(PreconditionError):
         HermitianForm(np.diag([1.0, -1.0]))
+    # a form the ratios cannot be computed with: a NaN entry, or a determinant
+    # that underflows to 0 or overflows to inf as a float
+    with pytest.raises(PreconditionError, match="finite"):
+        HermitianForm(np.array([[math.nan]]))
+    with pytest.raises(PreconditionError, match="finite"):
+        HermitianForm(np.array([[math.inf, 0.0], [0.0, 1.0]]))
+    for scale in (1e-200, 1e200):
+        with pytest.raises(PreconditionError, match="determinant"):
+            HermitianForm(scale * np.eye(2))
+    assert HermitianForm(1e-100 * np.eye(2)).det() > 0
 
 
 def test_rigidity_verdicts():

@@ -14,7 +14,7 @@ from parabolic_lab.cli import SEED_ENV, main
 from parabolic_lab.errors import PreconditionError
 from parabolic_lab.exact import ParseError
 from parabolic_lab.isometry import LatticeIsometry
-from parabolic_lab.lattice import QuadLattice, hyperbolic_plane, is_primitive
+from parabolic_lab.lattice import QuadLattice, hyperbolic_plane
 from parabolic_lab.linalg_exact import hnf, lll_reduce
 
 U = hyperbolic_plane()
@@ -36,7 +36,6 @@ ENTRY_POINTS = {
     "QuadLattice": lambda v: QuadLattice(((v, 0), (0, -1))),
     "LatticeIsometry": lambda v: LatticeIsometry(U, ((v, 0), (0, 1))),
     "check_vector": lambda v: U.check_vector((v, 0)),
-    "is_primitive": lambda v: is_primitive((v, 1)),
     "lll_reduce": lambda v: lll_reduce([[v, 0], [0, 1]]),
     "hnf": lambda v: hnf([[v, 0], [0, 1]]),
 }

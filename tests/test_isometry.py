@@ -4,6 +4,7 @@ import mpmath as mp
 import pytest
 
 from helpers import (
+    _frozen_derivative,
     classification_lattices,
     doubling_limit,
     frozen_eigen_certificates,
@@ -25,7 +26,6 @@ from parabolic_lab.isometry import (
     compose,
     eichler_transvection,
     inverse,
-    is_quasi_unipotent,
     is_semisimple,
     limit_nef_class,
     power,
@@ -41,7 +41,6 @@ from parabolic_lab.lattice import (
 from parabolic_lab.polynomials import (
     charpoly,
     degree,
-    derivative,
     minimal_polynomial,
     poly_gcd,
     strip_cyclotomic_factors,
@@ -51,6 +50,11 @@ from parabolic_lab.surface222 import WORD_PAIRS
 U = hyperbolic_plane()
 PELL = diagonal_lattice(2, -1)
 U2 = U.direct_sum(diagonal_lattice(-2))
+
+
+def _quasi_unipotent(g: LatticeIsometry) -> bool:
+    """Every irreducible factor of g's charpoly is cyclotomic."""
+    return strip_cyclotomic_factors(charpoly(g.matrix))[0] == (1,)
 
 
 def test_verify_isometry():
@@ -120,7 +124,7 @@ def test_transvection_examples():
     assert t.apply((1, 0, 0)) == (1, 0, 0)
     cls = classify(t)
     assert isinstance(cls, Parabolic) and cls.fixed_vector == (1, 0, 0)
-    assert is_quasi_unipotent(t) and not is_semisimple(t)
+    assert _quasi_unipotent(t) and not is_semisimple(t)
     # closure: product of transvections with the same e fixes e
     t2 = eichler_transvection(U2, (1, 0, 0), (1, 0, 1))
     prod = compose(t, t2)
@@ -139,9 +143,9 @@ def test_transvection_preconditions():
 
 def test_quasi_unipotent_semisimple_examples():
     swap = LatticeIsometry(U, ((0, 1), (1, 0)))
-    assert is_quasi_unipotent(swap) and is_semisimple(swap)
+    assert _quasi_unipotent(swap) and is_semisimple(swap)
     lox = LatticeIsometry(PELL, ((3, 2), (4, 3)))
-    assert not is_quasi_unipotent(lox) and is_semisimple(lox)
+    assert not _quasi_unipotent(lox) and is_semisimple(lox)
 
 
 def test_elliptic_order_exact():
@@ -250,7 +254,7 @@ def test_is_semisimple_matches_squarefree_minimal_polynomial_on_fuzz_words():
         lat, gens = lattices[rng.randrange(len(lattices))]
         g = random_word(lat, gens, rng)
         mu = minimal_polynomial([list(r) for r in g.matrix])
-        squarefree = degree(poly_gcd(mu, derivative(mu))) == 0
+        squarefree = degree(poly_gcd(mu, _frozen_derivative(mu))) == 0
         assert is_semisimple(g) == squarefree, g.matrix
         seen.add(squarefree)
     assert seen == {True, False}

