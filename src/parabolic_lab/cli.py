@@ -36,6 +36,7 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -362,6 +363,18 @@ def _fraction(x, what: str) -> Fraction:
         raise ParseError(f"{what} {x!r} is not a number") from None
 
 
+def _float_result(x, what: str) -> float:
+    """A hodge result as a float; one that overflows, is not finite or is a
+    nonzero exact value that underflows to 0 is a precondition violation."""
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f) or (f == 0 and x != 0):
+        raise PreconditionError(f"{what} is not a finite nonzero float ({f})")
+    return f
+
+
 def cmd_hodge_fujiki(args) -> dict:
     spec = _load_json_file(args.input)
     lat = QuadLattice.from_json_dict(spec)
@@ -374,11 +387,11 @@ def cmd_hodge_fujiki(args) -> dict:
     result = {}
     if args.eta:
         eta = _int_vector(args.eta)
-        result["top"] = float(fujiki_top(structure, eta))
+        result["top"] = _float_result(fujiki_top(structure, eta), "top")
         result["q_eta"] = lat.q(eta)
     if args.etas:
         etas = [_int_vector(part) for part in args.etas.split(";")]
-        result["polarized"] = float(fujiki_polarized(structure, etas))
+        result["polarized"] = _float_result(fujiki_polarized(structure, etas), "polarized")
     if not result:
         raise PreconditionError("provide --eta and/or --etas")
     return result
@@ -390,7 +403,7 @@ def cmd_hodge_hafnian(args) -> dict:
         isinstance(row, list) and all(map(is_number, row)) for row in rows
     ):
         raise ParseError("matrix must be a list of rows of numbers")
-    return {"hafnian": float(hafnian(rows))}
+    return {"hafnian": _float_result(hafnian(rows), "hafnian")}
 
 
 def cmd_hodge_amgm(args) -> dict:

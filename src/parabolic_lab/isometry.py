@@ -58,7 +58,6 @@ from .lattice import QuadLattice, Vector
 from .linalg_exact import (
     det_exact,
     identity_matrix,
-    inverse_unimodular,
     mat_eq,
     mat_mul,
     mat_pow,
@@ -188,7 +187,15 @@ def compose(g: LatticeIsometry, h: LatticeIsometry) -> LatticeIsometry:
 
 
 def power(g: LatticeIsometry, k: int) -> LatticeIsometry:
-    m = g.matrix if k >= 0 else inverse_unimodular(g.matrix)
+    """g^k.  For k < 0, M^T G M = G gives M^-1 = G^-1 M^T G: the lattice's
+    cached D = d G^-1 times M^T G, divided exactly by d."""
+    m = g.matrix
+    if k < 0:
+        scaled_ginv, d = g.lattice.scaled_gram_inverse
+        dinv = mat_mul(scaled_ginv, mat_mul(transpose(m), g.lattice.gram))
+        if any(x % d for row in dinv for x in row):
+            raise ContractError("G^-1 M^T G is not integral (bug)")
+        m = [[x // d for x in row] for row in dinv]
     return LatticeIsometry(g.lattice, mat_pow(m, abs(k)))
 
 

@@ -32,7 +32,7 @@ from operator import mul
 
 from .errors import DegenerateLatticeError, DimensionMismatchError, PreconditionError
 from .exact import ParseError, integral, integral_rows
-from .linalg_exact import det_exact, primitive_vector
+from .linalg_exact import det_exact, primitive_vector, scaled_inverse
 
 Vector = tuple[int, ...]
 
@@ -66,6 +66,12 @@ class QuadLattice:
     @cached_property
     def determinant(self) -> int:
         return det_exact(self.gram)
+
+    @cached_property
+    def scaled_gram_inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(D, d) with D = d G^-1 in integers, for inverting isometries."""
+        scaled, d = scaled_inverse(self.gram)
+        return tuple(map(tuple, scaled)), d
 
     def check_vector(self, v) -> Vector:
         v = tuple(integral(x, "vector") for x in v)

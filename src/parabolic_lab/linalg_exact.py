@@ -4,10 +4,12 @@ Matrices are lists (or tuples) of rows; entries are Python ints or
 Fractions.  Everything here is deterministic and exact: one fraction-free
 (Bareiss) Gauss-Jordan elimination on Python ints behind the determinant,
 inverse, rank and kernel routines (Fraction rows are scaled to integers
-first, so only the final results are divided; solve reads its answer off
-the kernel of [a | -b]), Hermite normal form with extended-gcd row
-operations, and an integral, fraction-free LLL reduction (integer
-Gram-Schmidt determinants, exact divisions only).
+first, so only the final results are divided; the inverse is kept as
+the integer pair (d a^-1, d), which a lattice caches for its Gram
+matrix, and solve reads its answer off the kernel of [a | -b]), Hermite
+normal form with extended-gcd row operations, and an integral,
+fraction-free LLL reduction (integer Gram-Schmidt determinants, exact
+divisions only).
 These kernels back the signature, kernel-extraction and integer-relation
 machinery, so no floating point is allowed in this module.
 """
@@ -48,7 +50,7 @@ def mat_sub(a, b) -> Matrix:
 def mat_pow(a, k: int) -> Matrix:
     """a^k (k >= 0), squaring left to right: no I * a product, no square past the last bit."""
     if k < 0:
-        raise ValueError("use inverse_exact for negative powers")
+        raise ValueError("mat_pow takes k >= 0; invert with scaled_inverse first")
     result = [list(r) for r in a] if k else identity_matrix(len(a))
     for bit in bin(k)[3:]:
         result = mat_mul(result, result)
@@ -119,28 +121,21 @@ def det_exact(a):
     return Fraction(sign * d, prod(scales))
 
 
-def inverse_exact(a) -> Matrix:
-    """Exact inverse (Fractions) via Gauss-Jordan; raises on singular input."""
+def scaled_inverse(a) -> tuple[list[list[int]], int]:
+    """(D, d) with D = d a^-1 an integer matrix, from one elimination of [S a | S].
+
+    S holds the row scales of a Fraction `a`, so the right block ends as
+    d a^-1 with d the last Bareiss pivot (+-det a for integer input).
+    Raises ZeroDivisionError on singular input.
+    """
     n = len(a)
     m, scales = _integer_rows(a)
-    # [S a | S] with S the row scales, so the right block ends as d * a^-1
     for i, (row, scale) in enumerate(zip(m, scales)):
         row.extend(scale if j == i else 0 for j in range(n))
     pivots, d, _ = _gauss_jordan(m, n)
     if len(pivots) < n:
         raise ZeroDivisionError("matrix is singular")
-    return [[Fraction(x, d) for x in row[n:]] for row in m]
-
-
-def inverse_unimodular(a) -> Matrix:
-    """Inverse of an integer matrix with determinant +-1, as integers."""
-    inv = inverse_exact(a)
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append([x.numerator for x in row])
-    return out
+    return [row[n:] for row in m], d
 
 
 def rank_exact(a) -> int:

@@ -261,6 +261,8 @@ def test_hodge_cli(tmp_path, capsys):
     assert code == 0
     res = json.loads(out)["result"]
     assert res["top"] == 2.0 and res["polarized"] == 2.0
+    code, out = run_cli(["hodge", "fujiki", "-i", str(f), "--eta", "1,0"], capsys)
+    assert code == 0 and json.loads(out)["result"]["top"] == 0  # an exact 0 is no underflow
     h = tmp_path / "haf.json"
     h.write_text(json.dumps({"matrix": [[1, 1, 1, 1]] * 4}))
     code, out = run_cli(["hodge", "hafnian", "-i", str(h)], capsys)
@@ -312,6 +314,36 @@ def test_hodge_hafnian_entries_must_be_numbers(entry, tmp_path, capsys):
     assert main(["hodge", "hafnian", "-i", str(h)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+_U_FORM = {"rank": 2, "gram": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize("argv,spec", [
+    (["hafnian"], {"matrix": [[0, math.nan], [math.nan, 0]]}),
+    (["hafnian"], {"matrix": [[1e200] * 4] * 4}),
+    (["hafnian"], {"matrix": [[0.0, 1e200, 1e200, 1.0], [1e200, 0.0, 1.0, -1e200],
+                              [1e200, 1.0, 0.0, 1e200], [1.0, -1e200, 1e200, 0.0]]}),
+    (["hafnian"], {"matrix": [[10**200] * 4] * 4}),
+    (["hafnian"], {"matrix": [[1] * 26] * 26}),
+    (["fujiki", "--eta", "3,5"], {**_U_FORM, "n": 600}),
+    (["fujiki", "--eta", "3,5"], {**_U_FORM, "n": 100000}),
+    (["fujiki", "--eta", "3,5"], {**_U_FORM, "c": "1e400"}),
+    (["fujiki", "--etas", "3,5;3,5"], {**_U_FORM, "K": "1e400"}),
+    (["fujiki", "--eta", "1,1"], {**_U_FORM, "c": "1e-400"}),
+    (["fujiki", "--etas", "1,0;0,1"], {**_U_FORM, "K": "1e-400"}),
+], ids=["hafnian-nan", "hafnian-inf", "hafnian-nan-result", "hafnian-int-overflow",
+        "hafnian-26", "fujiki-n600", "fujiki-n1e5", "fujiki-c1e400", "fujiki-K1e400",
+        "fujiki-c1e-400", "fujiki-K1e-400"])
+def test_hodge_results_outside_the_float_range_are_preconditions(argv, spec, tmp_path, capsys):
+    # a non-finite entry, a result that overflows a float or is NaN, an exact nonzero
+    # result that underflows to 0, a matrix past MAX_HAFNIAN or a q^n past the float
+    # range must not print a number
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(spec))
+    assert main(["hodge", argv[0], "-i", str(f), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert "precondition violation" in err and "Traceback" not in err
 
 
 def test_seed_env_must_be_an_integer(monkeypatch, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from parabolic_lab.errors import PreconditionError
 from parabolic_lab.hodge import (
+    MAX_HAFNIAN,
     FujikiStructure,
     HermitianForm,
     RigidityVerdict,
@@ -63,8 +64,25 @@ def test_polarized_examples():
         assert fujiki_polarized(f, etas) == want
     with pytest.raises(PreconditionError):
         fujiki_polarized(f1, [(1, 0)])
-    with pytest.raises(PreconditionError):
-        fujiki_polarized(FujikiStructure(U, n=9), [(1, 0)] * 18)
+    with pytest.raises(PreconditionError, match="MAX_HAFNIAN"):  # 26 vectors > 24
+        fujiki_polarized(FujikiStructure(U, n=13), [(1, 0)] * 26)
+
+
+def test_fujiki_top_refuses_powers_outside_the_float_range():
+    # q(eta, eta) = 30 on U: 30^600 is past 2^1024, and is refused before it is formed
+    for n in (600, 10**5, 10**12):
+        with pytest.raises(PreconditionError, match="float range"):
+            fujiki_top(FujikiStructure(U, n=n), (3, 5))
+    two = FujikiStructure(diagonal_lattice(2), n=1024)
+    assert fujiki_top(two, (1,)) == 2**1024  # log2 q^n = 1024 exactly: still formed
+    with pytest.raises(PreconditionError, match="float range"):
+        fujiki_top(FujikiStructure(diagonal_lattice(2), n=1025), (1,))
+    # 1/9^n below the smallest float, from a Fraction eta
+    with pytest.raises(PreconditionError, match="float range"):
+        fujiki_top(FujikiStructure(diagonal_lattice(1), n=10**6), (Fraction(1, 3),))
+    # q = 0 and q = 1 are cheap for any n
+    assert fujiki_top(FujikiStructure(U, n=10**12), (1, 0)) == 0
+    assert fujiki_top(FujikiStructure(diagonal_lattice(1), n=10**12), (1,)) == 1
 
 
 def test_hafnian_small():
@@ -72,6 +90,10 @@ def test_hafnian_small():
     assert hafnian([[1] * 4] * 4) == 3  # K4 has three perfect matchings
     with pytest.raises(PreconditionError):
         hafnian([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def _same(a, b) -> bool:
+    return a == b and type(a) is type(b)
 
 
 def test_hafnian_matches_frozen_recursion():
@@ -87,7 +109,60 @@ def test_hafnian_matches_frozen_recursion():
             for i in range(m):
                 for j in range(i, m):
                     q[i][j] = q[j][i] = draw()
-            assert hafnian(q) == frozen_hafnian(q)  # floats too: same summation order
+            assert _same(hafnian(q), frozen_hafnian(q))  # floats too: same summation order
+    ints = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)]
+    ints = [[ints[min(i, j)][max(i, j)] for j in range(6)] for i in range(6)]
+    fractions_on_diagonal = [[Fraction(x, 7) if i == j else x for j, x in enumerate(r)]
+                             for i, r in enumerate(ints)]
+    mixed = [[Fraction(x, 3) if (i + j) % 3 == 0 else x for j, x in enumerate(r)]
+             for i, r in enumerate(ints)]
+    integer_valued = [[Fraction(x) for x in r] for r in ints]
+    for q, kind in ((fractions_on_diagonal, int), (mixed, Fraction), (integer_valued, Fraction)):
+        assert _same(hafnian(q), frozen_hafnian(q)) and type(hafnian(q)) is kind, q
+    # finite floats whose products overflow: the result is inf, or nan from inf - inf
+    big = 1e200
+    overflow = [[big] * 4 for _ in range(4)]
+    cancel = [[0.0, big, big, 1.0], [big, 0.0, 1.0, -big], [big, 1.0, 0.0, big],
+              [1.0, -big, big, 0.0]]
+    # a 0.0 entry is kept on floats: 0.0 times the overflowed 4 x 4 minor is NaN
+    zero_times_inf = [[big] * 6 for _ in range(6)]
+    zero_times_inf[0][1] = zero_times_inf[1][0] = 0.0
+    for q, text in ((overflow, "inf"), (cancel, "nan"), (zero_times_inf, "nan")):
+        assert repr(hafnian(q)) == repr(frozen_hafnian(q)) == text
+    # sparse integer matrices skip their zero entries: still == and int
+    for density in (0.1, 0.3, 0.6):
+        q = [[0] * 12 for _ in range(12)]
+        for i in range(12):
+            for j in range(i, 12):
+                if rng.random() < density:
+                    q[i][j] = q[j][i] = rng.randint(-9, 9)
+        assert _same(hafnian(q), frozen_hafnian(q))
+        half = [[Fraction(x, 2) for x in r] for r in q]
+        assert _same(hafnian(half), frozen_hafnian(half))
+    # a numpy array is read through tolist(), so it matches the recursion on the list
+    for arr in (np.array(ints), np.array(ints, dtype=float) / 4):
+        assert _same(hafnian(arr), frozen_hafnian(arr.tolist()))
+    # the bench's largest: 14 x 14, ints and Fractions
+    for draw in draws[:2]:
+        q = [[0] * 14 for _ in range(14)]
+        for i in range(14):
+            for j in range(i, 14):
+                q[i][j] = q[j][i] = draw()
+        assert _same(hafnian(q), frozen_hafnian(q))
+
+
+def test_hafnian_refuses_nonfinite_entries_and_sizes_past_the_cap():
+    for bad in (math.nan, math.inf, -math.inf, complex(1, math.nan), np.float64("nan")):
+        with pytest.raises(PreconditionError, match="finite"):
+            hafnian([[0, bad], [bad, 0]])
+        with pytest.raises(PreconditionError, match="finite"):
+            hafnian([[bad, 1], [1, 0]])  # the diagonal too, though the sum never reads it
+    with pytest.raises(PreconditionError, match="finite"):
+        hafnian(np.array([[0.0, math.nan], [math.nan, 0.0]]))
+    # the cap is inclusive: K_24 has 23!! perfect matchings
+    assert hafnian([[1] * MAX_HAFNIAN] * MAX_HAFNIAN) == math.prod(range(1, MAX_HAFNIAN, 2))
+    with pytest.raises(PreconditionError, match="MAX_HAFNIAN"):
+        hafnian([[1] * (MAX_HAFNIAN + 2)] * (MAX_HAFNIAN + 2))
 
 
 def test_hafnian_vs_explicit_matchings_4x4():

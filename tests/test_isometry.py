@@ -8,7 +8,9 @@ from helpers import (
     classification_lattices,
     doubling_limit,
     frozen_eigen_certificates,
+    frozen_inverse,
     frozen_loxodromic_payload,
+    frozen_mat_pow,
     oracle_tag,
     parabolic_payload_ok,
     random_word,
@@ -115,6 +117,36 @@ def test_classify_inverse_matches():
     assert max(abs(a - b) for a, b in zip(c.expanding, ci.contracting)) < 1e-9
     t = eichler_transvection(U2, (1, 0, 0), (0, 0, 1))
     assert classify(t).fixed_vector == classify(inverse(t)).fixed_vector
+
+
+def test_inverse_through_the_gram_matrix():
+    seed = build_parabolic_seed_lattice(4, 3).lattice
+    assert abs(seed.determinant) == 6 and abs(seed.scaled_gram_inverse[1]) > 1  # not unimodular
+    flip_x = LatticeIsometry(seed, ((1, 0, 0), (0, -1, 0), (0, 0, 1)))
+    seed_word = compose(eichler_transvection(seed, (0, 0, 1), (0, 1, 0)), flip_x)
+    cases = [
+        LatticeIsometry(PELL, ((3, 2), (4, 3))),  # diag(2, -1)
+        seed_word,
+        compose(seed_word, eichler_transvection(seed, (0, 0, 1), (0, 2, 0))),
+        _unimodular_word(1, [(0, 2, False), (1, 3, False), (0, 9, False), (1, 6, False)]),
+    ]
+    for g in cases:
+        n = g.lattice.rank
+        for k in (1, 2, 3):
+            inv = power(g, -k).matrix
+            assert all(type(x) is int for row in inv for x in row)
+            assert [list(row) for row in inv] == frozen_mat_pow(frozen_inverse(g.matrix), k)
+        assert compose(g, inverse(g)).matrix == tuple(
+            tuple(int(i == j) for j in range(n)) for i in range(n))
+        assert compose(inverse(g), g) == compose(g, inverse(g))
+
+
+def test_inverse_refuses_a_non_integral_quotient():
+    lat = diagonal_lattice(2, -1)
+    g = LatticeIsometry(lat, ((3, 2), (4, 3)))
+    lat.__dict__["scaled_gram_inverse"] = ([[1, 0], [0, 1]], 3)  # not d G^-1
+    with pytest.raises(ContractError, match="not integral"):
+        inverse(g)
 
 
 def test_transvection_examples():

@@ -9,8 +9,6 @@ from parabolic_lab.linalg_exact import (
     det_exact,
     hnf,
     identity_matrix,
-    inverse_exact,
-    inverse_unimodular,
     kernel_basis,
     lll_reduce,
     mat_eq,
@@ -18,6 +16,7 @@ from parabolic_lab.linalg_exact import (
     mat_pow,
     mat_vec,
     rank_exact,
+    scaled_inverse,
     solve_exact,
 )
 
@@ -34,21 +33,31 @@ from helpers import (
 )
 
 
+def _inverse(a):
+    """a^-1 as Fractions, read off the integer pair (d a^-1, d)."""
+    scaled, d = scaled_inverse(a)
+    return [[Fraction(x, d) for x in row] for row in scaled]
+
+
 def test_det_and_inverse():
     assert det_exact([[2, 0], [0, 3]]) == 6
     assert det_exact([[1, 2], [2, 4]]) == 0
     m = [[2, 1], [1, 1]]
-    assert inverse_unimodular(m) == [[1, -1], [-1, 2]]
-    inv = inverse_exact([[2, 0], [0, 4]])
-    assert inv == [[Fraction(1, 2), 0], [0, Fraction(1, 4)]]
+    assert scaled_inverse(m) == ([[1, -1], [-1, 2]], 1)  # unimodular: d = det = 1
+    scaled, d = scaled_inverse([[2, 0], [0, 4]])
+    assert all(type(x) is int for row in scaled for x in row) and type(d) is int
+    assert _inverse([[2, 0], [0, 4]]) == [[Fraction(1, 2), 0], [0, Fraction(1, 4)]]
+    assert _inverse([[Fraction(1, 2), 0], [1, Fraction(2, 3)]]) == [[2, 0], [-3, Fraction(3, 2)]]
     with pytest.raises(ZeroDivisionError):
-        inverse_exact([[1, 1], [1, 1]])
+        scaled_inverse([[1, 1], [1, 1]])
 
 
 def test_mat_pow():
     m = [[1, 1], [0, 1]]
     assert mat_pow(m, 5) == [[1, 5], [0, 1]]
     assert mat_pow(m, 0) == identity_matrix(2)
+    with pytest.raises(ValueError, match="scaled_inverse"):
+        mat_pow(m, -1)
 
 
 def _entries(rng, kind, rows, cols):
@@ -148,10 +157,10 @@ def test_elimination_matches_fraction_oracle():
             seen["swap"] += det != 0
         if det == 0:
             with pytest.raises(ZeroDivisionError):
-                inverse_exact(a)
+                scaled_inverse(a)
             seen["singular_inverse"] += 1
         else:
-            inv = inverse_exact(a)
+            inv = _inverse(a)
             assert inv == frozen_inverse(a)
             assert mat_eq(mat_mul(a, inv), identity_matrix(rows))
     assert all(seen.values()), seen
