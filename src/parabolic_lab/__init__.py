@@ -46,7 +46,6 @@ from .isometry import (
     compose,
     eichler_transvection,
     inverse,
-    is_semisimple,
     limit_nef_class,
     power,
     verify_isometry,

@@ -69,6 +69,7 @@ from .isometry import (
 )
 from .lattice import (
     QuadLattice,
+    _json_int,
     build_parabolic_seed_lattice,
     find_isotropic,
     represents_in_range,
@@ -388,7 +389,7 @@ def cmd_hodge_fujiki(args) -> dict:
     if args.eta:
         eta = _int_vector(args.eta)
         result["top"] = _float_result(fujiki_top(structure, eta), "top")
-        result["q_eta"] = lat.q(eta)
+        result["q_eta"] = _json_int(lat.q(eta))
     if args.etas:
         etas = [_int_vector(part) for part in args.etas.split(";")]
         result["polarized"] = _float_result(fujiki_polarized(structure, etas), "polarized")
@@ -403,7 +404,16 @@ def cmd_hodge_hafnian(args) -> dict:
         isinstance(row, list) and all(map(is_number, row)) for row in rows
     ):
         raise ParseError("matrix must be a list of rows of numbers")
-    return {"hafnian": _float_result(hafnian(rows), "hafnian")}
+    value = hafnian(rows)  # refuses a ragged, odd, oversized or non-finite matrix first
+    if rows != [list(col) for col in zip(*rows)]:
+        raise PreconditionError("hafnian needs a symmetric matrix")
+    upper = [abs(x) for i, row in enumerate(rows) for x in row[i + 1 :]]
+    if type(value) is float and value == 0 and any(upper):
+        # a float sum can underflow to 0; haf(2^-e A) = 2^(-e m/2) haf(A) holds exactly in binary
+        e = math.frexp(max(upper))[1]
+        if hafnian([[math.ldexp(x, -e) for x in row] for row in rows]):
+            raise PreconditionError("hafnian underflows to 0 in floats")
+    return {"hafnian": _float_result(value, "hafnian")}
 
 
 def cmd_hodge_amgm(args) -> dict:

@@ -195,18 +195,6 @@ class QuadExpr:
             raise ZeroDivisionError("division by zero")
         return QuadExpr({d: c / q for d, c in self._terms.items()})
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers not supported")
-        out = QuadExpr.rational(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     # -- predicates and conversions ---------------------------------------
 
     def is_zero(self) -> bool:

@@ -37,11 +37,13 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
 from .errors import PreconditionError
 from .lattice import QuadLattice
+from .linalg_exact import mat_vec, scaled_ints
 
 RIGIDITY_CONSTANT = 4.0
 MAX_HAFNIAN = 24  # rows; 0.2-0.3 s for the 75024 bitmask states of a 24 x 24 matrix
@@ -107,15 +109,9 @@ class FujikiStructure:
 
 
 def _q_value(lattice: QuadLattice, u, v):
-    """Bilinear form allowing rational/float vectors; exact when inputs are exact."""
-    exact = all(isinstance(x, (int, Fraction)) for x in u) and all(
-        isinstance(x, (int, Fraction)) for x in v
-    )
-    if exact:
-        gv = [sum(Fraction(r) * Fraction(x) for r, x in zip(row, v)) for row in lattice.gram]
-        return sum(Fraction(a) * b for a, b in zip(u, gv))
-    gv = [sum(r * float(x) for r, x in zip(row, v)) for row in lattice.gram]
-    return sum(float(a) * b for a, b in zip(u, gv))
+    """Bilinear form allowing rational/float vectors; exact (a Fraction) when inputs are exact."""
+    num = Fraction if all(isinstance(x, (int, Fraction)) for x in (*u, *v)) else float
+    return sum(map(mul, map(num, u), mat_vec(lattice.gram, [num(x) for x in v])))
 
 
 def fujiki_top(structure: FujikiStructure, eta):
@@ -177,8 +173,9 @@ def hafnian(a):
         return _matching_sum(upper, integral=False)
     if all(type(x) is int for x in entries):
         return _matching_sum(upper, integral=True)
-    den = math.lcm(*(x.denominator for x in entries))
-    scaled = [[x.numerator * (den // x.denominator) for x in u] for u in upper]
+    ints, den = scaled_ints(entries)
+    it = iter(ints)
+    scaled = [[next(it) for _ in u] for u in upper]
     return Fraction(_matching_sum(scaled, integral=True), den ** (m // 2))
 
 

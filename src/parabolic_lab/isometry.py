@@ -58,7 +58,6 @@ from .lattice import QuadLattice, Vector
 from .linalg_exact import (
     det_exact,
     identity_matrix,
-    mat_eq,
     mat_mul,
     mat_pow,
     mat_sub,
@@ -69,9 +68,7 @@ from .linalg_exact import (
 from .polynomials import (
     _divmod_monic,
     charpoly,
-    evaluate_matrix,
     isolate_largest_root_above,
-    squarefree_part,
     strip_cyclotomic_factors,
 )
 
@@ -176,7 +173,7 @@ def verify_isometry(lattice: QuadLattice, matrix) -> bool:
     if len(m) != n or any(len(row) != n for row in m):
         raise DimensionMismatchError("matrix size does not match lattice rank")
     g = [list(row) for row in lattice.gram]
-    return mat_eq(mat_mul(transpose(m), mat_mul(g, m)), g)
+    return mat_mul(transpose(m), mat_mul(g, m)) == g
 
 
 def compose(g: LatticeIsometry, h: LatticeIsometry) -> LatticeIsometry:
@@ -201,17 +198,6 @@ def power(g: LatticeIsometry, k: int) -> LatticeIsometry:
 
 def inverse(g: LatticeIsometry) -> LatticeIsometry:
     return power(g, -1)
-
-
-def is_semisimple(g: LatticeIsometry) -> bool:
-    """True iff rad(chi)(M) = 0, chi the charpoly and rad its squarefree part.
-
-    rad(chi) has the roots of the minimal polynomial, each once, so it
-    annihilates M exactly when the minimal polynomial is squarefree.  For
-    an integer M, rad(chi) has integer coefficients (Gauss), so the Horner
-    evaluation is exact and integral.
-    """
-    return not any(map(any, evaluate_matrix(squarefree_part(charpoly(g.matrix)), g.matrix)))
 
 
 def is_time_preserving(g: LatticeIsometry) -> bool:
@@ -307,8 +293,7 @@ def eichler_transvection(lattice: QuadLattice, e, v) -> LatticeIsometry:
     if qv % 2:
         raise PreconditionError("q(v, v) must be even for an integral transvection")
     n = lattice.rank
-    ge = [sum(r * x for r, x in zip(row, e)) for row in lattice.gram]
-    gv = [sum(r * x for r, x in zip(row, v)) for row in lattice.gram]
+    ge, gv = mat_vec(lattice.gram, e), mat_vec(lattice.gram, v)
     half = qv // 2
     mat = [
         [

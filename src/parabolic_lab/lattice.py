@@ -32,7 +32,7 @@ from operator import mul
 
 from .errors import DegenerateLatticeError, DimensionMismatchError, PreconditionError
 from .exact import ParseError, integral, integral_rows
-from .linalg_exact import det_exact, primitive_vector, scaled_inverse
+from .linalg_exact import det_exact, mat_vec, primitive_vector, scaled_inverse
 
 Vector = tuple[int, ...]
 
@@ -83,9 +83,7 @@ class QuadLattice:
 
     def bbf(self, u, v) -> int:
         """The bilinear form u^T . gram . v, exactly."""
-        u, v = self.check_vector(u), self.check_vector(v)
-        gv = [sum(r * x for r, x in zip(row, v)) for row in self.gram]
-        return sum(a * b for a, b in zip(u, gv))
+        return sum(map(mul, self.check_vector(u), mat_vec(self.gram, self.check_vector(v))))
 
     def q(self, v) -> int:
         return self.bbf(v, v)
@@ -291,7 +289,7 @@ def scan_orthogonal_negatives(
     """
     lat = marked.lattice
     y = lat.check_vector(marked.y)
-    gy = [sum(map(mul, row, y)) for row in lat.gram]
+    gy = mat_vec(lat.gram, y)
     _check_box("box_bound", box_bound, (2 * box_bound + 1) ** (lat.rank - any(gy)))
     q = _square(lat.gram)
     return [(v, qv) for v in _orthogonal_box(gy, box_bound) if (qv := q(v)) < 0]

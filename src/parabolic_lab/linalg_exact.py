@@ -1,12 +1,15 @@
 """Exact linear algebra over the integers and rationals.
 
 Matrices are lists (or tuples) of rows; entries are Python ints or
-Fractions.  Everything here is deterministic and exact: one fraction-free
-(Bareiss) Gauss-Jordan elimination on Python ints behind the determinant,
-inverse, rank and kernel routines (Fraction rows are scaled to integers
-first, so only the final results are divided; the inverse is kept as
-the integer pair (d a^-1, d), which a lattice caches for its Gram
-matrix, and solve reads its answer off the kernel of [a | -b]), Hermite
+Fractions.  Everything here is deterministic and exact.  One routine,
+`scaled_ints`, clears denominators (by their lcm) for the whole exact
+layer, and one, `_primitive`, divides out the content.  One
+fraction-free (Bareiss) Gauss-Jordan elimination on Python ints runs
+behind the determinant, inverse, rank and kernel routines (Fraction rows
+are scaled to integers first, so only the final results are divided; the
+inverse is kept as the integer pair (d a^-1, d), which a lattice caches
+for its Gram matrix, and solve reads its answer off the kernel of
+[a | -b]), Hermite
 normal form with extended-gcd row operations, and an integral,
 fraction-free LLL reduction (integer Gram-Schmidt determinants, exact
 divisions only).
@@ -59,19 +62,24 @@ def mat_pow(a, k: int) -> Matrix:
     return result
 
 
-def mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+def scaled_ints(values) -> tuple[list[int], int]:
+    """(d * values as ints, d), d the lcm of the denominators; a float is read as its exact Fraction."""
+    values = [x if isinstance(x, int) else Fraction(x) for x in values]
+    d = lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def _primitive(v) -> list[int]:
+    """`scaled_ints(v)` over its content, sign kept."""
+    ints = scaled_ints(v)[0]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
 def _integer_rows(a) -> tuple[list[list[int]], list[int]]:
     """Rows of `a` scaled to integers, and the scales (lcm of each row's denominators)."""
-    rows, scales = [], []
-    for row in a:
-        row = [x if isinstance(x, int) else Fraction(x) for x in row]
-        den = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (den // x.denominator) for x in row])
-        scales.append(den)
-    return rows, scales
+    pairs = [scaled_ints(row) for row in a]
+    return [row for row, _ in pairs], [d for _, d in pairs]
 
 
 def _gauss_jordan(m: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
@@ -146,17 +154,9 @@ def rank_exact(a) -> int:
 
 
 def primitive_vector(v) -> tuple[int, ...]:
-    """Clear denominators, divide by the content and make the first nonzero entry positive."""
-    v = [x if isinstance(x, int) else Fraction(x) for x in v]
-    den = lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (den // x.denominator) for x in v]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    """`_primitive(v)` with its first nonzero entry made positive."""
+    ints = _primitive(v)
+    return tuple(ints) if next((x for x in ints if x), 0) >= 0 else tuple(-x for x in ints)
 
 
 def kernel_basis(a) -> list[list[int]]:

@@ -5,10 +5,13 @@ trailing zeros (the zero polynomial is the empty tuple).  The module
 supplies what the isometry layer needs done exactly: characteristic
 polynomials (Faddeev-LeVerrier, in Python ints for integer matrices),
 cyclotomic factor stripping, squarefree parts, and Sturm-chain root
-isolation.  Its one long division, `_divmod_monic`, is by a monic
-divisor, so it never divides: cyclotomic stripping runs it on cached
-integer Phi_d, and the loxodromic eigenvectors on f.  The minimal polynomial
-is the first relation `linalg_exact.kernel_basis` finds among powers of M.
+isolation.  Its long division by a monic divisor, `_divmod_monic`, never
+divides: cyclotomic stripping runs it on cached integer Phi_d, and the
+loxodromic eigenvectors on f.  Its one other division loop is the exact
+integer one inside `_squarefree_ints`.  Denominators are cleared by
+`linalg_exact.scaled_ints` and contents divided out by
+`linalg_exact._primitive`.  The minimal polynomial is the first relation
+`linalg_exact.kernel_basis` finds among powers of M.
 Gcds, squarefree parts and Sturm chains come from one integer
 pseudo-remainder, `_primitive_rem`, whose result is a positive multiple
 of the Fraction remainder; largest-root isolation counts sign changes
@@ -20,10 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, lcm
 
 from .errors import ContractError, PreconditionError
-from .linalg_exact import identity_matrix, kernel_basis, mat_mul
+from .linalg_exact import _primitive, identity_matrix, kernel_basis, mat_mul, scaled_ints
 
 Poly = tuple[Fraction, ...]
 
@@ -62,15 +64,6 @@ def monic(p: Poly) -> Poly:
         return p
     lead = p[-1]
     return tuple(c / lead for c in p)
-
-
-def _primitive(p) -> list[int]:
-    """p scaled to integers by its denominators' lcm, over their content (sign kept)."""
-    p = [c if isinstance(c, int) else Fraction(c) for c in p]
-    d = lcm(*(c.denominator for c in p))
-    ints = [c.numerator * (d // c.denominator) for c in p]
-    g = gcd(*ints)
-    return [c // g for c in ints] if g > 1 else ints
 
 
 def _primitive_rem(a: list[int], b: list[int]) -> list[int]:
@@ -115,21 +108,6 @@ def _squarefree_ints(p) -> list[int]:
     return quo[::-1] if not quo or quo[0] > 0 else [-c for c in reversed(quo)]
 
 
-def squarefree_part(p: Poly) -> Poly:
-    """p divided by gcd(p, p'): same roots, each with multiplicity one; monic."""
-    return monic(poly(_squarefree_ints(p)))
-
-
-def evaluate_matrix(p: Poly, m) -> list[list[Fraction]]:
-    n = len(m)
-    acc = [[Fraction(0)] * n for _ in range(n)]
-    for c in reversed(p):
-        acc = mat_mul(acc, m)
-        for i in range(n):
-            acc[i][i] += c
-    return acc
-
-
 def charpoly(m) -> Poly:
     """Characteristic polynomial det(x I - M), monic, via Faddeev-LeVerrier.
 
@@ -139,9 +117,8 @@ def charpoly(m) -> Poly:
     of x^(n-k) for D M is D^k times the one for M.
     """
     n = len(m)
-    entries = [[x if isinstance(x, int) else Fraction(x) for x in row] for row in m]
-    d = lcm(*(x.denominator for row in entries for x in row))
-    mi = [[x.numerator * (d // x.denominator) for x in row] for row in entries]
+    flat, d = scaled_ints([x for row in m for x in row])
+    mi = [flat[i * n : (i + 1) * n] for i in range(n)]
     coeffs = [0] * n + [1]
     mk = [row[:] for row in mi]
     for k in range(1, n + 1):
@@ -160,8 +137,8 @@ def minimal_polynomial(m) -> Poly:
     """Monic minimal polynomial: the first `kernel_basis` vector of I, M, ..., M^n.
 
     With M^k flattened into column k, the first free column is the first
-    power that depends on the lower ones.  Nothing in the library calls it
-    (`is_semisimple` tests rad(chi)(M) = 0); bench/tracer.py wraps it by name.
+    power that depends on the lower ones.  Nothing in the library calls it;
+    bench/tracer.py wraps it by name.
     """
     n = len(m)
     if not n:
@@ -265,9 +242,7 @@ def isolate_largest_root_above(p: Poly, lower: Fraction = Fraction(1)) -> tuple[
         signs = [s for s in (_homogeneous_sign(c, num, den) for c in chain) if s]
         return sum(x != y for x, y in zip(signs, signs[1:]))
 
-    lower, hi = Fraction(lower), cauchy_root_bound(p)
-    den = lcm(lower.denominator, hi.denominator)
-    a, b = lower.numerator * (den // lower.denominator), hi.numerator * (den // hi.denominator)
+    (a, b), den = scaled_ints((lower, cauchy_root_bound(p)))
     va, vb = variations(a, den), variations(b, den)
     if va == vb:
         return None

@@ -30,7 +30,7 @@ import mpmath as mp
 
 from .errors import ContractError, PrecisionError, PreconditionError
 from .exact import QuadExpr
-from .linalg_exact import hnf, kernel_basis, lll_reduce, rank_exact
+from .linalg_exact import _primitive, hnf, kernel_basis, lll_reduce, rank_exact
 
 DEFAULT_PRECISION = 128
 DEFAULT_TOL = 1e-24
@@ -204,8 +204,7 @@ def rational_hull(
             # the float residue is a cheap screen before holds(), exact for exact values
             if (any(k) and max(map(abs, k)) <= height_bound
                     and _residue(k, vals) < tolm and holds(k)):
-                g = math.gcd(*k)
-                accepted.append([c // g for c in k])
+                accepted.append(_primitive(k))
         # canonicalize and saturate: true relation lattices are saturated,
         # so any imprimitive HNF row can be divided and re-verified
         relations = hnf(accepted)
@@ -214,9 +213,8 @@ def rational_hull(
             changed = False
             out = []
             for row in relations:
-                g = math.gcd(*row)
-                cand = [c // g for c in row]
-                if g > 1 and holds(cand):
+                cand = _primitive(row)
+                if cand != row and holds(cand):
                     out.append(cand)
                     changed = True
                 else:

@@ -326,6 +326,8 @@ _U_FORM = {"rank": 2, "gram": [[0, 1], [1, 0]]}
                               [1e200, 1.0, 0.0, 1e200], [1.0, -1e200, 1e200, 0.0]]}),
     (["hafnian"], {"matrix": [[10**200] * 4] * 4}),
     (["hafnian"], {"matrix": [[1] * 26] * 26}),
+    (["hafnian"], {"matrix": [[1, 2], [3, 4]]}),
+    (["hafnian"], {"matrix": [[0.0 if i == j else 1e-200 for j in range(4)] for i in range(4)]}),
     (["fujiki", "--eta", "3,5"], {**_U_FORM, "n": 600}),
     (["fujiki", "--eta", "3,5"], {**_U_FORM, "n": 100000}),
     (["fujiki", "--eta", "3,5"], {**_U_FORM, "c": "1e400"}),
@@ -333,17 +335,40 @@ _U_FORM = {"rank": 2, "gram": [[0, 1], [1, 0]]}
     (["fujiki", "--eta", "1,1"], {**_U_FORM, "c": "1e-400"}),
     (["fujiki", "--etas", "1,0;0,1"], {**_U_FORM, "K": "1e-400"}),
 ], ids=["hafnian-nan", "hafnian-inf", "hafnian-nan-result", "hafnian-int-overflow",
-        "hafnian-26", "fujiki-n600", "fujiki-n1e5", "fujiki-c1e400", "fujiki-K1e400",
-        "fujiki-c1e-400", "fujiki-K1e-400"])
+        "hafnian-26", "hafnian-asymmetric", "hafnian-float-underflow", "fujiki-n600",
+        "fujiki-n1e5", "fujiki-c1e400", "fujiki-K1e400", "fujiki-c1e-400", "fujiki-K1e-400"])
 def test_hodge_results_outside_the_float_range_are_preconditions(argv, spec, tmp_path, capsys):
-    # a non-finite entry, a result that overflows a float or is NaN, an exact nonzero
-    # result that underflows to 0, a matrix past MAX_HAFNIAN or a q^n past the float
-    # range must not print a number
+    # a non-finite entry, a result that overflows a float or is NaN, a nonzero result
+    # that underflows to 0 (exact or float), a matrix past MAX_HAFNIAN, an asymmetric
+    # matrix or a q^n past the float range must not print a number
     f = tmp_path / "in.json"
     f.write_text(json.dumps(spec))
     assert main(["hodge", argv[0], "-i", str(f), *argv[1:]]) == 2
     err = capsys.readouterr().err
     assert "precondition violation" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("matrix,want", [
+    ([[0.0, 1e-200, 1e-200, 0.0], [1e-200, 0.0, 0.0, -1e-200],
+      [1e-200, 0.0, 0.0, 1e-200], [0.0, -1e-200, 1e-200, 0.0]], 0),
+    ([[5.0, 0.0], [0.0, 5.0]], 0),
+    ([[0.0 if i == j else 1e-150 for j in range(4)] for i in range(4)], 3e-300),
+], ids=["cancelling", "diagonal-only", "small"])
+def test_hodge_hafnian_float_zero_is_kept(matrix, want, tmp_path, capsys):
+    # the underflow check refuses only a float 0 whose rescaled matrix has a nonzero hafnian
+    h = tmp_path / "haf.json"
+    h.write_text(json.dumps({"matrix": matrix}))
+    code, out = run_cli(["hodge", "hafnian", "-i", str(h)], capsys)
+    assert code == 0 and json.loads(out)["result"]["hafnian"] == pytest.approx(want, rel=1e-12)
+
+
+def test_hodge_fujiki_q_eta_past_53_bits_is_a_string(tmp_path, capsys):
+    f = tmp_path / "u.json"
+    f.write_text(json.dumps(_U_FORM))
+    code, out = run_cli(["hodge", "fujiki", "-i", str(f), "--eta", "9" * 29 + ",1"], capsys)
+    assert code == 0 and json.loads(out)["result"]["q_eta"] == "1" + "9" * 28 + "8"
+    code, out = run_cli(["hodge", "fujiki", "-i", str(f), "--eta", "3,5"], capsys)
+    assert code == 0 and json.loads(out)["result"]["q_eta"] == 30
 
 
 def test_seed_env_must_be_an_integer(monkeypatch, capsys):

@@ -7,10 +7,13 @@ from helpers import (
     _frozen_derivative,
     classification_lattices,
     doubling_limit,
+    frozen_charpoly,
     frozen_eigen_certificates,
+    frozen_evaluate_matrix,
     frozen_inverse,
     frozen_loxodromic_payload,
     frozen_mat_pow,
+    frozen_squarefree_part,
     oracle_tag,
     parabolic_payload_ok,
     random_word,
@@ -28,7 +31,6 @@ from parabolic_lab.isometry import (
     compose,
     eichler_transvection,
     inverse,
-    is_semisimple,
     limit_nef_class,
     power,
     verify_isometry,
@@ -57,6 +59,12 @@ U2 = U.direct_sum(diagonal_lattice(-2))
 def _quasi_unipotent(g: LatticeIsometry) -> bool:
     """Every irreducible factor of g's charpoly is cyclotomic."""
     return strip_cyclotomic_factors(charpoly(g.matrix))[0] == (1,)
+
+
+def _semisimple(g: LatticeIsometry) -> bool:
+    """rad(chi)(M) = 0, chi the charpoly and rad its squarefree part, on the frozen kernels."""
+    rad = frozen_squarefree_part(frozen_charpoly(g.matrix))
+    return not any(map(any, frozen_evaluate_matrix(rad, g.matrix)))
 
 
 def test_verify_isometry():
@@ -156,7 +164,7 @@ def test_transvection_examples():
     assert t.apply((1, 0, 0)) == (1, 0, 0)
     cls = classify(t)
     assert isinstance(cls, Parabolic) and cls.fixed_vector == (1, 0, 0)
-    assert _quasi_unipotent(t) and not is_semisimple(t)
+    assert _quasi_unipotent(t) and not _semisimple(t)
     # closure: product of transvections with the same e fixes e
     t2 = eichler_transvection(U2, (1, 0, 0), (1, 0, 1))
     prod = compose(t, t2)
@@ -175,9 +183,9 @@ def test_transvection_preconditions():
 
 def test_quasi_unipotent_semisimple_examples():
     swap = LatticeIsometry(U, ((0, 1), (1, 0)))
-    assert _quasi_unipotent(swap) and is_semisimple(swap)
+    assert _quasi_unipotent(swap) and _semisimple(swap)
     lox = LatticeIsometry(PELL, ((3, 2), (4, 3)))
-    assert not _quasi_unipotent(lox) and is_semisimple(lox)
+    assert not _quasi_unipotent(lox) and _semisimple(lox)
 
 
 def test_elliptic_order_exact():
@@ -278,16 +286,21 @@ def test_limit_matches_doubling_oracle_on_fuzz_words():
     assert checked >= 90
 
 
-def test_is_semisimple_matches_squarefree_minimal_polynomial_on_fuzz_words():
+def test_elliptic_matches_squarefree_minimal_polynomial_on_fuzz_words():
+    # a quasi-unipotent element of SO+(1, n) is semisimple (squarefree minimal
+    # polynomial) exactly when classify calls it Elliptic
     rng = random.Random(4242)
     lattices = classification_lattices()
     seen = set()
     for _ in range(300):
         lat, gens = lattices[rng.randrange(len(lattices))]
         g = random_word(lat, gens, rng)
+        cls = classify(g)
+        if not isinstance(cls, (Elliptic, Parabolic)):
+            continue
         mu = minimal_polynomial([list(r) for r in g.matrix])
         squarefree = degree(poly_gcd(mu, _frozen_derivative(mu))) == 0
-        assert is_semisimple(g) == squarefree, g.matrix
+        assert isinstance(cls, Elliptic) == squarefree, g.matrix
         seen.add(squarefree)
     assert seen == {True, False}
 

@@ -1,22 +1,25 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from parabolic_lab.errors import PreconditionError
 from parabolic_lab.exact import ParseError
 from parabolic_lab.linalg_exact import (
+    _primitive,
     det_exact,
     hnf,
     identity_matrix,
     kernel_basis,
     lll_reduce,
-    mat_eq,
     mat_mul,
     mat_pow,
     mat_vec,
+    primitive_vector,
     rank_exact,
     scaled_inverse,
+    scaled_ints,
     solve_exact,
 )
 
@@ -162,8 +165,35 @@ def test_elimination_matches_fraction_oracle():
         else:
             inv = _inverse(a)
             assert inv == frozen_inverse(a)
-            assert mat_eq(mat_mul(a, inv), identity_matrix(rows))
+            assert mat_mul(a, inv) == identity_matrix(rows)
     assert all(seen.values()), seen
+
+
+def test_scaled_ints_and_primitive_match_fraction_arithmetic():
+    rng = random.Random(20)
+    draws = (
+        lambda: rng.randint(-30, 30),
+        lambda: Fraction(rng.randint(-30, 30), rng.randint(1, 12)),
+        lambda: rng.choice([0.5, -0.25, 0.1, 3.0, -7.0, 1e-3, 2.5e10]),
+    )
+    cases = [[], [0], [0, 0, 0], [-4, 6], [Fraction(-3, 4), Fraction(1, 6)], [0, -0.5, 1.5]]
+    cases += [[rng.choice(draws)() for _ in range(rng.randint(1, 6))] for _ in range(300)]
+    for v in cases:
+        exact = [Fraction(x) for x in v]
+        ints, d = scaled_ints(v)
+        assert all(type(x) is int for x in ints) and type(d) is int and d > 0, v
+        # d is the least positive scale: a common factor of d and d v would give a smaller one
+        assert [Fraction(x, d) for x in ints] == exact and gcd(d, *ints) == 1, v
+        p = _primitive(v)
+        assert all(type(x) is int for x in p), v
+        lead = next((i for i, x in enumerate(exact) if x), None)
+        if lead is None:
+            assert p == [0] * len(v), v
+            continue
+        ratio = p[lead] / exact[lead]
+        assert ratio > 0 and gcd(*p) == 1 and all(x == ratio * y for x, y in zip(p, exact)), v
+        signed = primitive_vector(v)
+        assert signed in (tuple(p), tuple(-x for x in p)) and signed[lead] > 0, v
 
 
 def test_hnf_canonical():

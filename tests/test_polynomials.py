@@ -13,13 +13,13 @@ from parabolic_lab.polynomials import (
     cyclotomic,
     cyclotomic_indices,
     degree,
+    _squarefree_ints,
     euler_phi,
-    evaluate_matrix,
     isolate_largest_root_above,
     minimal_polynomial,
+    monic,
     poly,
     poly_gcd,
-    squarefree_part,
     strip_cyclotomic_factors,
 )
 
@@ -29,6 +29,7 @@ from helpers import (
     _frozen_divmod,
     frozen_charpoly,
     frozen_cyclotomic,
+    frozen_evaluate_matrix,
     frozen_inverse,
     frozen_isolate,
     frozen_minimal_polynomial,
@@ -158,15 +159,15 @@ def test_integer_isolation_matches_frozen_on_kernel_cases():
 def test_squarefree_and_gcd_match_frozen_euclid():
     cases = _integer_kernel_cases() + [poly([5]), poly([Fraction(-2, 3)])]
     for p in cases:
-        sqf = squarefree_part(p)
-        assert sqf == frozen_squarefree_part(p), p
-        assert all(type(c) is Fraction for c in sqf) and sqf[-1] == 1
+        sqf = _squarefree_ints(p)
+        assert all(type(c) is int for c in sqf) and sqf[-1] > 0, p
+        assert monic(poly(sqf)) == frozen_squarefree_part(p), p
         for q in (_frozen_derivative(p), frozen_poly_mul(p, poly([1, 1])), poly([-1, 1]), ()):
             assert poly_gcd(p, q) == frozen_poly_gcd(p, q), (p, q)
             assert poly_gcd(q, p) == frozen_poly_gcd(q, p), (q, p)
     for a, b in zip(cases, cases[1:]):
         assert poly_gcd(a, b) == frozen_poly_gcd(a, b), (a, b)
-    assert squarefree_part(()) == poly_gcd((), ()) == ()
+    assert _squarefree_ints(()) == [] and poly_gcd((), ()) == ()
 
 
 def test_minimal_polynomial():
@@ -180,7 +181,7 @@ def test_minimal_polynomial():
         m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         mp_ = minimal_polynomial(m)
         assert not _frozen_divmod(charpoly(m), mp_)[1]
-        assert all(x == 0 for row in evaluate_matrix(mp_, m) for x in row)
+        assert all(x == 0 for row in frozen_evaluate_matrix(mp_, m) for x in row)
     # against the frozen Krylov route: int, Fraction and float entries, Jordan
     # blocks hidden by a unimodular change of basis, and the 0x0 matrix
     assert minimal_polynomial([]) == frozen_minimal_polynomial([]) == (1,)
@@ -265,7 +266,7 @@ def test_strip_cyclotomic_factors():
 
 def test_squarefree():
     p = frozen_poly_mul(poly([-1, 1]), poly([-1, 1]))
-    assert squarefree_part(p) == poly([-1, 1])
+    assert _squarefree_ints(p) == [-1, 1]
     assert poly_gcd(poly([-1, 0, 1]), poly([-1, 1])) == poly([-1, 1])
 
 
