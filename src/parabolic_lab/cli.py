@@ -85,6 +85,15 @@ from .torus import (
 
 SEED_ENV = "PARABOLIC_LAB_SEED"
 
+# Caps on the count options, refused with exit 2 before any work starts.  Each sits
+# above every value the README, tests, demos and CI use.  A point, an involution pair or
+# a fiber report costs 0.4-7 KB, a Monte Carlo sample about 0.45 KB (0.9 GB at MAX_MC),
+# and every worker is a process.
+MAX_POINTS = 10**5  # --n of torus orbit, k3 sample and k3 involve; k3 orbit --fibers
+MAX_STEPS = 10**6  # --n of torus weyl and k3 orbit; k3 ergo --l and --trials
+MAX_MC = 2 * 10**6  # k3 ergo --mc
+MAX_WORKERS = 64  # k3 orbit --workers
+
 
 # ---------------------------------------------------------------------------
 # deterministic rendering
@@ -207,10 +216,11 @@ def _load_isometry(path: str) -> tuple[QuadLattice, object]:
     return _load_lattice(d["lattice"]), d["matrix"]
 
 
-def _require_positive(args, *names: str) -> None:
-    for name in names:
-        if getattr(args, name) < 1:
-            raise PreconditionError(f"--{name} must be >= 1")
+def _require_counts(args, **caps: int) -> None:
+    """Refuse a count option outside [1, its cap] before any work starts."""
+    for name, cap in caps.items():
+        if not 1 <= getattr(args, name) <= cap:
+            raise PreconditionError(f"--{name} must be between 1 and {cap}")
 
 
 def _complex_matrix(rows) -> np.ndarray:
@@ -320,8 +330,10 @@ def cmd_isometry_limit(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_torus_orbit(args) -> dict | Csv:
+    _require_counts(args, n=MAX_POINTS)
     coords = parse_real_vector(args.coords)
-    args.start = args.start or ",".join("0" * len(coords))  # recorded in the config
+    if args.start is None:  # an empty --start is parsed, and refused, like any other
+        args.start = ",".join("0" * len(coords))  # recorded in the config
     x = TranslationVector(coords)
     start = [s.to_mpf(x.precision) for s in parse_real_vector(args.start)]
     pts = iterate(x, start, args.n)
@@ -337,6 +349,7 @@ def cmd_torus_hull(args) -> dict:
 
 
 def cmd_torus_weyl(args) -> dict:
+    _require_counts(args, n=MAX_STEPS)
     coords = parse_real_vector(args.coords)
     return {"magnitude": weyl_sum(TranslationVector(coords), args.k, args.n)}
 
@@ -386,11 +399,11 @@ def cmd_hodge_fujiki(args) -> dict:
         k=_fraction(spec.get("K", 1), "K"),
     )
     result = {}
-    if args.eta:
+    if args.eta is not None:
         eta = _int_vector(args.eta)
         result["top"] = _float_result(fujiki_top(structure, eta), "top")
         result["q_eta"] = _json_int(lat.q(eta))
-    if args.etas:
+    if args.etas is not None:
         etas = [_int_vector(part) for part in args.etas.split(";")]
         result["polarized"] = _float_result(fujiki_polarized(structure, etas), "polarized")
     if not result:
@@ -404,16 +417,33 @@ def cmd_hodge_hafnian(args) -> dict:
         isinstance(row, list) and all(map(is_number, row)) for row in rows
     ):
         raise ParseError("matrix must be a list of rows of numbers")
-    value = hafnian(rows)  # refuses a ragged, odd, oversized or non-finite matrix first
+    try:
+        value = hafnian(rows)  # refuses a ragged, odd, oversized or non-finite matrix first
+    except OverflowError:  # an int past the float range beside float entries
+        raise PreconditionError("hafnian entry overflows a float") from None
     if rows != [list(col) for col in zip(*rows)]:
         raise PreconditionError("hafnian needs a symmetric matrix")
-    upper = [abs(x) for i, row in enumerate(rows) for x in row[i + 1 :]]
-    if type(value) is float and value == 0 and any(upper):
-        # a float sum can underflow to 0; haf(2^-e A) = 2^(-e m/2) haf(A) holds exactly in binary
-        e = math.frexp(max(upper))[1]
-        if hafnian([[math.ldexp(x, -e) for x in row] for row in rows]):
-            raise PreconditionError("hafnian underflows to 0 in floats")
+    if type(value) is float and value == 0 and hafnian(_balanced(rows)):
+        raise PreconditionError("hafnian underflows to 0 in floats")
     return {"hafnian": _float_result(value, "hafnian")}
+
+
+def _balanced(rows) -> list[list[float]]:
+    """D A D for D = diag(2^k_i), whose hafnian is 2^(k_1 + ... + k_m) haf(A) exactly.
+
+    Each update k_i = -max_j (e_ij + k_j), e_ij the binary exponent of a nonzero
+    off-diagonal a_ij, brings row i's largest scaled entry into [1/2, 1), so after
+    each of the m sweeps no off-diagonal entry reaches 1 in modulus; the diagonal,
+    which the hafnian never reads, is set to 0.
+    """
+    exps = [[(j, math.frexp(x)[1]) for j, x in enumerate(row) if x and j != i]
+            for i, row in enumerate(rows)]
+    k = [0] * len(rows)
+    for _ in rows:
+        for i, row in enumerate(exps):
+            k[i] = -max((e + k[j] for j, e in row), default=0)
+    return [[math.ldexp(x, k[i] + k[j]) if i != j else 0.0 for j, x in enumerate(row)]
+            for i, row in enumerate(rows)]
 
 
 def cmd_hodge_amgm(args) -> dict:
@@ -446,7 +476,7 @@ def _point_dict(p: s2.SurfacePoint) -> dict:
 
 
 def cmd_k3_sample(args) -> dict:
-    _require_positive(args, "n")
+    _require_counts(args, n=MAX_POINTS)
     surface = _surface_from_args(args)
     rng = np.random.default_rng([args.seed, 0xA5])
     pts = [s2.sample_point(surface, rng) for _ in range(args.n)]
@@ -458,7 +488,7 @@ def cmd_k3_sample(args) -> dict:
 
 
 def cmd_k3_involve(args) -> dict:
-    _require_positive(args, "n")
+    _require_counts(args, n=MAX_POINTS)
     surface = _surface_from_args(args)
     rng = np.random.default_rng([args.seed, 0x17])
     rows = []
@@ -509,7 +539,7 @@ def _chart_coords(pair) -> tuple[int, float, float]:
 
 
 def cmd_k3_orbit(args) -> dict | Csv:
-    _require_positive(args, "n", "fibers", "workers")
+    _require_counts(args, n=MAX_STEPS, fibers=MAX_POINTS, workers=MAX_WORKERS)
     surface = _surface_from_args(args)
     pair = tuple(args.pair)
     if pair not in s2.PAIRS:
@@ -550,6 +580,9 @@ def cmd_k3_orbit(args) -> dict | Csv:
 
 
 def cmd_k3_ergo(args) -> dict:
+    _require_counts(args, l=MAX_STEPS)
+    if not args.contrast:
+        _require_counts(args, trials=MAX_STEPS, mc=MAX_MC)
     surface = _surface_from_args(args)
     if args.contrast:
         args.trials = args.mc = None  # the contrast reads neither; recorded in the config as null

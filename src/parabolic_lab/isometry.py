@@ -16,9 +16,9 @@ with |lambda| > 1).  Classification here runs entirely on exact data:
   limit direction of g^i(w) is that of the integer vector N^2 w;
 * off that branch the stripping leaves f, the minimal polynomial of
   lambda and 1/lambda (a Salem number or a quadratic unit; McMullen,
-  *J. reine angew. Math.* 545, 2002): lambda is isolated and polished on
-  f, and both eigendirections come from one column v(x) of adj(x I - M)
-  in Z[x]/(f), certified by M v = x v and q(v, v) = 0 mod f.
+  *J. reine angew. Math.* 545, 2002): lambda is bracketed on f by integer
+  Sturm bisection, and both eigendirections come from one column v(x) of
+  adj(x I - M) in Z[x]/(f), certified by M v = x v and q(v, v) = 0 mod f.
 
 Each isometry is classified once, on first use; :func:`classify` and
 :func:`limit_nef_class` both read the verdict it keeps.
@@ -67,6 +67,7 @@ from .linalg_exact import (
 )
 from .polynomials import (
     _divmod_monic,
+    _homogeneous,
     charpoly,
     isolate_largest_root_above,
     strip_cyclotomic_factors,
@@ -214,23 +215,21 @@ def _loxodromic_payload(g: LatticeIsometry, p, f) -> Loxodromic:
     """Eigenvalue > 1 and the two isotropic eigendirections, read off f.
 
     p is g's charpoly and f its non-cyclotomic factor, whose roots include
-    lambda and 1/lambda: the isolation and polish run on f, and one exact
-    v(x) mod f (:func:`_eigenvector_mod_f`) is rounded at both roots.
+    lambda and 1/lambda: lambda is the midpoint num / den of f's isolating interval,
+    and one exact v(x) mod f (:func:`_eigenvector_mod_f`) is evaluated in ints there.
     """
     interval = isolate_largest_root_above(f, Fraction(1))
     if interval is None:
         raise ContractError("loxodromic isometry with no real eigenvalue > 1 (bug)")
-    fi = [int(x) for x in f]
-    v = _eigenvector_mod_f(g, p, fi)
-    lead = next(i for i, vi in enumerate(v) if any(vi))
+    num, den = (sum(interval) / 2).as_integer_ratio()
+    v = _eigenvector_mod_f(g, p, [int(x) for x in f])
+    directions = []
+    for x, y in ((num, den), (den, num)):  # den^k v(lambda), num^k v(1 / lambda)
+        vals = [_homogeneous(vi, x, y) for vi in v]
+        sign, sup = (1 if next(filter(None, vals)) > 0 else -1), max(map(abs, vals))
+        directions.append(tuple(sign * val / sup for val in vals))  # sign first: no -0.0
     with mp.workdps(LOXODROMIC_EIGENVALUE_DPS):
-        mid = sum(mp.mpf(end.numerator) / end.denominator for end in interval) / 2
-        lam = +mp.findroot(lambda x: mp.polyval(fi[::-1], x), mid)
-        directions = []
-        for x in (lam, 1 / lam):
-            vals = [mp.polyval(vi[::-1], x) for vi in v]
-            scale = max(map(abs, vals)) * (1 if vals[lead] > 0 else -1)
-            directions.append(tuple(float(y / scale) for y in vals))
+        lam = mp.mpf(num) / den  # f is monic, so den is a power of two: one rounding
     return Loxodromic(lam, *directions)
 
 

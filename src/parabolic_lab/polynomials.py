@@ -15,7 +15,7 @@ integer one inside `_squarefree_ints`.  Denominators are cleared by
 Gcds, squarefree parts and Sturm chains come from one integer
 pseudo-remainder, `_primitive_rem`, whose result is a positive multiple
 of the Fraction remainder; largest-root isolation counts sign changes
-along that chain and bisects, all in Python ints.
+along that chain and bisects, all in Python ints through `_homogeneous`.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from .errors import ContractError, PreconditionError
+from .errors import ContractError
 from .linalg_exact import _primitive, identity_matrix, kernel_basis, mat_mul, scaled_ints
 
 Poly = tuple[Fraction, ...]
+ROOT_BITS = 200  # isolation width 2^-ROOT_BITS: keep >= 30 bits past a 50-digit mpf's ~170
 
 
 def poly(coeffs) -> Poly:
@@ -173,13 +174,6 @@ def _cyclotomic_ints(d: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def cyclotomic(d: int) -> Poly:
-    """The d-th cyclotomic polynomial (d >= 1)."""
-    if d < 1:
-        raise PreconditionError(f"cyclotomic index must be >= 1, got {d}")
-    return poly(_cyclotomic_ints(d))
-
-
 def cyclotomic_indices(max_phi: int) -> list[int]:
     """All d with euler_phi(d) <= max_phi (phi(d) >= sqrt(d/2) bounds d)."""
     bound = 2 * max_phi * max_phi + 2
@@ -219,19 +213,19 @@ def cauchy_root_bound(p: Poly) -> Fraction:
 
 
 def isolate_largest_root_above(p: Poly, lower: Fraction = Fraction(1)) -> tuple[Fraction, Fraction] | None:
-    """Isolating interval (lo, hi] for the largest real root of p above `lower`.
+    """Interval (lo, hi] of width <= 2^-ROOT_BITS holding the largest real root of p above `lower`.
 
     Returns None when there is no real root in (lower, cauchy bound].
     Bisection runs in Python ints on (a / den, b / den], den doubling with
-    each halving; callers refine the interval numerically afterwards.
+    each halving, so den is a power of two when both ends start integral.
 
     The Sturm chain of the squarefree part is its primitive remainder
     sequence: each element is a positive multiple of the Fraction one, so
     every sign count is the same.  Once the root is alone in (lo, hi], the
-    refinement to width 2^-80 needs only the squarefree part's sign at each
-    midpoint, since that root is simple: it lies above a nonzero mid exactly
-    when the signs at mid and hi differ, which covers a root at hi itself
-    (sign 0 there); a root at mid moves hi onto it.
+    refinement needs only the squarefree part's sign at each midpoint: that
+    part has a positive lead, and the root is simple and the largest, so it
+    lies above mid exactly when the part is negative there (a root at mid
+    moves hi onto it).
     """
     sqf = _squarefree_ints(p)
     chain = [c for c in (sqf, [i * c for i, c in enumerate(sqf)][1:]) if c]
@@ -239,8 +233,8 @@ def isolate_largest_root_above(p: Poly, lower: Fraction = Fraction(1)) -> tuple[
         chain.append([-c for c in rem])
 
     def variations(num: int, den: int) -> int:
-        signs = [s for s in (_homogeneous_sign(c, num, den) for c in chain) if s]
-        return sum(x != y for x, y in zip(signs, signs[1:]))
+        vals = [h for h in (_homogeneous(c, num, den) for c in chain) if h]
+        return sum((x > 0) != (y > 0) for x, y in zip(vals, vals[1:]))
 
     (a, b), den = scaled_ints((lower, cauchy_root_bound(p)))
     va, vb = variations(a, den), variations(b, den)
@@ -254,22 +248,20 @@ def isolate_largest_root_above(p: Poly, lower: Fraction = Fraction(1)) -> tuple[
             a, va = mid, vm
         else:
             b, vb = mid, vm
-    # then shrink until tight enough for numeric polishing
-    sign_hi = _homogeneous_sign(sqf, b, den)
-    while (b - a) << 80 > den:
+    # then shrink to width 2^-ROOT_BITS
+    while (b - a) << ROOT_BITS > den:
         mid, den, a, b = a + b, 2 * den, 2 * a, 2 * b
-        sign_mid = _homogeneous_sign(sqf, mid, den)
-        if sign_mid and sign_mid != sign_hi:
+        if _homogeneous(sqf, mid, den) < 0:
             a = mid
         else:
-            b, sign_hi = mid, sign_mid
+            b = mid
     return Fraction(a, den), Fraction(b, den)
 
 
-def _homogeneous_sign(coeffs: list[int], num: int, den: int) -> int:
-    """Sign of p(num / den) for den > 0, from den^deg p(num / den) in integers."""
+def _homogeneous(coeffs: list[int], num: int, den: int) -> int:
+    """den^deg * p(num / den) in integers, deg = len(coeffs) - 1 (trailing zeros count)."""
     acc, power = coeffs[-1], 1
     for c in reversed(coeffs[:-1]):
         power *= den
         acc = acc * num + c * power
-    return (acc > 0) - (acc < 0)
+    return acc

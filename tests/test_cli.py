@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from parabolic_lab import cli
 from parabolic_lab import surface222 as s2
 from parabolic_lab.cli import build_parser, main, render_json
+from parabolic_lab.hodge import hafnian
 
 
 def run_cli(args, capsys):
@@ -328,6 +330,10 @@ _U_FORM = {"rank": 2, "gram": [[0, 1], [1, 0]]}
     (["hafnian"], {"matrix": [[1] * 26] * 26}),
     (["hafnian"], {"matrix": [[1, 2], [3, 4]]}),
     (["hafnian"], {"matrix": [[0.0 if i == j else 1e-200 for j in range(4)] for i in range(4)]}),
+    (["hafnian"], {"matrix": [[0, 1e-200, 1, 0], [1e-200, 0, 0, 0], [1, 0, 0, 1e-200],
+                              [0, 0, 1e-200, 0]]}),
+    (["hafnian"], {"matrix": [[0, 1e-300, 0, 0], [1e-300, 0, 0, 0], [0, 0, 0, 10**400],
+                              [0, 0, 10**400, 0]]}),
     (["fujiki", "--eta", "3,5"], {**_U_FORM, "n": 600}),
     (["fujiki", "--eta", "3,5"], {**_U_FORM, "n": 100000}),
     (["fujiki", "--eta", "3,5"], {**_U_FORM, "c": "1e400"}),
@@ -335,7 +341,8 @@ _U_FORM = {"rank": 2, "gram": [[0, 1], [1, 0]]}
     (["fujiki", "--eta", "1,1"], {**_U_FORM, "c": "1e-400"}),
     (["fujiki", "--etas", "1,0;0,1"], {**_U_FORM, "K": "1e-400"}),
 ], ids=["hafnian-nan", "hafnian-inf", "hafnian-nan-result", "hafnian-int-overflow",
-        "hafnian-26", "hafnian-asymmetric", "hafnian-float-underflow", "fujiki-n600",
+        "hafnian-26", "hafnian-asymmetric", "hafnian-float-underflow", "hafnian-wide-range",
+        "hafnian-int-beside-float", "fujiki-n600",
         "fujiki-n1e5", "fujiki-c1e400", "fujiki-K1e400", "fujiki-c1e-400", "fujiki-K1e-400"])
 def test_hodge_results_outside_the_float_range_are_preconditions(argv, spec, tmp_path, capsys):
     # a non-finite entry, a result that overflows a float or is NaN, a nonzero result
@@ -360,6 +367,20 @@ def test_hodge_hafnian_float_zero_is_kept(matrix, want, tmp_path, capsys):
     h.write_text(json.dumps({"matrix": matrix}))
     code, out = run_cli(["hodge", "hafnian", "-i", str(h)], capsys)
     assert code == 0 and json.loads(out)["result"]["hafnian"] == pytest.approx(want, rel=1e-12)
+
+
+def test_balanced_hafnian_scales_by_a_power_of_two():
+    # haf(D A D) = 2^(k_1 + ... + k_m) haf(A): each row's largest entry lands in [1/2, 1)
+    rows = [[7.0, 1e-200, 1.0, 0.0], [1e-200, 7.0, 0.0, 0.0], [1.0, 0.0, 7.0, 1e-200],
+            [0.0, 0.0, 1e-200, 7.0]]
+    scaled = cli._balanced(rows)
+    assert [scaled[i][i] for i in range(4)] == [0.0] * 4
+    for i, row in enumerate(scaled):
+        assert 0.5 <= max(abs(x) for j, x in enumerate(row) if j != i) < 1
+        for j, x in enumerate(row):
+            if i != j and rows[i][j]:
+                assert math.frexp(x / rows[i][j])[0] == 0.5  # an exact power of two
+    assert hafnian(rows) == 0.0 and hafnian(scaled) > 0.25
 
 
 def test_hodge_fujiki_q_eta_past_53_bits_is_a_string(tmp_path, capsys):
@@ -638,3 +659,150 @@ def test_config_hashes_pinned(argv, sha, monkeypatch, capsys):
     art = json.loads(out)
     assert art["config_sha256"] == sha
     assert art["config"]["subcommand"] == " ".join(argv[:2])
+
+
+# -- every option of every subcommand against a fixed list of bad values -----------
+
+_BIG = "1" * 40
+_BAD_VALUES = ["0", "-1", "abc", "", "1.5", "nan", _BIG]
+_SEED_GRAM = [[2, 0, 1], [0, -10, 0], [1, 0, 0]]
+_SWEEP_FILES = {
+    "lat.json": {"rank": 3, "gram": _SEED_GRAM},
+    "para.json": {"lattice": {"rank": 3, "gram": _SEED_GRAM},
+                  "matrix": [[1, 0, 0], [-1, 1, 0], [5, -10, 1]]},  # the README transvection
+    "fam.json": {"coords": [["0", "sqrt2"], ["sqrt2"]]},
+    "form.json": {"rank": 2, "gram": [[0, 1], [1, 0]], "n": 1, "c": "1", "K": "1"},
+    "matrix.json": {"matrix": [[1, 1, 1, 1]] * 4},
+    "pair.json": {"h1": [[2, 0], [0, 0.5]], "h2": [[1, 0], [0, 1]]},
+}
+# a small call of each subcommand that succeeds; the sweep swaps one option's value
+_SWEEP_BASE = {
+    ("lattice", "seed"): ["--a-sq", "2", "--N", "1"],
+    ("lattice", "signature"): ["-i", "lat.json"],
+    ("lattice", "isotropic"): ["-i", "lat.json", "--bound", "2"],
+    ("lattice", "represent"): ["-i", "lat.json", "--lo", "-5", "--hi", "5", "--bound", "2"],
+    ("isometry", "verify"): ["-i", "iso.json"],
+    ("isometry", "classify"): ["-i", "iso.json"],
+    ("isometry", "transvect"): ["-i", "lat.json", "--e", "0,0,1", "--v", "0,1,0"],
+    ("isometry", "limit"): ["-i", "para.json", "--w", "1,0,0"],
+    ("torus", "orbit"): ["--coords", "sqrt2", "--n", "4"],
+    ("torus", "hull"): ["--coords", "sqrt2,2*sqrt2", "--height-bound", "100"],
+    ("torus", "weyl"): ["--coords", "sqrt2", "--k", "1", "--n", "10"],
+    ("torus", "scan"): ["--family", "fam.json", "--grid", "0,1/2", "--height-bound", "100"],
+    ("hodge", "fujiki"): ["-i", "form.json", "--eta", "1,1"],
+    ("hodge", "hafnian"): ["-i", "matrix.json"],
+    ("hodge", "amgm"): ["-i", "pair.json"],
+    ("k3", "sample"): ["--n", "2"],
+    ("k3", "involve"): ["--n", "2"],
+    ("k3", "orbit"): ["--n", "20", "--grid", "4"],
+    ("k3", "ergo"): ["--l", "10", "--trials", "2", "--mc", "100"],
+}
+_FILE_OPTIONS = {"--input", "--surface", "--family"}
+# values from the list that are legal for an option: there the call must succeed
+_REALS = {"0", "-1", "1.5", _BIG}
+_LEGAL = {
+    ("lattice", "seed"): {"--N": {_BIG}},
+    ("lattice", "represent"): {"--lo": {"0", "-1"}, "--hi": {"0", "-1", _BIG}},
+    ("torus", "orbit"): {"--coords": _REALS, "--start": _REALS},
+    ("torus", "hull"): {"--coords": _REALS, "--tol": {"1.5", _BIG}},
+    ("torus", "weyl"): {"--coords": _REALS, "--k": {"-1", _BIG}},
+    ("torus", "scan"): {"--grid": _REALS, "--tol": {"1.5", _BIG}},
+    ("hodge", "amgm"): {"--tol": {"1.5", _BIG}},
+}
+
+
+def _legal(command, flag: str) -> set:
+    if flag == "--out":
+        return set(_BAD_VALUES) - {""}  # any non-empty path names a file
+    if flag == "--seed":  # recorded by every subcommand, a u64 for k3
+        return {"0"} if command[0] == "k3" else {"0", "-1", _BIG}
+    return _LEGAL.get(command, {}).get(flag, set())
+
+
+def test_sweep_covers_every_subcommand():
+    assert set(_SWEEP_BASE) == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS), ids=" ".join)
+def test_every_option_refuses_bad_values(command, tmp_path, monkeypatch, capsys):
+    # each value goes to each option (an input file gets it as its contents) in a call
+    # that otherwise succeeds: exit 1, 2 or 3 with no traceback, unless the value is legal
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PARABOLIC_LAB_SEED", raising=False)
+    for name, spec in _SWEEP_FILES.items():
+        (tmp_path / name).write_text(json.dumps(spec))
+    (tmp_path / "iso.json").write_bytes((Path(__file__).parent / "data" / "loxodromic_isometry.json")
+                                        .read_bytes())
+    base = _SWEEP_BASE[command]
+    assert main(list(command) + base) == 0  # else every swapped call would fail for that reason
+    capsys.readouterr()
+    wrong = []
+    for flags, kwargs in cli.COMMANDS[command][1] + cli._COMMON:
+        flag = flags[-1]
+        if kwargs.get("action") == "store_true":
+            continue
+        for value in _BAD_VALUES:
+            if flag == "--workers" and value == _BIG:
+                continue  # a large worker count would start processes if it got through
+            if flag in _FILE_OPTIONS:
+                (tmp_path / "bad.json").write_text(value)
+                value_arg = "bad.json"
+            else:
+                value_arg = value
+            argv = list(command) + base
+            at = next((i for i, a in enumerate(argv) if a in flags), None)
+            if at is None:
+                argv += [flag, value_arg]
+            else:
+                argv[at + 1] = value_arg
+            code = main(argv)
+            err = capsys.readouterr().err
+            legal = value in _legal(command, flag)
+            if "Traceback" in err or (code != 0 if legal else code not in (1, 2, 3)):
+                wrong.append((flag, value, code))
+    assert not wrong, wrong
+
+
+# count options past their cap, refused before any work starts (a 40-digit count used to
+# run until killed, and a 40-digit --mc died in numpy)
+_CAPPED = [
+    (["torus", "orbit", "--coords", "sqrt2"], "--n", cli.MAX_POINTS),
+    (["torus", "weyl", "--coords", "sqrt2", "--k", "1"], "--n", cli.MAX_STEPS),
+    (["k3", "sample"], "--n", cli.MAX_POINTS),
+    (["k3", "involve"], "--n", cli.MAX_POINTS),
+    (["k3", "orbit"], "--n", cli.MAX_STEPS),
+    (["k3", "orbit", "--n", "10"], "--fibers", cli.MAX_POINTS),
+    (["k3", "orbit", "--n", "10"], "--workers", cli.MAX_WORKERS),
+    (["k3", "ergo", "--trials", "2", "--mc", "100"], "--l", cli.MAX_STEPS),
+    (["k3", "ergo", "--contrast"], "--l", cli.MAX_STEPS),
+    (["k3", "ergo", "--l", "10", "--mc", "100"], "--trials", cli.MAX_STEPS),
+    (["k3", "ergo", "--l", "10", "--trials", "2"], "--mc", cli.MAX_MC),
+]
+
+
+@pytest.mark.parametrize("argv,flag,cap", _CAPPED,
+                         ids=[f"{a[0]}-{a[1]}{f}" for a, f, _ in _CAPPED])
+def test_count_options_are_capped(argv, flag, cap, capsys):
+    values = [str(cap + 1)] if flag == "--workers" else [str(cap + 1), _BIG]
+    for value in values:
+        assert main(argv + [flag, value]) == 2, value
+        err = capsys.readouterr().err
+        assert f"between 1 and {cap}" in err and "Traceback" not in err
+
+
+def test_count_caps_sit_above_the_documented_values():
+    # every count option in the README command block and the CI workflow stays below its cap
+    caps = {(tuple(a[:2]), f): cap for a, f, cap in _CAPPED}
+    workflow = (Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml").read_text()
+    argvs = [argv[1:] for argv in _readme_commands()]
+    argvs += [shlex.split(line.strip())[1:] for line in workflow.splitlines()
+              if line.strip().startswith("parabolic-lab ")]
+    seen = 0
+    for argv in argvs:
+        for flag, value in zip(argv, argv[1:]):
+            cap = caps.get((tuple(argv[:2]), flag))
+            if cap is not None and value.isdigit():
+                assert int(value) < cap, (argv, flag)
+                seen += 1
+    assert seen >= 6
+

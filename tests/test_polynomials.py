@@ -1,18 +1,15 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from parabolic_lab.errors import PreconditionError
 from parabolic_lab.isometry import eichler_transvection
 from parabolic_lab.lattice import e8_lattice, hyperbolic_plane
 from parabolic_lab.linalg_exact import det_exact, mat_mul
 from parabolic_lab.polynomials import (
     cauchy_root_bound,
     charpoly,
-    cyclotomic,
     cyclotomic_indices,
     degree,
+    _cyclotomic_ints,
     _squarefree_ints,
     euler_phi,
     isolate_largest_root_above,
@@ -112,7 +109,15 @@ def test_isolate_matches_frozen_bisection():
         cases.append((p, lower))
     assert isolate_largest_root_above(poly([-2, 1]), Fraction(1))[1] == 2  # first midpoint
     for p, lower in cases:
-        assert isolate_largest_root_above(p, lower) == frozen_isolate(p, lower)
+        assert _refines_frozen(isolate_largest_root_above(p, lower), p, lower), (p, lower)
+
+
+def _refines_frozen(got, p, lower) -> bool:
+    """got lies inside the frozen 2^-80 bisection's interval and is at most 2^-200 wide."""
+    want = frozen_isolate(p, lower)
+    if want is None or got is None:
+        return got is want
+    return want[0] <= got[0] < got[1] <= want[1] and got[1] - got[0] <= Fraction(1, 2**200)
 
 
 def _integer_kernel_cases():
@@ -147,7 +152,7 @@ def test_integer_isolation_matches_frozen_on_kernel_cases():
     for p in _integer_kernel_cases():
         for lower in LOWERS:
             got = isolate_largest_root_above(p, lower)
-            assert got == frozen_isolate(p, lower), (p, lower)
+            assert _refines_frozen(got, p, lower), (p, lower)
             found += got is not None
     assert found > 40  # most cases do have a root to isolate
     # constants have no roots (the frozen oracle's Cauchy bound needs degree >= 1)
@@ -210,30 +215,24 @@ def test_minimal_polynomial():
 
 
 def test_cyclotomics():
-    assert cyclotomic(1) == poly([-1, 1])
-    assert cyclotomic(2) == poly([1, 1])
-    assert cyclotomic(4) == poly([1, 0, 1])
-    assert cyclotomic(12) == poly([1, 0, -1, 0, 1])
+    assert poly(_cyclotomic_ints(1)) == poly([-1, 1])
+    assert poly(_cyclotomic_ints(2)) == poly([1, 1])
+    assert poly(_cyclotomic_ints(4)) == poly([1, 0, 1])
+    assert poly(_cyclotomic_ints(12)) == poly([1, 0, -1, 0, 1])
     assert euler_phi(12) == 4
     assert set(cyclotomic_indices(2)) == {1, 2, 3, 4, 6}
 
 
-def test_cyclotomic_refuses_nonpositive_index():
-    for d in (0, -1, -3):
-        with pytest.raises(PreconditionError):
-            cyclotomic(d)
-
-
 def test_cyclotomic_matches_frozen_and_divides_x_to_the_d_minus_1():
     for d in range(1, 121):
-        assert cyclotomic(d) == frozen_cyclotomic(d), d
+        assert poly(_cyclotomic_ints(d)) == frozen_cyclotomic(d), d
     # d = 630 has 48 divisors; the product of their Phi_e is x^630 - 1
     d = 630
-    assert degree(cyclotomic(d)) == euler_phi(d) == 144
+    assert len(_cyclotomic_ints(d)) - 1 == euler_phi(d) == 144
     prod_ = poly([1])
     for e in range(1, d + 1):
         if d % e == 0:
-            prod_ = frozen_poly_mul(prod_, cyclotomic(e))
+            prod_ = frozen_poly_mul(prod_, poly(_cyclotomic_ints(e)))
     assert prod_ == poly([-1] + [0] * (d - 1) + [1])
 
 
@@ -244,7 +243,7 @@ def test_strip_matches_frozen_fraction_strip():
         # a random factor, seldom cyclotomic, times up to three cyclotomics
         p = poly([rng.randint(-4, 4) for _ in range(rng.randint(0, 4))] + [rng.choice((1, 2, 3))])
         for _ in range(rng.randint(0, 3)):
-            p = frozen_poly_mul(p, cyclotomic(rng.choice(indices)))
+            p = frozen_poly_mul(p, frozen_cyclotomic(rng.choice(indices)))
         if trial % 3 == 1:
             p = frozen_poly_mul(p, poly([Fraction(rng.randint(-5, 5), rng.randint(1, 5)), 1]))
         if trial % 4 == 2:
@@ -257,7 +256,8 @@ def test_strip_matches_frozen_fraction_strip():
 
 
 def test_strip_cyclotomic_factors():
-    p = frozen_poly_mul(cyclotomic(4), frozen_poly_mul(cyclotomic(1), cyclotomic(1)))
+    phi1 = frozen_cyclotomic(1)
+    p = frozen_poly_mul(frozen_cyclotomic(4), frozen_poly_mul(phi1, phi1))
     rem, found = strip_cyclotomic_factors(p)
     assert degree(rem) == 0 and found == {1: 2, 4: 1}
     rem, found = strip_cyclotomic_factors(poly([1, -6, 1]))  # Pell: x^2-6x+1
