@@ -77,6 +77,7 @@ LEAD_COEFF_REL = 1e-10
 MODERATE_CHART = 0.2  # |c0| below this means "too close to infinity" for affine work
 BIN_BLOCK = 1 << 16  # orbit points held for array cell binning at a time (~10 MB)
 WALK_BLOCK = 1 << 8  # trajectory points held for the test-function sums at a time
+MC_BLOCK = 1 << 14  # Monte Carlo samples whose temporaries are held at a time (~7 MB)
 BIRKHOFF_MEMO = 64  # Birkhoff runs a surface keeps, the oldest dropped first
 SAMPLE_TRIES = 64  # draws sample_point and sample_fiber_point make before a ContractError
 FIBER_REFINE = 6  # fiber_cells probes a FIBER_REFINE * G disc grid per chart
@@ -804,47 +805,63 @@ def eval_test_function(fid: str, point: SurfacePoint) -> float:
     return float(fn(None if axis is None else sphere_coord(getattr(point, axis))))
 
 
+def _fs_ratios(rng, samples: int):
+    """(t, ok) over the columns of one (4, samples) Gaussian draw g.
+
+    t = (g0 + i g1) / (g2 + i g3) is a Fubini-Study-uniform point of the
+    affine chart; ok marks the columns with |g2 + i g3| > 1e-8.
+    """
+    g = rng.normal(size=(4, samples))
+    den = g[2] + 1j * g[3]
+    return (g[0] + 1j * g[1]) / den, np.abs(den) > 1e-8
+
+
 def _mc_draw(surface: Surface222, samples: int, rng):
     """An importance sample of the 1/|dF/dz|^2 chart density: (weights, spheres).
 
     Proposal: Fubini-Study-uniform (x, y), both z roots; weight
-    (1 + |x|^2)^2 (1 + |y|^2)^2 / |dF/dz|^2 per root.  Each list holds one
-    entry per root: its weights, and its sphere coordinates by axis.
+    (1 + |x|^2)^2 (1 + |y|^2)^2 / |dF/dz|^2 per root.  The (x, y) ratios
+    are formed over the whole draw; the quadratics, their guard and roots,
+    the weights and the sphere coordinates over MC_BLOCK kept columns at a
+    time, written into arrays that hold the whole draw.  Each list holds
+    one entry per root: its weights, and its sphere coordinates by axis
+    (x and y are the same arrays for both roots).
     """
     c = surface.coeffs
-    g = rng.normal(size=(4, samples))
-    x = (g[0] + 1j * g[1])
-    xden = (g[2] + 1j * g[3])
-    g = rng.normal(size=(4, samples))
-    y = (g[0] + 1j * g[1])
-    yden = (g[2] + 1j * g[3])
-    keep = (np.abs(xden) > 1e-8) & (np.abs(yden) > 1e-8)
-    x, y = (x / xden)[keep], (y / yden)[keep]
-    mx = np.stack([np.ones_like(x), x, x * x])
-    my = np.stack([np.ones_like(y), y, y * y])
-    abc = []
-    for m in range(3):
-        acc = np.zeros_like(x)
-        for i in range(3):
-            for j in range(3):
-                cij = c[i, j, m]
-                if cij != 0:
-                    acc = acc + cij * mx[i] * my[j]
-        abc.append(acc)
-    cc, bb, aa = abc
-    ok, roots = _guarded_roots(aa, bb, cc)
-    x, y, aa, bb = x[ok], y[ok], aa[ok], bb[ok]
-    fs_weight = (1 + np.abs(x) ** 2) ** 2 * (1 + np.abs(y) ** 2) ** 2
-    wx = x / (1 + np.abs(x) ** 2)
-    wy = y / (1 + np.abs(y) ** 2)
-    weights = []
-    spheres = []
-    for r0, r1 in roots:
-        tz = r1 / r0
-        fz = 2 * aa * tz + bb
-        weights.append(fs_weight / np.abs(fz) ** 2)
-        spheres.append({"x": wx, "y": wy, "z": tz / (1 + np.abs(tz) ** 2)})
-    return weights, spheres
+    x, xok = _fs_ratios(rng, samples)
+    y, yok = _fs_ratios(rng, samples)
+    keep = xok & yok
+    x, y = x[keep], y[keep]
+    weights, wz = np.empty((2, len(x))), np.empty((2, len(x)), complex)
+    wx, wy = np.empty_like(x), np.empty_like(y)
+    n = 0
+    for lo in range(0, len(x), MC_BLOCK):
+        bx, by = x[lo:lo + MC_BLOCK], y[lo:lo + MC_BLOCK]
+        mx = np.stack([np.ones_like(bx), bx, bx * bx])
+        my = np.stack([np.ones_like(by), by, by * by])
+        abc = []
+        for m in range(3):
+            acc = np.zeros_like(bx)
+            for i in range(3):
+                for j in range(3):
+                    cij = c[i, j, m]
+                    if cij != 0:
+                        acc = acc + cij * mx[i] * my[j]
+            abc.append(acc)
+        cc, bb, aa = abc
+        ok, roots = _guarded_roots(aa, bb, cc)
+        bx, by, aa, bb = bx[ok], by[ok], aa[ok], bb[ok]
+        hi = n + len(bx)
+        fs_weight = (1 + np.abs(bx) ** 2) ** 2 * (1 + np.abs(by) ** 2) ** 2
+        wx[n:hi] = bx / (1 + np.abs(bx) ** 2)
+        wy[n:hi] = by / (1 + np.abs(by) ** 2)
+        for w, z, (r0, r1) in zip(weights, wz, roots):
+            tz = r1 / r0
+            fz = 2 * aa * tz + bb
+            w[n:hi] = fs_weight / np.abs(fz) ** 2
+            z[n:hi] = tz / (1 + np.abs(tz) ** 2)
+        n = hi
+    return list(weights[:, :n]), [{"x": wx[:n], "y": wy[:n], "z": z} for z in wz[:, :n]]
 
 
 def _mc_space_averages(surface: Surface222, fids, samples: int, rng) -> dict:
@@ -852,8 +869,9 @@ def _mc_space_averages(surface: Surface222, fids, samples: int, rng) -> dict:
 
     The self-normalized importance-sampling estimate of each test
     function's space average; the draw, its weights and its effective
-    sample size are shared by all `fids`.  ContractError when the weights
-    sum to 0 (every draw refused).
+    sample size are shared by all `fids`.  The sums run over the whole
+    draw, root 0's entries then root 1's, so the floats do not depend on
+    MC_BLOCK.  ContractError when the weights sum to 0 (every draw refused).
     """
     weights, spheres = _mc_draw(surface, samples, rng)
     w = np.concatenate(weights)

@@ -6,12 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from parabolic_lab import cli
 from parabolic_lab import surface222 as s2
 from parabolic_lab.cli import build_parser, main, render_json
 from parabolic_lab.hodge import hafnian
+
+from helpers import frozen_mc_space_average
 
 
 def run_cli(args, capsys):
@@ -487,6 +490,19 @@ def test_k3_involve_cli(capsys, monkeypatch):
     res = json.loads(out)["result"]
     assert code == 0 and res["refused"] > 0
     assert len(res["pairs"]) + res["refused"] == 40
+
+
+@pytest.mark.parametrize("fid", ["x_re", "z_abs2"])
+def test_k3_ergo_space_average_matches_frozen_across_block_boundaries(fid, capsys):
+    # the artifact's Monte Carlo figures are the frozen whole-draw estimate on the seed's stream
+    samples = 3 * s2.MC_BLOCK + 5
+    code, out = run_cli(["k3", "ergo", "--l", "10", "--trials", "2", "--mc", str(samples),
+                         "--f", fid, "--seed", "4"], capsys)
+    assert code == 0
+    res = json.loads(out)["result"]
+    frozen = frozen_mc_space_average(s2.random_surface(4), fid, samples,
+                                     np.random.default_rng([4, 0x5C]))
+    assert (res["space_average"], res["space_se"], res["mc_effective_samples"]) == frozen
 
 
 def test_k3_contrast_counts_interruptions(capsys, monkeypatch):

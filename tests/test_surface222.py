@@ -2,6 +2,7 @@ import json
 import pickle
 import random
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -460,6 +461,36 @@ def test_mc_space_average_matches_frozen(surface, fid):
     assert got == frozen_mc_space_average(surface, fid, 20000, np.random.default_rng(3))
 
 
+_BLOCK_EDGES = [1, s2.MC_BLOCK - 1, s2.MC_BLOCK, s2.MC_BLOCK + 1, 3 * s2.MC_BLOCK + 5]
+
+
+@pytest.mark.parametrize("surface", [S, s2.random_surface(5)], ids=["reference", "random5"])
+@pytest.mark.parametrize("samples", _BLOCK_EDGES)
+def test_mc_space_average_matches_frozen_across_block_boundaries(surface, samples):
+    # the draw runs MC_BLOCK columns at a time; the reductions see the whole-draw arrays
+    got = s2._mc_space_averages(surface, tuple(s2.TEST_FUNCTIONS), samples,
+                                np.random.default_rng([samples, 0x5C]))
+    for fid in s2.TEST_FUNCTIONS:
+        assert got[fid] == frozen_mc_space_average(surface, fid, samples,
+                                                   np.random.default_rng([samples, 0x5C]))
+
+
+def test_mc_space_average_peak_memory_is_bounded():
+    # the whole-draw version held about 450 bytes of numpy arrays per sample at its peak
+    samples = 4 * 10**5
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        s2._mc_space_averages(S, tuple(s2.TEST_FUNCTIONS), samples, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 250 * samples, f"{peak / samples:.0f} bytes per sample"
+
+
 _SMALL = dict(word_length=300, trials=3, mc_samples=3000)
 
 
@@ -529,6 +560,9 @@ def test_weightless_mc_draw_is_a_contract_error(monkeypatch):
     monkeypatch.setattr(s2, "BRANCH_DISC_REL", 1e6)  # the guard refuses every draw
     with pytest.raises(ContractError, match="no weight among 100 Monte Carlo draws"):
         s2._mc_space_averages(S, ("one",), 100, np.random.default_rng(0))
+    samples = s2.MC_BLOCK + 3  # refused in every block of the draw
+    with pytest.raises(ContractError, match=f"no weight among {samples} Monte Carlo draws"):
+        s2._mc_space_averages(S, ("one",), samples, np.random.default_rng(0))
 
 
 def test_nan_effective_sample_size_is_unstable(monkeypatch):
