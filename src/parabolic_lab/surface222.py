@@ -18,9 +18,14 @@ Each surface builds its three swaps once, on first use: a closure per axis
 with that axis's 27 coefficients bound as locals (:func:`_vieta_swap`).
 It forms the quadratic term for term as :func:`axis_quadratic` does and
 then runs the one scalar guard and the one Newton polish, so its floats
-are bitwise those of the unbound formulas.  :func:`involution` and
-:func:`parabolic_map` run through it, the latter building one point per
-step.
+are bitwise those of the unbound formulas.  On top of them sits one bound
+map per ordered pair of axes, sigma_second after sigma_first, built on
+first use too (:func:`_pair_map`).  It steps a plain (x, y, z, residual)
+tuple, and every walk below carries such tuples: no point object is made
+per step.  :class:`SurfacePoint` appears only at the edges:
+:func:`involution`, :func:`parabolic_map` (a thin wrapper over the bound
+map), the points :func:`orbit_trace` yields and the rare nudge or
+resample after a refused step.
 
 A composition of two involutions moving different variables fixes the
 remaining coordinate bitwise, so it preserves that projection fiberwise;
@@ -33,13 +38,14 @@ Birkhoff comparison is a heuristic consistency check (no pointwise
 ergodic theorem is invoked for free-group words); outputs are labeled
 accordingly.
 
-Every diagnostic is one :func:`_walk` of fiberwise maps: a step refused
-near the branch locus costs one interruption and a nudge or resample.
-The budget is 0.1% of the length for fiber orbits and 1% for random-word
-and contrast trajectories; past it, ContractError (CLI exit code 3).
-Birkhoff calls on one surface that differ only in the test function share
-one run, one walk and one Monte Carlo draw for every function; the surface
-memoizes the last BIRKHOFF_MEMO runs by their arguments and thresholds.
+Every diagnostic is one :func:`_walk` of bound fiberwise maps: a step
+refused near the branch locus costs one interruption and a nudge or
+resample (fiber orbits count the two kinds apart).  The budget is 0.1%
+of the length for fiber orbits and 1% for random-word and contrast
+trajectories; past it, ContractError (CLI exit code 3).  Birkhoff calls
+on one surface that differ only in the test function share one run, one
+walk and one Monte Carlo draw for every function; the surface memoizes
+the last BIRKHOFF_MEMO runs by their arguments and thresholds.
 The sampling retries, the fiber-cell probe grid and hit count, the 1-form
 check's step and tolerance and a random word's two maps are module
 constants (SAMPLE_TRIES, FIBER_REFINE, MIN_HITS, FD_STEP,
@@ -60,8 +66,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import islice
-from operator import add, attrgetter
+from itertools import chain, islice, permutations
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -135,13 +141,18 @@ class Surface222:
         return tuple(_vieta_swap(table) for table in self._tables)
 
     @cached_property
+    def _maps(self):
+        """sigma_second after sigma_first of each ordered pair, on tuples (see :func:`_pair_map`)."""
+        return {pair: _pair_map(self._swaps, *pair) for pair in _BASE_AXIS}
+
+    @cached_property
     def _birkhoff_memo(self):
         """The runs of :func:`_birkhoff_runs` on this surface, by their key."""
         return {}
 
     def __reduce__(self):
-        # the cached swaps are closures, which pickle cannot carry, and the Birkhoff
-        # memo is recomputable; rebuild both on demand
+        # the cached swaps and maps are closures, which pickle cannot carry, and the
+        # Birkhoff memo is recomputable; rebuild them on demand
         return (Surface222, (self.coeffs, self.seed))
 
     def to_json_dict(self) -> dict:
@@ -211,6 +222,10 @@ class SurfacePoint:
 
     def coord(self, axis: str):
         return getattr(self, axis)
+
+    def astuple(self) -> tuple:
+        """(x, y, z, residual): the form the walks step (see :func:`_pair_map`)."""
+        return (self.x, self.y, self.z, self.residual)
 
     def replace(self, axis: str, pair, residual: float) -> "SurfacePoint":
         parts = {"x": self.x, "y": self.y, "z": self.z}
@@ -401,20 +416,46 @@ def involution(surface: Surface222, axis: str, point: SurfacePoint) -> SurfacePo
 
 PAIRS = (("y", "z"), ("x", "z"), ("x", "y"))
 WORD_PAIRS = PAIRS[:2]  # the two fiberwise maps a Birkhoff random word draws from
+# each ordered pair of distinct axes -> the remaining (base) axis
+_BASE_AXIS = {(first, second): base for first, second, base in permutations(AXES)}
+
+
+def _pair_axes(pair) -> tuple[str, str, str]:
+    """(first, second, base axis) of `pair`; PreconditionError unless it names
+    two distinct axes."""
+    try:
+        first, second = pair
+        return first, second, _BASE_AXIS[first, second]
+    except (KeyError, TypeError, ValueError):
+        raise PreconditionError(f"pair must name two distinct axes of {AXES}, got {pair!r}") from None
+
+
+def _pair_map(swaps, first: str, second: str):
+    """sigma_second after sigma_first as one closure over the two bound swaps.
+
+    ``step(p)`` maps the tuple (x, y, z, residual) to a new tuple carrying
+    the second swap's residual; floats and refusals are the swaps', bitwise.
+    """
+    (i, j, k), (i2, j2, k2) = _SLOTS[first], _SLOTS[second]
+    swap, swap2 = swaps[i], swaps[i2]
+
+    def step(p):
+        p = list(p)
+        p[i], _ = swap(p[j], p[k], p[i])
+        p[i2], p[3] = swap2(p[j2], p[k2], p[i2])
+        return tuple(p)
+
+    return step
 
 
 def parabolic_map(surface: Surface222, pair, point: SurfacePoint) -> SurfacePoint:
-    """sigma_second after sigma_first; fixes the complementary coordinate bitwise."""
-    first, second = pair
-    try:
-        (i, j, k), (i2, j2, k2) = _SLOTS[first], _SLOTS[second]
-    except KeyError:
-        raise PreconditionError(f"pair must name two of the axes {AXES}") from None
-    swaps = surface._swaps
-    p = [point.x, point.y, point.z]
-    p[i], _ = swaps[i](p[j], p[k], p[i])
-    p[i2], res = swaps[i2](p[j2], p[k2], p[i2])
-    return SurfacePoint(p[0], p[1], p[2], res)
+    """sigma_second after sigma_first; fixes the complementary coordinate bitwise.
+
+    A wrapper over the surface's bound map of the pair; the walks call that
+    map on tuples and build no point per step.
+    """
+    first, second, _ = _pair_axes(pair)
+    return SurfacePoint(*surface._maps[first, second](point.astuple()))
 
 
 def _sample_root(surface: Surface222, probe: SurfacePoint, axis: str, rng):
@@ -476,8 +517,7 @@ def sample_point(surface: Surface222, rng) -> SurfacePoint:
 
 def sample_fiber_point(surface: Surface222, pair, base_pair, rng) -> SurfacePoint:
     """Random point on the fiber where the complementary coordinate equals base_pair."""
-    first, second = pair
-    (base_axis,) = [a for a in AXES if a not in pair]
+    first, second, base_axis = _pair_axes(pair)
     base_pair = _normalize(base_pair)
     for _ in range(SAMPLE_TRIES):
         moving = _fs_pair(rng)
@@ -569,8 +609,7 @@ def fiber_cells(surface: Surface222, pair, base_pair, grid: int = 16) -> set:
     """
     if not 1 <= grid <= MAX_GRID:
         raise PreconditionError(f"grid must be between 1 and {MAX_GRID}")
-    first, second = pair
-    (base_axis,) = [a for a in AXES if a not in pair]
+    first, second, base_axis = _pair_axes(pair)
     base_pair = _normalize(base_pair)
     m = FIBER_REFINE * grid
     u = 2 * (np.arange(m) + 0.5) / m - 1
@@ -601,6 +640,8 @@ class FiberOrbitReport:
     cells_visited: int
     coverage: float
     interruptions: int
+    nudges: int
+    resamples: int
     min_visits: int
     mean_visits: float
 
@@ -614,13 +655,15 @@ class FiberOrbitReport:
             "cells_visited": self.cells_visited,
             "coverage": self.coverage,
             "interruptions": self.interruptions,
+            "nudges": self.nudges,
+            "resamples": self.resamples,
             "min_visits": self.min_visits,
             "mean_visits": self.mean_visits,
         }
 
 
-def _walk(step, recover, start: SurfacePoint, length: int, budget: int, stats: dict):
-    """Yield the `length` points that repeated `step` takes from `start`.
+def _walk(step, recover, start: tuple, length: int, budget: int, stats: dict):
+    """Yield the `length` (x, y, z, residual) tuples that repeated `step` takes from `start`.
 
     A BranchPointError adds one to `stats["interruptions"]` and the walk goes
     on from `recover(point)`; more than `budget` of them raise ContractError.
@@ -643,30 +686,50 @@ def _walk(step, recover, start: SurfacePoint, length: int, budget: int, stats: d
         yield cur
 
 
+def _fiber_walk(surface: Surface222, pair, base_pair, start: SurfacePoint, length: int,
+                rng, stats: dict):
+    """`start` and the :func:`_walk` of `pair`'s bound map from it, as
+    (x, y, z, residual) tuples.
+
+    A refused step is nudged along the fiber or, when the nudge fails,
+    resampled on it; `stats` counts the "interruptions", "nudges" and
+    "resamples" (only the recovery path counts).  The budget is 0.1% of
+    the length.
+    """
+    first, second, _ = _pair_axes(pair)
+    base_pair = _normalize(base_pair)
+    if rng is None:
+        rng = np.random.default_rng(0)
+    stats["nudges"] = stats["resamples"] = 0
+
+    def recover(p):
+        try:
+            dy = 1e-3 * complex(rng.normal(), rng.normal())
+            point = _move_along_fiber(surface, pair, SurfacePoint(*p), dy)
+        except (BranchPointError, ContractError):
+            stats["resamples"] += 1
+            return sample_fiber_point(surface, pair, base_pair, rng).astuple()
+        stats["nudges"] += 1
+        return point.astuple()
+
+    start = start.astuple()
+    return chain([start], _walk(surface._maps[first, second], recover, start, length,
+                                max(1, length // 1000), stats))
+
+
 def orbit_trace(
     surface: Surface222, pair, base_pair, start: SurfacePoint, length: int,
     rng=None, stats: dict | None = None,
 ):
-    """Yield (step, point) along the fiberwise orbit.
+    """An iterator of (step, point) along the fiberwise orbit, `start` as step 0.
 
-    Branch-point refusals trigger a nudge along the fiber (or a resample)
-    and are tallied in `stats["interruptions"]`; more than 0.1% of the
-    requested length aborts the orbit.
+    The walk is :func:`fiber_orbit`'s: branch-point refusals trigger a
+    nudge along the fiber (or a resample) and are tallied in `stats`;
+    more than 0.1% of the requested length aborts the orbit.
     """
-    base_pair = _normalize(base_pair)
-    if rng is None:
-        rng = np.random.default_rng(0)
-
-    def nudge(point):
-        try:
-            dy = 1e-3 * complex(rng.normal(), rng.normal())
-            return _move_along_fiber(surface, pair, point, dy)
-        except (BranchPointError, ContractError):
-            return sample_fiber_point(surface, pair, base_pair, rng)
-
-    yield 0, start
-    yield from enumerate(_walk(lambda p: parabolic_map(surface, pair, p), nudge, start, length,
-                               max(1, length // 1000), {} if stats is None else stats), 1)
+    walk = _fiber_walk(surface, pair, base_pair, start, length, rng,
+                       {} if stats is None else stats)
+    return enumerate(SurfacePoint(*p) for p in walk)
 
 
 def fiber_orbit(
@@ -680,13 +743,15 @@ def fiber_orbit(
 ) -> FiberOrbitReport:
     """Iterate the fiberwise map and report coverage of the fiber's grid cells.
 
-    Branch-point refusals are nudged, resampled and budgeted by :func:`orbit_trace`.
+    Branch-point refusals are nudged, resampled and budgeted as in
+    :func:`orbit_trace`, and the report counts each kind of recovery.
     """
+    first, second, _ = _pair_axes(pair)
     base_pair = _normalize(base_pair)
     reference = fiber_cells(surface, pair, base_pair, grid)
     if not reference:
         raise ContractError("fiber tube sampling found no cells; fiber likely singular")
-    first, second = pair
+    i, j = AXES.index(first), AXES.index(second)
     stats: dict = {}
     visit_counts: Counter = Counter()
     coords = []  # (first c0, first c1, second c0, second c1) of each point not yet binned
@@ -697,13 +762,12 @@ def fiber_orbit(
         visit_counts.update(dict(zip(_key_cells(keys, grid), visits.tolist())))
         coords.clear()
 
-    for _, pt in orbit_trace(surface, pair, base_pair, start, length, rng, stats):
-        coords += pt.coord(first)
-        coords += pt.coord(second)
+    for p in _fiber_walk(surface, pair, base_pair, start, length, rng, stats):
+        coords += p[i]
+        coords += p[j]
         if len(coords) == 4 * BIN_BLOCK:
             bin_coords()
     bin_coords()
-    interruptions = stats["interruptions"]
     hit = set(visit_counts) & reference
     coverage = len(hit) / len(reference)
     ref_visits = [visit_counts.get(cell, 0) for cell in reference]
@@ -714,7 +778,9 @@ def fiber_orbit(
         cells_fiber=len(reference),
         cells_visited=len(hit),
         coverage=coverage,
-        interruptions=interruptions,
+        interruptions=stats["interruptions"],
+        nudges=stats["nudges"],
+        resamples=stats["resamples"],
         min_visits=min(ref_visits),
         mean_visits=sum(ref_visits) / len(ref_visits),
     )
@@ -776,7 +842,7 @@ def translation_check(surface: Surface222, pair, base_pair, point: SurfacePoint)
     point) by finite differences.  A fiber automorphism preserving the
     1-form (and of infinite order) is a translation.
     """
-    (base_axis,) = [a for a in AXES if a not in pair]
+    _, _, base_axis = _pair_axes(pair)
     base_pair = _normalize(base_pair)
     if proj_distance(point.coord(base_axis), base_pair) > 1e-9:
         raise PreconditionError("point does not lie on the stated fiber")
@@ -891,14 +957,14 @@ def _mc_space_averages(surface: Surface222, fids, samples: int, rng) -> dict:
     return averages
 
 
-def _trajectory_means(step, recover, start: SurfacePoint, length: int, fids):
+def _trajectory_means(step, recover, start: tuple, length: int, fids):
     """(the mean of each test function in `fids` over a :func:`_walk`, its interruptions).
 
-    The budget is 1% of the length.  The points come WALK_BLOCK at a
-    time; each axis the functions read goes through :func:`sphere_coord`
-    once per point, and each sum is plain left-to-right float additions,
-    so a mean depends neither on how sum() rounds nor on which other
-    functions share the walk.
+    The walk steps (x, y, z, residual) tuples and the budget is 1% of the
+    length.  The points come WALK_BLOCK at a time; each axis the functions
+    read goes through :func:`sphere_coord` once per point, and each sum is
+    plain left-to-right float additions, so a mean depends neither on how
+    sum() rounds nor on which other functions share the walk.
     """
     reads = [TEST_FUNCTIONS[fid] for fid in fids]
     axes = {axis for axis, _ in reads} - {None}
@@ -906,7 +972,8 @@ def _trajectory_means(step, recover, start: SurfacePoint, length: int, fids):
     walk = _walk(step, recover, start, length, max(1, length // 100), stats)
     totals = [0.0] * len(reads)
     while block := list(islice(walk, WALK_BLOCK)):
-        w = {axis: list(map(sphere_coord, map(attrgetter(axis), block))) for axis in axes}
+        w = {axis: list(map(sphere_coord, map(itemgetter(AXES.index(axis)), block)))
+             for axis in axes}
         w[None] = [None] * len(block)
         totals = [reduce(add, map(fn, w[axis]), total) for total, (axis, fn) in zip(totals, reads)]
     return [total / length for total in totals], stats["interruptions"]
@@ -951,15 +1018,16 @@ def _birkhoff_runs(surface: Surface222, word_length, trials, mc_samples, seed):
     memo = surface._birkhoff_memo
     if key not in memo:
         fids = tuple(TEST_FUNCTIONS)
+        maps = [surface._maps[pair] for pair in WORD_PAIRS]
         trial_means = []
         interruptions = 0
         for t in range(trials):
             rng = np.random.default_rng([seed, 0xB1, t])
-            start = sample_point(surface, rng)
-            letters = _Letters(rng, len(WORD_PAIRS))
+            start = sample_point(surface, rng).astuple()
+            letters = _Letters(rng, len(maps))
             means, hits = _trajectory_means(  # a fresh letter before every attempt, refused or not
-                lambda p: parabolic_map(surface, WORD_PAIRS[next(letters)], p),
-                lambda p: sample_point(surface, letters.sync()), start, word_length, fids)
+                lambda p: maps[next(letters)](p),
+                lambda p: sample_point(surface, letters.sync()).astuple(), start, word_length, fids)
             trial_means.append(means)
             interruptions += hits
         space = _mc_space_averages(surface, fids, mc_samples, np.random.default_rng([seed, 0x5C]))
@@ -1049,7 +1117,8 @@ def ergodicity_contrast(
         raise PreconditionError("n_fibers and trials_per_fiber must be >= 2 to estimate variances")
     if word_length < 1:
         raise PreconditionError("word_length must be >= 1")
-    (base_axis,) = [a for a in AXES if a not in pair]
+    first, second, base_axis = _pair_axes(pair)
+    step = surface._maps[first, second]
 
     fiber_means = []
     within_vars = []
@@ -1063,9 +1132,9 @@ def ergodicity_contrast(
             start = sample_fiber_point(surface, pair, base, rng_t)
             # resample on the start's stored base: renormalizing `base` may move its last bits
             (mean,), hits = _trajectory_means(
-                lambda p: parabolic_map(surface, pair, p),
-                lambda p: sample_fiber_point(surface, pair, start.coord(base_axis), rng_t),
-                start, word_length, (fid,))
+                step,
+                lambda p: sample_fiber_point(surface, pair, start.coord(base_axis), rng_t).astuple(),
+                start.astuple(), word_length, (fid,))
             means.append(mean)
             interruptions += hits
         fiber_means.append(float(np.mean(means)))

@@ -48,6 +48,17 @@ def test_lattice_seed_artifact_is_pinned(tmp_path, capsys):
     assert out.read_bytes() == (Path(__file__).parent / "data" / "lattice_seed_a4_N3.json").read_bytes()
 
 
+@pytest.mark.parametrize("argv, name", [
+    ("k3 orbit --pair yz --n 100 --format csv --seed 4", "k3_orbit_yz_n100_seed4.csv"),
+    ("k3 ergo --contrast --l 200 --seed 3", "k3_ergo_contrast_l200_seed3.json"),
+])
+def test_surface_walk_artifacts_are_pinned(argv, name, tmp_path):
+    # a fiber-orbit trace and a contrast, byte for byte as the point-per-step walk wrote them
+    out = tmp_path / name
+    assert main([*argv.split(), "--out", str(out)]) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
+
+
 def _classify_artifact(word: str, tmp_path, monkeypatch) -> bytes:
     monkeypatch.delenv("PARABOLIC_LAB_SEED", raising=False)
     monkeypatch.chdir(Path(__file__).parent.parent)

@@ -24,6 +24,7 @@ from helpers import (
     frozen_guard,
     frozen_involution,
     frozen_mc_space_average,
+    frozen_orbit_trace,
     frozen_parabolic_map,
     frozen_quad,
     parabolic_inverse,
@@ -354,12 +355,18 @@ ORBIT_FIELDS = ("cells_fiber", "cells_visited", "coverage", "interruptions",
                 "min_visits", "mean_visits")
 
 
-def _orbit_runs(pair_index, case, length):
-    """The library's and the frozen fiber-orbit fields, as two thunks."""
+def _orbit_start(pair_index, case):
+    """(pair, base, start) of one walk case on the reference surface."""
     pair = s2.PAIRS[pair_index]
     rng = np.random.default_rng([8, pair_index, case])
     base = s2._fs_pair(rng)
-    start = s2.sample_fiber_point(S, pair, base, rng)
+    return pair, base, s2.sample_fiber_point(S, pair, base, rng)
+
+
+def _orbit_runs(pair_index, case, length):
+    """The library's fiber-orbit fields with its recovery counters, and the
+    frozen fields, as two thunks."""
+    pair, base, start = _orbit_start(pair_index, case)
 
     def frozen():
         return frozen_fiber_orbit(S, pair, base, start, length, 8,
@@ -368,7 +375,7 @@ def _orbit_runs(pair_index, case, length):
     def library():
         rep = s2.fiber_orbit(S, pair, base, start, length, grid=8,
                              rng=np.random.default_rng([9, pair_index]))
-        return {k: getattr(rep, k) for k in ORBIT_FIELDS}
+        return {k: getattr(rep, k) for k in ORBIT_FIELDS + ("nudges", "resamples")}
 
     return library, frozen
 
@@ -388,20 +395,83 @@ def _count_calls(monkeypatch, name):
 
 # (pair index, case, length, BRANCH_DISC_REL, interruptions, resamples): a
 # clean orbit, one nudge, one resample, and a nudge followed by a resample
-@pytest.mark.parametrize("pair_index, case, length, rel, hits, resamples", [
+WALK_CASES = [
     (0, 0, 2000, 1e-3, 0, 0),
     (1, 0, 2000, 1e-3, 1, 0),
     (2, 2, 2000, 1e-3, 1, 1),
     (0, 5, 6000, 5e-4, 2, 1),
-])
+]
+
+
+@pytest.mark.parametrize("pair_index, case, length, rel, hits, resamples", WALK_CASES)
 def test_fiber_orbit_matches_frozen_walk(pair_index, case, length, rel, hits, resamples,
                                          monkeypatch):
     monkeypatch.setattr(s2, "BRANCH_DISC_REL", rel)
     library, frozen = _orbit_runs(pair_index, case, length)
     calls = _count_calls(monkeypatch, "sample_fiber_point")
     got = library()
-    assert got == frozen()
+    assert {k: got[k] for k in ORBIT_FIELDS} == frozen()
     assert got["interruptions"] == hits and calls[0] == resamples
+    # every interruption is recovered by one nudge or one resample, counted apart
+    assert got["resamples"] == resamples and got["nudges"] == hits - resamples
+
+
+@pytest.mark.parametrize("pair_index, case, length, rel, hits, resamples", WALK_CASES)
+def test_orbit_trace_matches_frozen_point_by_point(pair_index, case, length, rel, hits,
+                                                   resamples, monkeypatch):
+    # the yielded points, rebuilt from the walk's tuples, are the frozen walk's bit for bit
+    monkeypatch.setattr(s2, "BRANCH_DISC_REL", rel)
+    pair, base, start = _orbit_start(pair_index, case)
+    runs = []
+    for trace in (s2.orbit_trace, frozen_orbit_trace):
+        stats = {}
+        points = [(step, repr(p.x), repr(p.y), repr(p.z), repr(p.residual))
+                  for step, p in trace(S, pair, base, start, length,
+                                       np.random.default_rng([9, pair_index]), stats)]
+        runs.append((points, stats))
+    (got, stats), (want, frozen_stats) = runs
+    assert [step for step, *_ in got] == list(range(length + 1))
+    assert got == want
+    assert frozen_stats == {"interruptions": hits}
+    assert stats == {"interruptions": hits, "nudges": hits - resamples, "resamples": resamples}
+
+
+# (pair, case, BRANCH_DISC_REL, interruptions): one pair map per ordered pair, so the
+# three pairs no other test walks, the second of them through one resample
+@pytest.mark.parametrize("pair, case, rel, hits", [
+    (("z", "y"), 0, s2.BRANCH_DISC_REL, 0),
+    (("z", "x"), 1, 1e-3, 1),
+    (("y", "x"), 2, s2.BRANCH_DISC_REL, 0),
+])
+def test_fiber_orbit_on_reversed_pairs_matches_frozen(pair, case, rel, hits, monkeypatch):
+    monkeypatch.setattr(s2, "BRANCH_DISC_REL", rel)
+    k = s2.PAIRS.index(pair[::-1])
+    rng = np.random.default_rng([10, k, case])
+    base = s2._fs_pair(rng)
+    start = s2.sample_fiber_point(S, pair, base, rng)
+    rep = s2.fiber_orbit(S, pair, base, start, 2000, grid=8, rng=np.random.default_rng([11, k]))
+    frozen = frozen_fiber_orbit(S, pair, base, start, 2000, 8, np.random.default_rng([11, k]))
+    assert {f: getattr(rep, f) for f in frozen} == frozen
+    assert rep.interruptions == hits
+
+
+@pytest.mark.parametrize("pair", [("x", "x"), ("x",), ("x", "y", "z"), ("x", "w")])
+def test_every_pair_taker_refuses_a_bad_pair(pair):
+    # a pair is two distinct axes; anything else is a precondition, never a bare
+    # unpacking error or a map that swaps one axis twice
+    base, p = (1.0 + 0j, 0.5 + 0j), POINTS[0]
+    calls = [
+        lambda: s2.parabolic_map(S, pair, p),
+        lambda: s2.sample_fiber_point(S, pair, base, np.random.default_rng(0)),
+        lambda: s2.fiber_cells(S, pair, base, grid=4),
+        lambda: next(s2.orbit_trace(S, pair, base, p, 10)),
+        lambda: s2.fiber_orbit(S, pair, base, p, 10, grid=4),
+        lambda: s2.translation_check(S, pair, base, p),
+        lambda: s2.ergodicity_contrast(S, pair, word_length=10),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError, match="two distinct axes"):
+            call()
 
 
 @pytest.mark.parametrize("rel, hits", [(s2.BRANCH_DISC_REL, 0), (5e-4, 2), (1e-3, 3)])
