@@ -44,7 +44,6 @@ proportional to e modulo the radical of the form on e-perp.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 from math import lcm
@@ -218,22 +217,26 @@ def _loxodromic_payload(g: LatticeIsometry, p, f) -> Loxodromic:
     lambda and 1/lambda: lambda is the midpoint num / den of f's isolating interval,
     and one exact v(x) mod f (:func:`_eigenvector_mod_f`) is evaluated in ints there.
     """
-    interval = isolate_largest_root_above(f, Fraction(1))
+    interval = isolate_largest_root_above(f)
     if interval is None:
         raise ContractError("loxodromic isometry with no real eigenvalue > 1 (bug)")
     num, den = (sum(interval) / 2).as_integer_ratio()
-    v = _eigenvector_mod_f(g, p, [int(x) for x in f])
-    directions = []
-    for x, y in ((num, den), (den, num)):  # den^k v(lambda), num^k v(1 / lambda)
-        vals = [_homogeneous(vi, x, y) for vi in v]
-        sign, sup = (1 if next(filter(None, vals)) > 0 else -1), max(map(abs, vals))
-        directions.append(tuple(sign * val / sup for val in vals))  # sign first: no -0.0
+    v = _eigenvector_mod_f(g, p, f)
+    directions = [_sup_direction([_homogeneous(vi, x, y) for vi in v])
+                  for x, y in ((num, den), (den, num))]  # den^k v(lambda), num^k v(1 / lambda)
     with mp.workdps(LOXODROMIC_EIGENVALUE_DPS):
         lam = mp.mpf(num) / den  # f is monic, so den is a power of two: one rounding
     return Loxodromic(lam, *directions)
 
 
-def _eigenvector_mod_f(g: LatticeIsometry, p, f: list[int]) -> list[list[int]]:
+def _sup_direction(vals: list[int]) -> tuple[float, ...]:
+    """vals over its sup norm, signed so the first nonzero entry is positive: the sign goes on
+    the numerators and the sup stays positive, so an exact 0 is 0 / sup = 0.0, never -0.0."""
+    sign, sup = (1 if next(filter(None, vals)) > 0 else -1), max(map(abs, vals))
+    return tuple(sign * x / sup for x in vals)
+
+
+def _eigenvector_mod_f(g: LatticeIsometry, p, f) -> list[list[int]]:
     """The first column of adj(x I - M) that is not 0 mod f, as n polynomials mod f.
 
     Column j is sum w_k x^k, w_(n-1) = e_j, w_(k-1) = M w_k + p_k e_j
@@ -241,12 +244,12 @@ def _eigenvector_mod_f(g: LatticeIsometry, p, f: list[int]) -> list[list[int]]:
     r of f, so it spans ker(M - r I) when r is simple.  Certified exactly:
     M v = x v and q(v, v) = 0 mod f.
     """
-    m, n, c = g.matrix, len(g.matrix), [int(x) for x in p]
+    m, n = g.matrix, len(g.matrix)
     for j in range(n):
         ws = [[int(i == j) for i in range(n)]]
         for k in range(n - 1, 0, -1):
             ws.append(mat_vec(m, ws[-1]))
-            ws[-1][j] += c[k]
+            ws[-1][j] += p[k]
         v = [_divmod_monic(coeffs[::-1], f)[1] for coeffs in zip(*ws)]
         if any(map(any, v)):
             break
@@ -315,11 +318,10 @@ def limit_nef_class(g: LatticeIsometry, w) -> tuple[float, ...]:
     direction of g^i(w) tends to that of N^2 w.  That vector is exact and
     checked to lie on the fixed line; the one float step is its division
     by the sup norm, signed to make the first nonzero coordinate positive.
+    w is read by the lattice's `check_vector`, so it must be integral.
     """
-    w = [Fraction(x) for x in w]
-    if len(w) != g.lattice.rank:
-        raise DimensionMismatchError("w has wrong length")
-    if sum(a * b for a, b in zip(w, mat_vec(g.lattice.gram, w))) <= 0:
+    w = g.lattice.check_vector(w)
+    if g.lattice.q(w) <= 0:
         raise PreconditionError("w must lie in the open positive cone (q(w, w) > 0)")
     if next((x for x in w if x), 0) <= 0:
         raise PreconditionError("w must have positive first nonzero coordinate")
@@ -332,5 +334,4 @@ def limit_nef_class(g: LatticeIsometry, w) -> tuple[float, ...]:
         raise ContractError("N^2 w = 0 for w in the positive cone (bug)")
     if any(a * d != b * c for (a, b), (c, d) in combinations(zip(limit, v), 2)):
         raise ContractError("N^2 w is not parallel to the fixed vector (bug)")
-    sup = max(map(abs, limit)) * (1 if next(x for x in limit if x) > 0 else -1)
-    return tuple(float(x / sup) for x in limit)
+    return _sup_direction(limit)

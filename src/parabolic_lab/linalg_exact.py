@@ -1,26 +1,25 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Matrices are lists (or tuples) of rows; entries are Python ints or
-Fractions.  Everything here is deterministic and exact.  One routine,
-`scaled_ints`, clears denominators (by their lcm) for the whole exact
-layer, and one, `_primitive`, divides out the content.  One
-fraction-free (Bareiss) Gauss-Jordan elimination on Python ints runs
-behind the determinant, inverse, rank and kernel routines (Fraction rows
-are scaled to integers first, so only the final results are divided; the
-inverse is kept as the integer pair (d a^-1, d), which a lattice caches
-for its Gram matrix, and solve reads its answer off the kernel of
-[a | -b]), Hermite
-normal form with extended-gcd row operations, and an integral,
+Matrices are lists (or tuples) of rows, and everything here is exact and
+deterministic.  The elimination, HNF and LLL routines read their matrix
+with `exact.integral_rows`: integral entries (2.0, Fraction(4, 2)) become
+ints, a rational entry is a PreconditionError and a non-number a
+ParseError, and past that boundary all work is in Python ints.  One
+fraction-free (Bareiss) Gauss-Jordan elimination runs behind the
+determinant, inverse, rank and kernel routines (the inverse is the
+integer pair (d a^-1, d), which a lattice caches for its Gram matrix,
+and solve reads its rational answer off the kernel of [a | b]), beside
+Hermite normal form with extended-gcd row operations and an integral,
 fraction-free LLL reduction (integer Gram-Schmidt determinants, exact
-divisions only).
-These kernels back the signature, kernel-extraction and integer-relation
-machinery, so no floating point is allowed in this module.
+divisions only).  For rational data elsewhere in the exact layer,
+`scaled_ints` clears denominators (by their lcm) and `_primitive`
+divides out the content.  No floating point is allowed in this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
 
 from .errors import PreconditionError
@@ -76,12 +75,6 @@ def _primitive(v) -> list[int]:
     return [x // g for x in ints] if g > 1 else ints
 
 
-def _integer_rows(a) -> tuple[list[list[int]], list[int]]:
-    """Rows of `a` scaled to integers, and the scales (lcm of each row's denominators)."""
-    pairs = [scaled_ints(row) for row in a]
-    return [row for row, _ in pairs], [d for _, d in pairs]
-
-
 def _gauss_jordan(m: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
     """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer matrix, in place.
 
@@ -117,29 +110,23 @@ def _gauss_jordan(m: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
     return pivots, d, sign
 
 
-def det_exact(a):
-    """Determinant by fraction-free elimination; an int for integer input."""
-    n = len(a)
-    m, scales = _integer_rows(a)
-    pivots, d, sign = _gauss_jordan(m, n)
-    if len(pivots) < n:
-        return 0
-    if all(isinstance(x, int) for row in a for x in row):
-        return sign * d
-    return Fraction(sign * d, prod(scales))
+def det_exact(a) -> int:
+    """Determinant by fraction-free elimination."""
+    m = integral_rows(a, "det_exact")
+    pivots, d, sign = _gauss_jordan(m, len(m))
+    return sign * d if len(pivots) == len(m) else 0
 
 
 def scaled_inverse(a) -> tuple[list[list[int]], int]:
-    """(D, d) with D = d a^-1 an integer matrix, from one elimination of [S a | S].
+    """(D, d) with D = d a^-1 an integer matrix, from one elimination of [a | I].
 
-    S holds the row scales of a Fraction `a`, so the right block ends as
-    d a^-1 with d the last Bareiss pivot (+-det a for integer input).
+    The right block ends as d a^-1 with d = +-det a, the last Bareiss pivot.
     Raises ZeroDivisionError on singular input.
     """
-    n = len(a)
-    m, scales = _integer_rows(a)
-    for i, (row, scale) in enumerate(zip(m, scales)):
-        row.extend(scale if j == i else 0 for j in range(n))
+    m = integral_rows(a, "scaled_inverse")
+    n = len(m)
+    for i, row in enumerate(m):
+        row.extend(int(j == i) for j in range(n))
     pivots, d, _ = _gauss_jordan(m, n)
     if len(pivots) < n:
         raise ZeroDivisionError("matrix is singular")
@@ -149,7 +136,7 @@ def scaled_inverse(a) -> tuple[list[list[int]], int]:
 def rank_exact(a) -> int:
     if not a:
         return 0
-    m, _ = _integer_rows(a)
+    m = integral_rows(a, "rank_exact")
     return len(_gauss_jordan(m, len(m[0]))[0])
 
 
@@ -168,7 +155,7 @@ def kernel_basis(a) -> list[list[int]]:
     """
     if not a:
         return []
-    m, _ = _integer_rows(a)
+    m = integral_rows(a, "kernel_basis")
     cols = len(m[0])
     pivots, d, _ = _gauss_jordan(m, cols)
     basis = []
@@ -185,17 +172,17 @@ def kernel_basis(a) -> list[list[int]]:
 
 
 def solve_exact(a, b):
-    """One rational solution of a x = b, or None if inconsistent.
+    """One rational solution of a x = b for integral a and b, or None if inconsistent.
 
-    The last `kernel_basis` vector of [a | -b] is t (x, 1) when the last
+    The last `kernel_basis` vector of [a | b] is t (x, -1) when the last
     column is free (b is consistent) and ends in 0 otherwise.  Nothing in
     the library calls it; bench/tracer.py wraps it by name.
     """
-    basis = kernel_basis([list(row) + [-bv] for row, bv in zip(a, b)])
+    basis = kernel_basis(integral_rows([[*row, bv] for row, bv in zip(a, b)], "solve_exact"))
     if not basis or not basis[-1][-1]:
         return None
     *tx, t = basis[-1]
-    return [Fraction(x, t) for x in tx]
+    return [Fraction(-x, t) for x in tx]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

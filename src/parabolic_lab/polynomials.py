@@ -1,21 +1,21 @@
-"""Exact univariate polynomial arithmetic over Q.
+"""Exact univariate polynomial arithmetic in Z[x].
 
-Polynomials are tuples of Fractions in ascending degree order with no
-trailing zeros (the zero polynomial is the empty tuple).  The module
-supplies what the isometry layer needs done exactly: characteristic
-polynomials (Faddeev-LeVerrier, in Python ints for integer matrices),
-cyclotomic factor stripping, squarefree parts, and Sturm-chain root
-isolation.  Its long division by a monic divisor, `_divmod_monic`, never
-divides: cyclotomic stripping runs it on cached integer Phi_d, and the
-loxodromic eigenvectors on f.  Its one other division loop is the exact
-integer one inside `_squarefree_ints`.  Denominators are cleared by
-`linalg_exact.scaled_ints` and contents divided out by
-`linalg_exact._primitive`.  The minimal polynomial is the first relation
-`linalg_exact.kernel_basis` finds among powers of M.
-Gcds, squarefree parts and Sturm chains come from one integer
-pseudo-remainder, `_primitive_rem`, whose result is a positive multiple
-of the Fraction remainder; largest-root isolation counts sign changes
-along that chain and bisects, all in Python ints through `_homogeneous`.
+Polynomials are tuples of Python ints in ascending degree order with no
+trailing zeros (the zero polynomial is the empty tuple).  The matrix
+kernels read M with `exact.integral_rows`, which turns integral entries
+into ints and refuses rationals, so all that follows runs in ints:
+characteristic polynomials (Faddeev-LeVerrier), cyclotomic factor
+stripping, squarefree parts, and Sturm-chain root isolation.  Long
+division by a monic divisor, `_divmod_monic`, never divides: cyclotomic
+stripping runs it on cached integer Phi_d, and the loxodromic
+eigenvectors on f.  The one other division loop is the exact one inside
+`_squarefree_ints`.  Contents are divided out by `linalg_exact._primitive`.
+The minimal polynomial is the first relation `linalg_exact.kernel_basis`
+finds among powers of M.  Gcds, squarefree parts and Sturm chains come
+from one integer pseudo-remainder, `_primitive_rem`, whose result is a
+positive multiple of the rational remainder; largest-root isolation
+counts sign changes along that chain and bisects, all through
+`_homogeneous`.  The root bound and the bracket's lower end may be rational.
 """
 
 from __future__ import annotations
@@ -25,17 +25,11 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import ContractError
+from .exact import integral_rows
 from .linalg_exact import _primitive, identity_matrix, kernel_basis, mat_mul, scaled_ints
 
-Poly = tuple[Fraction, ...]
+Poly = tuple[int, ...]
 ROOT_BITS = 200  # isolation width 2^-ROOT_BITS: keep >= 30 bits past a 50-digit mpf's ~170
-
-
-def poly(coeffs) -> Poly:
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 def degree(p: Poly) -> int:
@@ -46,7 +40,7 @@ def _divmod_monic(p, q):
     """(quotient, remainder) of coefficient lists p by a monic q.
 
     q's leading coefficient is 1, so the loop only multiplies and
-    subtracts: int coefficients stay ints, Fractions stay Fractions.
+    subtracts: int coefficients stay ints.
     The remainder is the low len(q) - 1 slots, trailing zeros kept.
     """
     rem, dq = list(p), len(q) - 1
@@ -58,13 +52,6 @@ def _divmod_monic(p, q):
             for i in range(dq):
                 rem[shift + i] -= f * q[i]
     return quo, rem[:dq]
-
-
-def monic(p: Poly) -> Poly:
-    if not p or p[-1] == 1:
-        return p
-    lead = p[-1]
-    return tuple(c / lead for c in p)
 
 
 def _primitive_rem(a: list[int], b: list[int]) -> list[int]:
@@ -85,19 +72,13 @@ def _primitive_rem(a: list[int], b: list[int]) -> list[int]:
     return _primitive(rem)
 
 
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd of p and q, from the primitive remainder sequence in integers."""
-    a, b = _primitive(p), _primitive(q)
-    while b:
-        a, b = b, _primitive_rem(a, b)
-    return monic(poly(a))
-
-
 def _squarefree_ints(p) -> list[int]:
-    """Primitive p / gcd(p, p') with a positive lead ([] for p = 0), divided in integers:
-    both are primitive, so it is exact by Gauss's lemma, and a remainder raises ContractError."""
+    """Primitive p / gcd(p, p') with a positive lead ([] for p = 0), divided in integers: the gcd
+    ends the primitive remainder sequence, so it is exact by Gauss's lemma (else ContractError)."""
     rem, quo = _primitive(p), []
-    g = _primitive(poly_gcd(rem, [i * c for i, c in enumerate(rem)][1:])) or [1]
+    g, b = rem[:] or [1], _primitive([i * c for i, c in enumerate(rem)][1:])  # a copy: rem is popped
+    while b:
+        g, b = b, _primitive_rem(g, b)
     while len(rem) >= len(g):
         f, r = divmod(rem.pop(), g[-1])
         quo.append(f)
@@ -112,14 +93,12 @@ def _squarefree_ints(p) -> list[int]:
 def charpoly(m) -> Poly:
     """Characteristic polynomial det(x I - M), monic, via Faddeev-LeVerrier.
 
-    M is scaled once by the lcm D of its entries' denominators, so the
-    recursion runs in Python ints and divides each trace by k exactly (a
-    nonzero remainder is a bug and raises ContractError).  The coefficient
-    of x^(n-k) for D M is D^k times the one for M.
+    M is read by :func:`exact.integral_rows`, so the recursion runs in
+    Python ints and divides each trace by k exactly (a nonzero remainder is
+    a bug and raises ContractError).
     """
-    n = len(m)
-    flat, d = scaled_ints([x for row in m for x in row])
-    mi = [flat[i * n : (i + 1) * n] for i in range(n)]
+    mi = integral_rows(m, "charpoly")
+    n = len(mi)
     coeffs = [0] * n + [1]
     mk = [row[:] for row in mi]
     for k in range(1, n + 1):
@@ -131,23 +110,25 @@ def charpoly(m) -> Poly:
             for i in range(n):
                 mk[i][i] += ck
             mk = mat_mul(mi, mk)
-    return tuple(Fraction(coeffs[n - k], d**k) for k in range(n, -1, -1))
+    return tuple(coeffs)
 
 
 def minimal_polynomial(m) -> Poly:
     """Monic minimal polynomial: the first `kernel_basis` vector of I, M, ..., M^n.
 
     With M^k flattened into column k, the first free column is the first
-    power that depends on the lower ones.  Nothing in the library calls it;
+    power that depends on the lower ones; M is integral, so that primitive
+    relation is monic in Z[x] up to sign.  Nothing in the library calls it;
     bench/tracer.py wraps it by name.
     """
-    n = len(m)
+    mi = integral_rows(m, "minimal_polynomial")
+    n = len(mi)
     if not n:
-        return poly([1])
-    mf = [[x if isinstance(x, int) else Fraction(x) for x in row] for row in m]
-    powers = list(accumulate([mf] * n, mat_mul, initial=identity_matrix(n)))
-    flat = [[pk[i][j] for pk in powers] for i in range(n) for j in range(n)]
-    return monic(poly(kernel_basis(flat)[0]))
+        return (1,)
+    powers = list(accumulate([mi] * n, mat_mul, initial=identity_matrix(n)))
+    v = kernel_basis([[pk[i][j] for pk in powers] for i in range(n) for j in range(n)])[0]
+    v = v[: max(k for k, c in enumerate(v) if c) + 1]  # drop the higher powers' zeros
+    return tuple(v[-1] * c for c in v)
 
 
 @lru_cache(maxsize=None)
@@ -187,29 +168,28 @@ def _cyclotomic_table(max_phi: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
 
 
 def strip_cyclotomic_factors(p: Poly) -> tuple[Poly, dict[int, int]]:
-    """Divide out every cyclotomic factor; return (monic remainder, {d: multiplicity}).
+    """Divide p in Z[x] by every cyclotomic factor; return (quotient, {d: multiplicity}).
 
     Trial division by the integer Phi_d, in increasing d; each Phi_d is
-    monic, so the loop never divides and integral coefficients stay ints.
+    monic, so the loop never divides and the quotient keeps p's lead (1 for
+    the charpoly that classify passes).
     """
     found: dict[int, int] = {}
-    rem = [c.numerator if c.denominator == 1 else c for c in monic(p)]
     for d, phi_d in _cyclotomic_table(max(degree(p), 1)):
-        while len(rem) >= len(phi_d):
-            quo, r = _divmod_monic(rem, phi_d)
+        while len(p) >= len(phi_d):
+            quo, r = _divmod_monic(p, phi_d)
             if any(r):
                 break
             found[d] = found.get(d, 0) + 1
-            rem = quo
-    return poly(rem), found
+            p = quo
+    return tuple(p), found
 
 
 def cauchy_root_bound(p: Poly) -> Fraction:
     """All complex roots of p lie strictly inside |z| <= bound."""
     if degree(p) < 1:
         return Fraction(1)
-    lead = abs(p[-1])
-    return 1 + max(abs(c) for c in p[:-1]) / lead
+    return 1 + Fraction(max(map(abs, p[:-1])), abs(p[-1]))
 
 
 def isolate_largest_root_above(p: Poly, lower: Fraction = Fraction(1)) -> tuple[Fraction, Fraction] | None:
@@ -220,7 +200,7 @@ def isolate_largest_root_above(p: Poly, lower: Fraction = Fraction(1)) -> tuple[
     each halving, so den is a power of two when both ends start integral.
 
     The Sturm chain of the squarefree part is its primitive remainder
-    sequence: each element is a positive multiple of the Fraction one, so
+    sequence: each element is a positive multiple of the rational one, so
     every sign count is the same.  Once the root is alone in (lo, hi], the
     refinement needs only the squarefree part's sign at each midpoint: that
     part has a positive lead, and the root is simple and the largest, so it

@@ -82,6 +82,23 @@ def test_rank10_loxodromic_classify_artifact_is_pinned(tmp_path, monkeypatch, ca
     assert b"e-52" not in got
 
 
+@pytest.mark.parametrize("argv, name", [
+    ("lattice seed --a-sq 2 --N 5", "lattice_seed_a2_N5.json"),
+    ("isometry transvect -i tests/data/lattice_seed_a2_N5.json --e 0,0,1 --v 0,1,0",
+     "isometry_transvect_a2_N5.json"),
+    ("isometry limit -i tests/data/isometry_transvect_a2_N5.json --w 1,0,0",
+     "isometry_limit_a2_N5.json"),
+], ids=("seed", "transvect", "limit"))
+def test_parabolic_limit_chain_is_pinned(argv, name, tmp_path, monkeypatch, capsys):
+    # seed lattice -> transvection -> limit direction, each byte for byte as the
+    # Fraction-reading limit wrote it; the -i paths are recorded, so they stay repo-relative
+    monkeypatch.delenv("PARABOLIC_LAB_SEED", raising=False)
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    out = tmp_path / name
+    assert main([*argv.split(), "--out", str(out)]) == 0
+    assert out.read_bytes() == Path("tests/data", name).read_bytes()
+
+
 def test_byte_identical_outputs(capsys):
     _, out1 = run_cli(["torus", "hull", "--coords", "sqrt2,2*sqrt2"], capsys)
     _, out2 = run_cli(["torus", "hull", "--coords", "sqrt2,2*sqrt2"], capsys)

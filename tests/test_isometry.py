@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -13,6 +14,7 @@ from helpers import (
     frozen_inverse,
     frozen_loxodromic_payload,
     frozen_mat_pow,
+    frozen_poly_gcd,
     frozen_squarefree_part,
     oracle_tag,
     parabolic_payload_ok,
@@ -20,7 +22,7 @@ from helpers import (
     reference_fixed_vector,
 )
 from parabolic_lab import isometry
-from parabolic_lab.errors import ContractError, PreconditionError
+from parabolic_lab.errors import ContractError, DimensionMismatchError, PreconditionError
 from parabolic_lab.isometry import (
     Elliptic,
     LatticeIsometry,
@@ -46,7 +48,6 @@ from parabolic_lab.polynomials import (
     charpoly,
     degree,
     minimal_polynomial,
-    poly_gcd,
     strip_cyclotomic_factors,
 )
 from parabolic_lab.surface222 import WORD_PAIRS
@@ -212,8 +213,10 @@ def test_limit_nef_class():
         limit_nef_class(t, (1, 0, 0))  # boundary vector, q = 0
     with pytest.raises(PreconditionError, match="positive first nonzero"):
         limit_nef_class(t, (-2, -1, 0))
-    with pytest.raises(PreconditionError, match="wrong length"):
+    with pytest.raises(DimensionMismatchError, match="vector length 2 != lattice rank 3"):
         limit_nef_class(t, (2, 1))
+    with pytest.raises(PreconditionError, match="vector needs integer entries"):
+        limit_nef_class(t, (Fraction(5, 2), 1, 0))  # in the positive cone: q(w, w) = 5
     with pytest.raises(PreconditionError, match="got Loxodromic"):
         limit_nef_class(LatticeIsometry(PELL, ((3, 2), (4, 3))), (1, 0))
     with pytest.raises(PreconditionError, match="got OutsideSOPlus"):
@@ -239,6 +242,9 @@ def test_limit_on_slowly_converging_parabolic():
     assert classify(t) == Parabolic(fixed_vector=(1, -1, -1))
     assert lat.bbf((1, 2, 2), (-1, 1, 1)) > 0
     assert limit_nef_class(t, (1, 2, 2)) == (1.0, -1.0, -1.0)
+    # N^2 w is then a negative multiple of the fixed vector: its exact 0 still prints as 0.0
+    t4 = eichler_transvection(lat.direct_sum(diagonal_lattice(-2)), (-1, 1, 1, 0), (0, 1, -1, 0))
+    assert repr(limit_nef_class(t4, (1, 2, 2, 0))) == "(1.0, -1.0, -1.0, 0.0)"
 
 
 def test_twisted_parabolic():
@@ -299,7 +305,7 @@ def test_elliptic_matches_squarefree_minimal_polynomial_on_fuzz_words():
         if not isinstance(cls, (Elliptic, Parabolic)):
             continue
         mu = minimal_polynomial([list(r) for r in g.matrix])
-        squarefree = degree(poly_gcd(mu, _frozen_derivative(mu))) == 0
+        squarefree = degree(frozen_poly_gcd(mu, _frozen_derivative(mu))) == 0
         assert isinstance(cls, Elliptic) == squarefree, g.matrix
         seen.add(squarefree)
     assert seen == {True, False}
