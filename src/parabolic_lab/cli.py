@@ -523,10 +523,9 @@ def _fiber_start(surface, pair, seed: int, index: int):
 
 
 def _orbit_task(payload):
-    index, surface_dict, pair, n, grid, seed = payload
-    surface = s2.Surface222.from_json_dict(surface_dict)
+    index, surface, pair, n, grid, seed = payload
     base, start, rng = _fiber_start(surface, pair, seed, index)
-    return index, s2.fiber_orbit(surface, pair, base, start, n, grid, rng=rng).to_json_dict()
+    return s2.fiber_orbit(surface, pair, base, start, n, grid, rng=rng).to_json_dict()
 
 
 def _chart_coords(pair) -> tuple[int, float, float]:
@@ -542,8 +541,6 @@ def cmd_k3_orbit(args) -> dict | Csv:
     _require_counts(args, n=MAX_STEPS, fibers=MAX_POINTS, workers=MAX_WORKERS)
     surface = _surface_from_args(args)
     pair = tuple(args.pair)
-    if pair not in s2.PAIRS:
-        raise PreconditionError(f"pair must be one of {[''.join(p) for p in s2.PAIRS]}")
     if args.format == "csv":
         # orbit trace dump for the first fiber: chart coordinates + flags
         base, start, rng = _fiber_start(surface, pair, args.seed, 0)
@@ -560,17 +557,12 @@ def cmd_k3_orbit(args) -> dict | Csv:
             f"chart_{first}", f"chart_{second}",
         ]
         return Csv(header, rows)
-    payloads = [
-        (i, surface.to_json_dict(), pair, args.n, args.grid, args.seed)
-        for i in range(args.fibers)
-    ]
+    payloads = [(i, surface, pair, args.n, args.grid, args.seed) for i in range(args.fibers)]
     if args.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_orbit_task, payloads))
+            reports = list(pool.map(_orbit_task, payloads))
     else:
-        results = [_orbit_task(p) for p in payloads]
-    results.sort(key=lambda t: t[0])
-    reports = [r for _, r in results]
+        reports = [_orbit_task(p) for p in payloads]
     coverages = [r["coverage"] for r in reports]
     return {
         "reports": reports,
@@ -686,12 +678,12 @@ COMMANDS = {
     ]),
     ("k3", "involve"): (cmd_k3_involve, [
         _SURFACE,
-        _opt("--axis", choices=("x", "y", "z"), default="z"),
+        _opt("--axis", choices=s2.AXES, default="z"),
         _opt("--n", type=integer, default=10),
     ]),
     ("k3", "orbit"): (cmd_k3_orbit, [
         _SURFACE,
-        _opt("--pair", choices=("yz", "xz", "xy"), default="yz"),
+        _opt("--pair", choices=["".join(p) for p in s2.PAIRS], default="yz"),
         _opt("--n", type=integer, default=10**4),
         _opt("--grid", type=integer, default=16),
         _opt("--fibers", type=integer, default=1),

@@ -14,13 +14,13 @@ the sum form covers the remaining cases, and a Newton polish in the
 dominant chart pins the image back onto the surface so residuals do not
 accumulate along long orbits.
 
-Each surface builds its three swaps once, on first use: a closure per axis
-with that axis's 27 coefficients bound as locals (:func:`_vieta_swap`).
-It forms the quadratic term for term as :func:`axis_quadratic` does and
-then runs the one scalar guard and the one Newton polish, so its floats
-are bitwise those of the unbound formulas.  On top of them sits one bound
-map per ordered pair of axes, sigma_second after sigma_first, built on
-first use too (:func:`_pair_map`).  It steps a plain (x, y, z, residual)
+Each surface binds one quadratic former per axis on first use, a closure
+over that axis's 27 coefficients (:func:`_quadratic`); every quadratic of
+the module but the Monte Carlo draw's comes from it.  The three Vieta
+swaps add the one scalar guard and the one Newton polish to it
+(:func:`_vieta_swap`), and on top of them sits one bound map per ordered
+pair of axes, sigma_second after sigma_first, built on first use too
+(:func:`_pair_map`).  It steps a plain (x, y, z, residual)
 tuple, and every walk below carries such tuples: no point object is made
 per step.  :class:`SurfacePoint` appears only at the edges:
 :func:`involution`, :func:`parabolic_map` (a thin wrapper over the bound
@@ -127,18 +127,15 @@ class Surface222:
             )
 
     @cached_property
-    def _tables(self):
-        """Per-axis 3x9 scalar tables: table[axis][m][i*3+j] with (i, j) the
-        monomial indices of the two complementary variables in x<y<z order."""
-        return tuple(
-            tuple(tuple(plane.ravel().tolist()) for plane in np.moveaxis(self.coeffs, axis, 0))
-            for axis in range(3)
-        )
+    def _quads(self):
+        """The quadratic former of each axis (see :func:`_quadratic`)."""
+        return tuple(_quadratic(np.moveaxis(self.coeffs, axis, 0).reshape(3, 9).tolist())
+                     for axis in range(3))
 
     @cached_property
     def _swaps(self):
-        """The Vieta swap of each axis, its coefficients bound once (see :func:`_vieta_swap`)."""
-        return tuple(_vieta_swap(table) for table in self._tables)
+        """The Vieta swap of each axis, over its bound former (see :func:`_vieta_swap`)."""
+        return tuple(map(_vieta_swap, self._quads))
 
     @cached_property
     def _maps(self):
@@ -227,11 +224,6 @@ class SurfacePoint:
         """(x, y, z, residual): the form the walks step (see :func:`_pair_map`)."""
         return (self.x, self.y, self.z, self.residual)
 
-    def replace(self, axis: str, pair, residual: float) -> "SurfacePoint":
-        parts = {"x": self.x, "y": self.y, "z": self.z}
-        parts[axis] = pair
-        return SurfacePoint(parts["x"], parts["y"], parts["z"], residual)
-
     def affine(self, axis: str) -> complex:
         c0, c1 = self.coord(axis)
         if abs(c0) < MODERATE_CHART:
@@ -250,39 +242,46 @@ def _normalize(pair) -> tuple[complex, complex]:
     return (c0 / m, c1 / m)
 
 
-_OTHERS = {"x": ("y", "z"), "y": ("x", "z"), "z": ("x", "y")}
+# axis -> (its index, the indices of the two other coordinates)
+_SLOTS = {"x": (0, 1, 2), "y": (1, 0, 2), "z": (2, 0, 1)}
 
 
-def _monomials(pair) -> tuple[complex, complex, complex]:
-    c0, c1 = pair
-    return (c0 * c0, c0 * c1, c1 * c1)
+def _quadratic(table):
+    """F in one axis as A t1^2 + B t1 t0 + C t0^2, a closure over the axis's 3x9 table.
+
+    ``quad(u, v)`` maps the pairs of the two other coordinates (x < y < z
+    order; arrays give arrays) to (A, B, C).  table[m][3i + j] multiplies
+    t1^m u1^i v1^j, and each coefficient sums its nine products left to right.
+    """
+    (c0, c1, c2, c3, c4, c5, c6, c7, c8), (b0, b1, b2, b3, b4, b5, b6, b7, b8), \
+        (a0, a1, a2, a3, a4, a5, a6, a7, a8) = table
+
+    def quad(u, v):
+        u0, u1 = u
+        v0, v1 = v
+        mu0, mu1, mu2 = u0 * u0, u0 * u1, u1 * u1
+        mv0, mv1, mv2 = v0 * v0, v0 * v1, v1 * v1
+        p0, p1, p2 = mu0 * mv0, mu0 * mv1, mu0 * mv2
+        p3, p4, p5 = mu1 * mv0, mu1 * mv1, mu1 * mv2
+        p6, p7, p8 = mu2 * mv0, mu2 * mv1, mu2 * mv2
+        c = (c0 * p0 + c1 * p1 + c2 * p2 + c3 * p3 + c4 * p4 + c5 * p5
+             + c6 * p6 + c7 * p7 + c8 * p8)
+        b = (b0 * p0 + b1 * p1 + b2 * p2 + b3 * p3 + b4 * p4 + b5 * p5
+             + b6 * p6 + b7 * p7 + b8 * p8)
+        a = (a0 * p0 + a1 * p1 + a2 * p2 + a3 * p3 + a4 * p4 + a5 * p5
+             + a6 * p6 + a7 * p7 + a8 * p8)
+        return a, b, c
+
+    return quad
 
 
 def axis_quadratic(surface: Surface222, point: SurfacePoint, axis: str):
-    """Coefficients (A, B, C) of F as A t1^2 + B t1 t0 + C t0^2 in `axis`.
-
-    The other two coordinates may hold arrays, giving arrays of coefficients.
-    """
-    ai = AXES.index(axis)
-    table = surface._tables[ai]
-    u, v = _OTHERS[axis]
-    mu = _monomials(point.coord(u))
-    mv = _monomials(point.coord(v))
-    prods = (
-        mu[0] * mv[0], mu[0] * mv[1], mu[0] * mv[2],
-        mu[1] * mv[0], mu[1] * mv[1], mu[1] * mv[2],
-        mu[2] * mv[0], mu[2] * mv[1], mu[2] * mv[2],
-    )
-    coeff = []
-    for m in range(3):
-        row = table[m]
-        coeff.append(
-            row[0] * prods[0] + row[1] * prods[1] + row[2] * prods[2]
-            + row[3] * prods[3] + row[4] * prods[4] + row[5] * prods[5]
-            + row[6] * prods[6] + row[7] * prods[7] + row[8] * prods[8]
-        )
-    c, b, a = coeff  # monomial index m is the power of t1
-    return a, b, c
+    """(A, B, C) of F in `axis` at `point`, from the surface's bound former
+    (:func:`_quadratic`).  The library calls the former directly; this name stays
+    for the public API and for the benchmark's tracer, which wraps it by name."""
+    i, j, k = _SLOTS[axis]
+    p = point.astuple()
+    return surface._quads[i](p[j], p[k])
 
 
 def _guard(a, b, c):
@@ -340,35 +339,19 @@ def _polish(a, b, c, c0, c1):
     return (c0, c1), abs(a * c1 * c1 + b * c1 * c0 + c * c0 * c0)
 
 
-def _vieta_swap(table):
-    """The Vieta root swap in one axis, as a closure over that axis's 3x9 table.
+def _vieta_swap(quad):
+    """The Vieta root swap in one axis, as a closure over that axis's former.
 
     ``swap(u, v, t)`` takes the pairs of the two other coordinates (in
-    x < y < z order) and of the moving one, and returns (image, residual).
-    The coefficients are :func:`axis_quadratic`'s, formed term for term in
-    the same order.  Then come one :func:`_guard` call, the product-or-sum
-    choice and the image's normalization inline (max() spelled as
-    comparisons that pick the same float), one :func:`_polish` call and the
-    residual test, reading the module's thresholds at call time.  The
-    floats and refusals are bitwise those of the unbound path.
+    x < y < z order) and of the moving one, and returns (image, residual):
+    ``quad(u, v)``, one :func:`_guard` call, the product-or-sum choice and
+    the image's normalization inline (max() spelled as comparisons that
+    pick the same float), one :func:`_polish` call and the residual test,
+    reading the module's thresholds at call time.
     """
-    (c0, c1, c2, c3, c4, c5, c6, c7, c8), (b0, b1, b2, b3, b4, b5, b6, b7, b8), \
-        (a0, a1, a2, a3, a4, a5, a6, a7, a8) = table
 
     def swap(u, v, t):
-        u0, u1 = u
-        v0, v1 = v
-        mu0, mu1, mu2 = u0 * u0, u0 * u1, u1 * u1
-        mv0, mv1, mv2 = v0 * v0, v0 * v1, v1 * v1
-        p0, p1, p2 = mu0 * mv0, mu0 * mv1, mu0 * mv2
-        p3, p4, p5 = mu1 * mv0, mu1 * mv1, mu1 * mv2
-        p6, p7, p8 = mu2 * mv0, mu2 * mv1, mu2 * mv2
-        c = (c0 * p0 + c1 * p1 + c2 * p2 + c3 * p3 + c4 * p4 + c5 * p5
-             + c6 * p6 + c7 * p7 + c8 * p8)
-        b = (b0 * p0 + b1 * p1 + b2 * p2 + b3 * p3 + b4 * p4 + b5 * p5
-             + b6 * p6 + b7 * p7 + b8 * p8)
-        a = (a0 * p0 + a1 * p1 + a2 * p2 + a3 * p3 + a4 * p4 + a5 * p5
-             + a6 * p6 + a7 * p7 + a8 * p8)
+        a, b, c = quad(u, v)
         scale, _ = _guard(a, b, c)
         t0, t1 = t
         q0, q1 = a * t1, c * t0
@@ -394,10 +377,6 @@ def _vieta_swap(table):
         return image, res
 
     return swap
-
-
-# axis -> (its index, the indices of the two other coordinates)
-_SLOTS = {"x": (0, 1, 2), "y": (1, 0, 2), "z": (2, 0, 1)}
 
 
 def involution(surface: Surface222, axis: str, point: SurfacePoint) -> SurfacePoint:
@@ -458,8 +437,8 @@ def parabolic_map(surface: Surface222, pair, point: SurfacePoint) -> SurfacePoin
     return SurfacePoint(*surface._maps[first, second](point.astuple()))
 
 
-def _sample_root(surface: Surface222, probe: SurfacePoint, axis: str, rng):
-    """`probe` with `axis` moved to a random root of its quadratic, or None.
+def _sample_root(surface: Surface222, parts: dict, axis: str, rng):
+    """The point `parts` (two coordinates by axis) completes at a random root in `axis`, or None.
 
     None when the quadratic fails :func:`_guard` or the polished root
     misses the sampling residual.  The root is qq / a or c / qq with
@@ -467,7 +446,8 @@ def _sample_root(surface: Surface222, probe: SurfacePoint, axis: str, rng):
     keeps qq nonzero); which one is drawn from rng only once the guard has
     passed, so retries interleave with the draws.
     """
-    a, b, c = axis_quadratic(surface, probe, axis)
+    i, j, k = _SLOTS[axis]
+    a, b, c = surface._quads[i](parts[AXES[j]], parts[AXES[k]])
     try:
         scale, disc = _guard(a, b, c)
     except BranchPointError:
@@ -476,7 +456,7 @@ def _sample_root(surface: Surface222, probe: SurfacePoint, axis: str, rng):
     qq = -(b + sq) / 2 if abs(b + sq) >= abs(b - sq) else -(b - sq) / 2
     root, res = _polish(a, b, c, *_normalize((a, qq) if rng.integers(2) == 0 else (qq, c)))
     if res < SAMPLE_RESIDUAL_TOL * max(scale, 1.0):
-        return probe.replace(axis, root, res)
+        return SurfacePoint(**parts, **{axis: root}, residual=res)
     return None
 
 
@@ -507,9 +487,7 @@ def _fs_pair(rng) -> tuple[complex, complex]:
 def sample_point(surface: Surface222, rng) -> SurfacePoint:
     """Random surface point: (x, y) Fubini-Study uniform, z a random root."""
     for _ in range(SAMPLE_TRIES):
-        x = _fs_pair(rng)
-        y = _fs_pair(rng)
-        point = _sample_root(surface, SurfacePoint(x, y, (1.0 + 0j, 0j)), "z", rng)
+        point = _sample_root(surface, {"x": _fs_pair(rng), "y": _fs_pair(rng)}, "z", rng)
         if point is not None:
             return point
     raise ContractError(f"could not sample a surface point in {SAMPLE_TRIES} tries")
@@ -520,9 +498,7 @@ def sample_fiber_point(surface: Surface222, pair, base_pair, rng) -> SurfacePoin
     first, second, base_axis = _pair_axes(pair)
     base_pair = _normalize(base_pair)
     for _ in range(SAMPLE_TRIES):
-        moving = _fs_pair(rng)
-        parts = {base_axis: base_pair, first: moving, second: (1.0 + 0j, 0j)}
-        point = _sample_root(surface, SurfacePoint(**parts), second, rng)
+        point = _sample_root(surface, {base_axis: base_pair, first: _fs_pair(rng)}, second, rng)
         if point is not None:
             return point
     raise ContractError(f"could not sample a fiber point in {SAMPLE_TRIES} tries")
@@ -619,8 +595,9 @@ def fiber_cells(surface: Surface222, pair, base_pair, grid: int = 16) -> set:
     moving = (np.concatenate([ones, cc]), np.concatenate([cc, ones]))  # both charts
     keys = []
     for sweep_axis, solve_axis in ((first, second), (second, first)):
-        parts = {base_axis: base_pair, sweep_axis: moving, solve_axis: (1.0 + 0j, 0j)}
-        ok, roots = _guarded_roots(*axis_quadratic(surface, SurfacePoint(**parts), solve_axis))
+        i, j, k = _SLOTS[solve_axis]
+        parts = {base_axis: base_pair, sweep_axis: moving}
+        ok, roots = _guarded_roots(*surface._quads[i](parts[AXES[j]], parts[AXES[k]]))
         swept = (moving[0][ok], moving[1][ok])
         for root in roots:
             coords = {sweep_axis: swept, solve_axis: root}
@@ -797,26 +774,23 @@ def axis_partial(surface: Surface222, point: SurfacePoint, axis: str) -> complex
     the value does not depend on their stored representatives; all
     coordinates must sit in moderate charts.
     """
-    u, v = _OTHERS[axis]
-    chart = {axis: point.coord(axis), u: (1.0 + 0j, point.affine(u)),
-             v: (1.0 + 0j, point.affine(v))}
-    a, b, _ = axis_quadratic(surface, SurfacePoint(**chart), axis)
+    i, j, k = _SLOTS[axis]
+    a, b, _ = surface._quads[i]((1.0 + 0j, point.affine(AXES[j])), (1.0 + 0j, point.affine(AXES[k])))
     return 2 * a * point.affine(axis) + b
 
 
-def _move_along_fiber(
-    surface: Surface222, pair, point: SurfacePoint, dy: complex
-) -> SurfacePoint:
+def _move_along_fiber(surface: Surface222, pair, point: SurfacePoint, dy: complex) -> SurfacePoint:
     """Shift the first fiber coordinate by dy and Newton-correct the second."""
     first, second = pair
-    y = point.affine(first)
-    moved = point.replace(first, _normalize((1.0 + 0j, y + dy)), point.residual)
-    a, b, c = axis_quadratic(surface, moved, second)
-    sec, res = _polish(a, b, c, *point.coord(second))
+    i, j, k = _SLOTS[second]
+    p = list(point.astuple())
+    p[AXES.index(first)] = _normalize((1.0 + 0j, point.affine(first) + dy))
+    a, b, c = surface._quads[i](p[j], p[k])
+    p[i], p[3] = _polish(a, b, c, *p[i])
     scale = max(abs(a), abs(b), abs(c), 1.0)
-    if res > ON_SURFACE_TOL * scale:
+    if p[3] > ON_SURFACE_TOL * scale:
         raise BranchPointError("could not track the fiber through the shift")
-    return moved.replace(second, sec, res)
+    return SurfacePoint(*p)
 
 
 def fiber_derivative_ratio(surface: Surface222, pair, map_fn, point: SurfacePoint):
@@ -892,6 +866,12 @@ def _mc_draw(surface: Surface222, samples: int, rng):
     time, written into arrays that hold the whole draw.  Each list holds
     one entry per root: its weights, and its sphere coordinates by axis
     (x and y are the same arrays for both roots).
+
+    The quadratics are formed here, not by the surface's z former
+    (:func:`_quadratic`): on the affine chart each term is grouped as
+    (c * x^i) * y^j and zero coefficients are skipped, where the former
+    takes c * (x^i y^j) over projective pairs, so the two round apart and
+    sharing the former would move the Monte Carlo floats.
     """
     c = surface.coeffs
     x, xok = _fs_ratios(rng, samples)

@@ -30,7 +30,7 @@ import mpmath as mp
 
 from .errors import ContractError, PrecisionError, PreconditionError
 from .exact import QuadExpr
-from .linalg_exact import _primitive, hnf, kernel_basis, lll_reduce, rank_exact
+from .linalg_exact import hnf, kernel_basis, lll_reduce, rank_exact
 
 DEFAULT_PRECISION = 128
 DEFAULT_TOL = 1e-24
@@ -202,24 +202,12 @@ def rational_hull(
         for row in reduced:
             k = row[: n + 1]
             # the float residue is a cheap screen before holds(), exact for exact values
-            if (any(k) and max(map(abs, k)) <= height_bound
-                    and _residue(k, vals) < tolm and holds(k)):
-                accepted.append(_primitive(k))
-        # canonicalize and saturate: true relation lattices are saturated,
-        # so any imprimitive HNF row can be divided and re-verified
+            if max(map(abs, k)) <= height_bound and _residue(k, vals) < tolm and holds(k):
+                accepted.append(k)
+        # the k-parts are rows of a unimodular transform (the input is [I | K x],
+        # and LLL only swaps rows and subtracts integer multiples), so the
+        # accepted ones span a saturated lattice and every HNF row is primitive
         relations = hnf(accepted)
-        changed = True
-        while changed:
-            changed = False
-            out = []
-            for row in relations:
-                cand = _primitive(row)
-                if cand != row and holds(cand):
-                    out.append(cand)
-                    changed = True
-                else:
-                    out.append(row)
-            relations = hnf(out) if changed else relations
         # the returned rows themselves must satisfy the residue contract;
         # HNF mixes accepted rows, so re-verify (combinations of true
         # relations stay tiny, near-relations admitted by a loose tol do not)

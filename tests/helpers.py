@@ -29,13 +29,16 @@ and the Monte Carlo space average are frozen as the scalar loops they were
 before the library computed them as arrays.  The fiber orbit, the
 random-word and the single-fiber trajectories are frozen as the three
 loops they were before the library shared one walker, together with the
-involution and root sampling that wrote out their own branch guards.
+involution and root sampling that wrote out their own branch guards,
+and they form each quadratic through a point's monomials as the library
+did before every surface bound one quadratic former per axis.
 The three lattice box scans are frozen as the whole-box loops they were
 before the library enumerated only the orthogonal complement of y and
 the sign-canonical half of the box.  The surface names only the tests
-use (the Fermat-like surface, the residual, the inverse fiber map) live
-here too, and so do the two torus diagnostics only the tests use (the
-least-squares projection onto a hull and the box coverage of an orbit).
+use (the Fermat-like surface, the residual, the inverse fiber map, the
+coordinate replacement) live here too, and so do the two torus
+diagnostics only the tests use (the least-squares projection onto a hull
+and the box coverage of an orbit).
 """
 
 from __future__ import annotations
@@ -634,7 +637,8 @@ def _frozen_derivative(p):
 
 
 def frozen_squarefree_part(p):
-    """p / gcd(p, p'), monic."""
+    """p / gcd(p, p'), monic, over Fractions (an int p is read as Fractions first)."""
+    p = _frozen_poly(p)
     a, b = p, _frozen_derivative(p)
     while b:
         a, b = b, _frozen_divmod(a, b)[1]
@@ -674,6 +678,8 @@ def frozen_count_real_roots(p, a, b):
 
 
 def _frozen_cauchy_bound(p):
+    """1 + max |c_i| / |lead| as a Fraction, also for an int p."""
+    p = _frozen_poly(p)
     return 1 + max(abs(c) for c in p[:-1]) / abs(p[-1])
 
 
@@ -906,6 +912,48 @@ def frozen_strip(p):
 # frozen scalar fiber-curve kernels (oracles for the array cell routines)
 # ---------------------------------------------------------------------------
 
+_FROZEN_OTHERS = {"x": ("y", "z"), "y": ("x", "z"), "z": ("x", "y")}
+
+
+def _frozen_monomials(pair):
+    c0, c1 = pair
+    return (c0 * c0, c0 * c1, c1 * c1)
+
+
+def frozen_replace(point, axis, pair, residual):
+    """`point` with its `axis` coordinate set to `pair` and the given residual."""
+    parts = {"x": point.x, "y": point.y, "z": point.z}
+    parts[axis] = pair
+    return s2.SurfacePoint(parts["x"], parts["y"], parts["z"], residual)
+
+
+def frozen_axis_quadratic(surface, point, axis):
+    """Coefficients (A, B, C) of F as A t1^2 + B t1 t0 + C t0^2 in `axis`, as
+    the library formed them through a point's monomials before each surface
+    bound one quadratic former per axis.  The other two coordinates may hold
+    arrays."""
+    table = [tuple(plane.ravel().tolist())
+             for plane in np.moveaxis(surface.coeffs, s2.AXES.index(axis), 0)]
+    u, v = _FROZEN_OTHERS[axis]
+    mu = _frozen_monomials(point.coord(u))
+    mv = _frozen_monomials(point.coord(v))
+    prods = (
+        mu[0] * mv[0], mu[0] * mv[1], mu[0] * mv[2],
+        mu[1] * mv[0], mu[1] * mv[1], mu[1] * mv[2],
+        mu[2] * mv[0], mu[2] * mv[1], mu[2] * mv[2],
+    )
+    coeff = []
+    for m in range(3):
+        row = table[m]
+        coeff.append(
+            row[0] * prods[0] + row[1] * prods[1] + row[2] * prods[2]
+            + row[3] * prods[3] + row[4] * prods[4] + row[5] * prods[5]
+            + row[6] * prods[6] + row[7] * prods[7] + row[8] * prods[8]
+        )
+    c, b, a = coeff  # monomial index m is the power of t1
+    return a, b, c
+
+
 def frozen_chart_cell(pair, grid):
     """(chart flag, re index, im index) of a P^1 point, one point at a time."""
     c0, c1 = pair
@@ -951,14 +999,15 @@ def frozen_fiber_cells(surface, pair, base_pair, grid=16, refine=6, min_hits=3):
                     parts = {base_axis: base_pair, sweep_axis: moving,
                              solve_axis: (1.0 + 0j, 0j)}
                     probe = s2.SurfacePoint(parts["x"], parts["y"], parts["z"])
-                    a, b, c = s2.axis_quadratic(surface, probe, solve_axis)
+                    a, b, c = frozen_axis_quadratic(surface, probe, solve_axis)
                     scale = max(abs(a), abs(b), abs(c))
                     if scale == 0 or abs(a) < s2.LEAD_COEFF_REL * scale:
                         continue
                     if abs(b * b - 4 * a * c) < s2.BRANCH_DISC_REL * scale * scale:
                         continue
                     for root in _frozen_stable_roots(a, b, c):
-                        key = frozen_pair_cell(probe.replace(solve_axis, root, 0.0), pair, grid)
+                        point = frozen_replace(probe, solve_axis, root, 0.0)
+                        key = frozen_pair_cell(point, pair, grid)
                         counts[key] = counts.get(key, 0) + 1
     return {cell for cell, hits in counts.items() if hits >= min_hits}
 
@@ -1072,7 +1121,7 @@ def frozen_quad(a, b, c, pair):
 
 def frozen_eval_f(surface, point):
     """F at the point's normalized coordinates, as a quadratic in z."""
-    return frozen_quad(*s2.axis_quadratic(surface, point, "z"), point.z)
+    return frozen_quad(*frozen_axis_quadratic(surface, point, "z"), point.z)
 
 
 def residual_of(surface, point):
@@ -1118,7 +1167,7 @@ def frozen_guard(a, b, c):
 
 
 def frozen_involution(surface, axis, point):
-    a, b, c = s2.axis_quadratic(surface, point, axis)
+    a, b, c = frozen_axis_quadratic(surface, point, axis)
     scale, _ = frozen_guard(a, b, c)
     t0, t1 = point.coord(axis)
     prod = (a * t1, c * t0)
@@ -1131,7 +1180,7 @@ def frozen_involution(surface, axis, point):
     res = abs(a * z1 * z1 + b * z1 * z0 + c * z0 * z0)
     if res > s2.ON_SURFACE_TOL * max(scale, 1.0):
         raise ContractError(f"involution image off surface: residual {res:.3e}")
-    return point.replace(axis, image, res)
+    return frozen_replace(point, axis, image, res)
 
 
 def frozen_parabolic_map(surface, pair, point):
@@ -1140,7 +1189,7 @@ def frozen_parabolic_map(surface, pair, point):
 
 
 def _frozen_sample_root(surface, probe, axis, rng):
-    a, b, c = s2.axis_quadratic(surface, probe, axis)
+    a, b, c = frozen_axis_quadratic(surface, probe, axis)
     scale = max(abs(a), abs(b), abs(c))
     if scale == 0 or abs(a) < s2.LEAD_COEFF_REL * scale:
         return None
@@ -1153,7 +1202,7 @@ def _frozen_sample_root(surface, probe, axis, rng):
     r0, r1 = root
     res = abs(a * r1 * r1 + b * r1 * r0 + c * r0 * r0)
     if res < s2.SAMPLE_RESIDUAL_TOL * max(scale, 1.0):
-        return probe.replace(axis, root, res)
+        return frozen_replace(probe, axis, root, res)
     return None
 
 
@@ -1183,15 +1232,15 @@ def frozen_sample_fiber_point(surface, pair, base_pair, rng, max_tries=64):
 def _frozen_move_along_fiber(surface, pair, point, dy):
     first, second = pair
     y = point.affine(first)
-    moved = point.replace(first, s2._normalize((1.0 + 0j, y + dy)), point.residual)
-    a, b, c = s2.axis_quadratic(surface, moved, second)
+    moved = frozen_replace(point, first, s2._normalize((1.0 + 0j, y + dy)), point.residual)
+    a, b, c = frozen_axis_quadratic(surface, moved, second)
     sec = _frozen_polish(a, b, c, point.coord(second))
     s0, s1 = sec
     res = abs(a * s1 * s1 + b * s1 * s0 + c * s0 * s0)
     scale = max(abs(a), abs(b), abs(c), 1.0)
     if res > s2.ON_SURFACE_TOL * scale:
         raise BranchPointError("could not track the fiber through the shift")
-    return moved.replace(second, sec, res)
+    return frozen_replace(moved, second, sec, res)
 
 
 def frozen_orbit_trace(surface, pair, base_pair, start, length, rng=None, stats=None):

@@ -59,6 +59,19 @@ def test_surface_walk_artifacts_are_pinned(argv, name, tmp_path):
     assert out.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
 
 
+@pytest.mark.parametrize("argv, name", [
+    ("k3 sample --n 50 --seed 5", "k3_sample_n50_seed5.json"),
+    ("k3 involve --n 50 --axis x --seed 5", "k3_involve_x_n50_seed5.json"),
+    ("k3 orbit --n 2000 --grid 8 --fibers 2 --seed 4", "k3_orbit_n2000_g8_f2_seed4.json"),
+], ids=("sample", "involve", "orbit"))
+def test_sampling_artifacts_are_pinned(argv, name, tmp_path):
+    # root sampling, the swaps and the fiber cells, byte for byte as the
+    # probe-point quadratic formed them
+    out = tmp_path / name
+    assert main([*argv.split(), "--out", str(out)]) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
+
+
 def _classify_artifact(word: str, tmp_path, monkeypatch) -> bytes:
     monkeypatch.delenv("PARABOLIC_LAB_SEED", raising=False)
     monkeypatch.chdir(Path(__file__).parent.parent)
@@ -651,6 +664,18 @@ def test_workers_and_format_only_where_used(capsys):
     assert main(["lattice", "seed", "--a-sq", "2", "--N", "5", "--format", "csv"]) == 1
     assert main(["torus", "hull", "--coords", "sqrt2", "--workers", "2"]) == 1
     capsys.readouterr()
+
+
+def test_orbit_workers_leave_the_result_unchanged(capsys):
+    # the pool gets the surface itself and hands the reports back in fiber order
+    argv = ["k3", "orbit", "--n", "500", "--grid", "8", "--fibers", "3", "--seed", "4"]
+    results = []
+    for workers in ("1", "2"):
+        code, out = run_cli([*argv, "--workers", workers], capsys)
+        assert code == 0
+        results.append(json.loads(out)["result"])
+    assert results[0] == results[1]
+    assert len(results[0]["reports"]) == 3
 
 
 def _readme_commands() -> list[list[str]]:

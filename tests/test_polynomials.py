@@ -107,7 +107,7 @@ def test_isolate_matches_frozen_bisection():
 
 def _refines_frozen(got, p, lower) -> bool:
     """got lies inside the frozen 2^-80 bisection's interval and is at most 2^-200 wide."""
-    want = frozen_isolate(_frozen_poly(p), lower)  # the oracle bisects Fraction polynomials
+    want = frozen_isolate(p, lower)
     if want is None or got is None:
         return got is want
     return want[0] <= got[0] < got[1] <= want[1] and got[1] - got[0] <= Fraction(1, 2**200)

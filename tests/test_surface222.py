@@ -15,6 +15,7 @@ from helpers import (
     FROZEN_TEST_FUNCTIONS,
     _frozen_polish,
     fermat_like_surface,
+    frozen_axis_quadratic,
     frozen_birkhoff,
     frozen_chart_cell,
     frozen_contrast,
@@ -122,7 +123,7 @@ def _branch_ratio(surface, p):
     """min over the axes of |disc| / scale^2, the quantity the branch guard tests."""
     ratios = []
     for axis in s2.AXES:
-        a, b, c = s2.axis_quadratic(surface, p, axis)
+        a, b, c = frozen_axis_quadratic(surface, p, axis)
         ratios.append(abs(b * b - 4 * a * c) / max(abs(a), abs(b), abs(c)) ** 2)
     return min(ratios)
 
@@ -177,6 +178,36 @@ def _bits(value):
     if isinstance(value, float):
         return struct.pack("<d", value)
     return value
+
+
+def _quad_bits(abc):
+    """(A, B, C) through :func:`_bits`, each with its type and an array as its entries."""
+    return tuple((type(x), _bits(tuple(x.tolist()) if isinstance(x, np.ndarray) else x))
+                 for x in abc)
+
+
+@pytest.mark.parametrize("surface", [S, s2.random_surface(5), s2.random_surface(9)],
+                         ids=["reference", "random5", "random9"])
+def test_bound_quadratic_matches_frozen_axis_quadratic(surface):
+    # scalar probes, then probes with one or both of the two other coordinates an array
+    rng = np.random.default_rng([surface.seed, 25])
+    points = [s2.sample_point(surface, rng) for _ in range(60)]
+    pairs = [s2._fs_pair(rng) for _ in range(61)] + [(1 + 0j, 0j), (0j, 1 + 0j), (1 + 0j, -1j)]
+    arrays = tuple(np.array(part) for part in zip(*pairs))
+    checked = 0
+    for p in points:
+        for axis in s2.AXES:
+            i, j, k = s2._SLOTS[axis]
+            for slots in ((), (j,), (k,), (j, k)):
+                coords = list(p.astuple())
+                for slot in slots:
+                    coords[slot] = arrays
+                probe = s2.SurfacePoint(*coords)
+                want = _quad_bits(frozen_axis_quadratic(surface, probe, axis))
+                assert _quad_bits(s2.axis_quadratic(surface, probe, axis)) == want
+                assert _quad_bits(surface._quads[i](coords[j], coords[k])) == want
+                checked += 1
+    assert checked == 60 * 3 * 4
 
 
 def _frozen_polish_outcome(a, b, c, c0, c1):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,7 +6,12 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from helpers import frozen_box_coverage, frozen_project_to_hull, planted_relation_instance
+from helpers import (
+    frozen_box_coverage,
+    frozen_det,
+    frozen_project_to_hull,
+    planted_relation_instance,
+)
 from parabolic_lab.errors import PrecisionError, PreconditionError
 from parabolic_lab.exact import QuadExpr, parse_real
 from parabolic_lab.torus import (
@@ -94,6 +100,18 @@ def test_planted_recovery_sample():
         got = rational_hull(TranslationVector(x, prec))
         assert [list(r) for r in got.relation_basis] == want
         assert got.dimension == len(x) - len(want)
+
+
+def test_planted_relation_bases_are_saturated():
+    # the maximal minors of a relation basis have gcd 1 exactly when it spans a
+    # saturated lattice, so no row of the HNF of the accepted LLL rows needs dividing
+    rng = random.Random(2024)
+    for _ in range(40):
+        x, prec, _ = planted_relation_instance(rng)
+        basis = rational_hull(TranslationVector(x, prec)).relation_basis
+        minors = [frozen_det([[row[c] for c in cols] for row in basis])
+                  for cols in itertools.combinations(range(len(x) + 1), len(basis))]
+        assert math.gcd(*(int(m) for m in minors)) == 1
 
 
 def test_weyl_sum_examples():
