@@ -17,8 +17,9 @@ with |lambda| > 1).  Classification here runs entirely on exact data:
 * off that branch the stripping leaves f, the minimal polynomial of
   lambda and 1/lambda (a Salem number or a quadratic unit; McMullen,
   *J. reine angew. Math.* 545, 2002): lambda is bracketed on f by integer
-  Sturm bisection, and both eigendirections come from one column v(x) of
-  adj(x I - M) in Z[x]/(f), certified by M v = x v and q(v, v) = 0 mod f.
+  Sturm isolation and quadratic interval refinement, and both
+  eigendirections come from one column v(x) of adj(x I - M) in Z[x]/(f),
+  certified by M v = x v and q(v, v) = 0 mod f.
 
 Each isometry is classified once, on first use; :func:`classify` and
 :func:`limit_nef_class` both read the verdict it keeps.

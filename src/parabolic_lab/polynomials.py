@@ -14,8 +14,10 @@ The minimal polynomial is the first relation `linalg_exact.kernel_basis`
 finds among powers of M.  Gcds, squarefree parts and Sturm chains come
 from one integer pseudo-remainder, `_primitive_rem`, whose result is a
 positive multiple of the rational remainder; largest-root isolation
-counts sign changes along that chain and bisects, all through
-`_homogeneous`.  The root bound and the bracket's lower end may be rational.
+counts sign changes along that chain until the root is alone, then
+refines by quadratic interval refinement (secant-guided steps that fall
+back to halving), all through `_homogeneous`.  The root bound and the
+bracket's lower end may be rational.
 """
 
 from __future__ import annotations
@@ -186,7 +188,7 @@ def strip_cyclotomic_factors(p: Poly) -> tuple[Poly, dict[int, int]]:
 
 
 def cauchy_root_bound(p: Poly) -> Fraction:
-    """All complex roots of p lie strictly inside |z| <= bound."""
+    """All complex roots z of p satisfy |z| < bound."""
     if degree(p) < 1:
         return Fraction(1)
     return 1 + Fraction(max(map(abs, p[:-1])), abs(p[-1]))
@@ -196,16 +198,26 @@ def isolate_largest_root_above(p: Poly, lower: Fraction = Fraction(1)) -> tuple[
     """Interval (lo, hi] of width <= 2^-ROOT_BITS holding the largest real root of p above `lower`.
 
     Returns None when there is no real root in (lower, cauchy bound].
-    Bisection runs in Python ints on (a / den, b / den], den doubling with
-    each halving, so den is a power of two when both ends start integral.
+    The interval is kept in Python ints as (a / den, b / den]; every
+    refinement multiplies den by a power of two and leaves b - a as it
+    is, so den is a power of two when both ends start integral.
 
     The Sturm chain of the squarefree part is its primitive remainder
     sequence: each element is a positive multiple of the rational one, so
-    every sign count is the same.  Once the root is alone in (lo, hi], the
-    refinement needs only the squarefree part's sign at each midpoint: that
-    part has a positive lead, and the root is simple and the largest, so it
-    lies above mid exactly when the part is negative there (a root at mid
-    moves hi onto it).
+    every sign count is the same.  Bisection on those counts narrows
+    (lo, hi] until it holds the root alone.  From there only the
+    squarefree part's sign is needed: that part has a positive lead, and
+    the root is simple and the largest, so it lies above a point of
+    (lo, hi) exactly when the part is negative there.
+
+    Halving would take k more steps, k read off the bit lengths.  Quadratic
+    interval refinement (J. Abbott, ACM Commun. Comput. Algebra 48(1),
+    2014; Kerber and Sagraloff, ISSAC 2011) finds the same cell of that
+    grid: the secant through the end values picks one of 2^s subcells,
+    and the signs at its two ends confirm it (s doubles) or not (s
+    halves), with one halving step at s = 1.  The sign test is the
+    halving's, so a root on a grid point still ends at hi, and the result
+    is the bisection's to the last bit in about 30 evaluations, not 200.
     """
     sqf = _squarefree_ints(p)
     chain = [c for c in (sqf, [i * c for i, c in enumerate(sqf)][1:]) if c]
@@ -228,13 +240,35 @@ def isolate_largest_root_above(p: Poly, lower: Fraction = Fraction(1)) -> tuple[
             a, va = mid, vm
         else:
             b, vb = mid, vm
-    # then shrink to width 2^-ROOT_BITS
-    while (b - a) << ROOT_BITS > den:
-        mid, den, a, b = a + b, 2 * den, 2 * a, 2 * b
-        if _homogeneous(sqf, mid, den) < 0:
-            a = mid
-        else:
-            b = mid
+    # then shrink to width 2^-ROOT_BITS: find the cell that k halvings would reach, on their grid
+    w, deg, s = b - a, len(sqf) - 1, 1
+    k = (((w << ROOT_BITS) - 1) // den).bit_length()
+    fa, fb = _homogeneous(sqf, a, den), _homogeneous(sqf, b, den)
+    while k:
+        s = min(s, k)
+        if s == 1:
+            mid, den, a, b, fa, fb = a + b, 2 * den, 2 * a, 2 * b, fa << deg, fb << deg
+            fm = _homogeneous(sqf, mid, den)
+            if fm < 0:
+                a, fa = mid, fm
+            else:
+                b, fb = mid, fm
+            k, s = k - 1, 2
+            continue
+        # the secant through (a, fa) and (b, fb), fa <= 0 <= fb, picks subcell m of 2^s; the
+        # signs at its ends confirm the pick (s doubles) or not (s halves, the cell stays)
+        last = (1 << s) - 1
+        m = (-fa << s) // (fb - fa) if fb else last
+        lo, sub = (a << s) + m * w, den << s
+        flo = _homogeneous(sqf, lo, sub) if m else fa << deg * s
+        if m and flo >= 0:
+            s //= 2
+            continue
+        fhi = _homogeneous(sqf, lo + w, sub) if m < last else fb << deg * s
+        if fhi < 0:
+            s //= 2
+            continue
+        a, b, den, fa, fb, k, s = lo, lo + w, sub, flo, fhi, k - s, 2 * s
     return Fraction(a, den), Fraction(b, den)
 
 

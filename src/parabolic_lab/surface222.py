@@ -671,10 +671,11 @@ def _fiber_walk(surface: Surface222, pair, base_pair, start: SurfacePoint, lengt
     A refused step is nudged along the fiber or, when the nudge fails,
     resampled on it; `stats` counts the "interruptions", "nudges" and
     "resamples" (only the recovery path counts).  The budget is 0.1% of
-    the length.
+    the length.  `base_pair` is the caller's, as given: the resample hands
+    it to :func:`sample_fiber_point`, which normalizes it once, so the new
+    point lies on the very base the caller's entry normalized.
     """
     first, second, _ = _pair_axes(pair)
-    base_pair = _normalize(base_pair)
     if rng is None:
         rng = np.random.default_rng(0)
     stats["nudges"] = stats["resamples"] = 0
@@ -704,6 +705,7 @@ def orbit_trace(
     nudge along the fiber (or a resample) and are tallied in `stats`;
     more than 0.1% of the requested length aborts the orbit.
     """
+    _normalize(base_pair)  # a collapsed base is refused before the walk, as in fiber_orbit
     walk = _fiber_walk(surface, pair, base_pair, start, length, rng,
                        {} if stats is None else stats)
     return enumerate(SurfacePoint(*p) for p in walk)
@@ -722,9 +724,11 @@ def fiber_orbit(
 
     Branch-point refusals are nudged, resampled and budgeted as in
     :func:`orbit_trace`, and the report counts each kind of recovery.
+    The report's base, the reference cells and every resample read
+    `base_pair` as given and normalize it once each, so all three sit on
+    the same fiber to the last bit.
     """
     first, second, _ = _pair_axes(pair)
-    base_pair = _normalize(base_pair)
     reference = fiber_cells(surface, pair, base_pair, grid)
     if not reference:
         raise ContractError("fiber tube sampling found no cells; fiber likely singular")
@@ -749,7 +753,7 @@ def fiber_orbit(
     coverage = len(hit) / len(reference)
     ref_visits = [visit_counts.get(cell, 0) for cell in reference]
     return FiberOrbitReport(
-        base=base_pair,
+        base=_normalize(base_pair),
         length=length,
         grid=grid,
         cells_fiber=len(reference),

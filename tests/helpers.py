@@ -782,8 +782,8 @@ def frozen_hafnian(a):
     return rec(tuple(range(len(rows))))
 
 
-def frozen_isolate(p, lower=Fraction(1)):
-    """Largest root above `lower` by bisection on Sturm counts down to width 2^-80."""
+def frozen_isolate(p, lower=Fraction(1), bits=80):
+    """Largest root above `lower` by bisection on Sturm counts down to width 2^-bits."""
     chain = frozen_sturm_chain(frozen_squarefree_part(p))
 
     def roots_in(a, b):
@@ -799,7 +799,7 @@ def frozen_isolate(p, lower=Fraction(1)):
             lo = mid
         else:
             hi = mid
-    while hi - lo > Fraction(1, 2**80):
+    while hi - lo > Fraction(1, 2**bits):
         mid = (lo + hi) / 2
         if roots_in(mid, hi) == 1:
             lo = mid
@@ -1244,7 +1244,7 @@ def _frozen_move_along_fiber(surface, pair, point, dy):
 
 
 def frozen_orbit_trace(surface, pair, base_pair, start, length, rng=None, stats=None):
-    base_pair = s2._normalize(base_pair)
+    # a resample normalizes the caller's base once, inside frozen_sample_fiber_point
     if rng is None:
         rng = np.random.default_rng(0)
     if stats is None:

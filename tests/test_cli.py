@@ -95,6 +95,13 @@ def test_rank10_loxodromic_classify_artifact_is_pinned(tmp_path, monkeypatch, ca
     assert b"e-52" not in got
 
 
+def test_rank4_loxodromic_classify_artifact_is_pinned(tmp_path, monkeypatch, capsys):
+    # a three-letter word on U + <-2>^2 whose f is the Salem quartic x^4 - 4x^3 - 2x^2 - 4x + 1:
+    # lambda is refined on a degree-4 f, where the two pinned words above have a quadratic one
+    got = _classify_artifact("loxodromic_isometry_rank4.json", tmp_path, monkeypatch)
+    assert got == Path("tests/data/isometry_classify_loxodromic_rank4.json").read_bytes()
+
+
 @pytest.mark.parametrize("argv, name", [
     ("lattice seed --a-sq 2 --N 5", "lattice_seed_a2_N5.json"),
     ("isometry transvect -i tests/data/lattice_seed_a2_N5.json --e 0,0,1 --v 0,1,0",

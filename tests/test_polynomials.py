@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+from parabolic_lab import polynomials
 from parabolic_lab.isometry import eichler_transvection
 from parabolic_lab.lattice import e8_lattice, hyperbolic_plane
 from parabolic_lab.linalg_exact import det_exact, mat_mul
@@ -102,15 +103,7 @@ def test_isolate_matches_frozen_bisection():
         cases.append((p, lower))
     assert isolate_largest_root_above((-2, 1), Fraction(1))[1] == 2  # first midpoint
     for p, lower in cases:
-        assert _refines_frozen(isolate_largest_root_above(p, lower), p, lower), (p, lower)
-
-
-def _refines_frozen(got, p, lower) -> bool:
-    """got lies inside the frozen 2^-80 bisection's interval and is at most 2^-200 wide."""
-    want = frozen_isolate(p, lower)
-    if want is None or got is None:
-        return got is want
-    return want[0] <= got[0] < got[1] <= want[1] and got[1] - got[0] <= Fraction(1, 2**200)
+        assert isolate_largest_root_above(p, lower) == frozen_isolate(p, lower, bits=200), (p, lower)
 
 
 def _integer_kernel_cases():
@@ -147,13 +140,29 @@ def test_integer_isolation_matches_frozen_on_kernel_cases():
     for p in _integer_kernel_cases():
         for lower in LOWERS:
             got = isolate_largest_root_above(p, lower)
-            assert _refines_frozen(got, p, lower), (p, lower)
+            assert got == frozen_isolate(p, lower, bits=200), (p, lower)
             found += got is not None
     assert found > 40  # most cases do have a root to isolate
     # constants have no roots (the frozen oracle's Cauchy bound needs degree >= 1)
     for p in ((), _frozen_poly([5]), _frozen_poly([Fraction(-2, 3)])):
         for lower in LOWERS:
             assert isolate_largest_root_above(p, lower) is None
+
+
+def test_isolation_refines_quadratically(monkeypatch):
+    # halving alone takes 209 and 212 sign evaluations on these two (a quadratic unit and a
+    # Salem quartic); the secant-guided refinement needs a few dozen, so plain bisection fails here
+    homogeneous, calls = polynomials._homogeneous, [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return homogeneous(*args)
+
+    monkeypatch.setattr(polynomials, "_homogeneous", counting)
+    for p in ((1, -6, 1), (1, -4, -2, -4, 1)):
+        calls[0] = 0
+        lo, hi = isolate_largest_root_above(p, Fraction(1))
+        assert hi - lo <= Fraction(1, 2**200) and calls[0] <= 64, (p, calls[0])
 
 
 def test_squarefree_and_gcd_match_frozen_euclid():

@@ -447,6 +447,31 @@ def test_fiber_orbit_matches_frozen_walk(pair_index, case, length, rel, hits, re
     assert got["resamples"] == resamples and got["nudges"] == hits - resamples
 
 
+def test_resampled_point_sits_on_the_reports_base(monkeypatch):
+    # WALK_CASES' resample case, its base scaled by 1 + 2i: the same fiber, whose normalized
+    # pair a second _normalize moves, so a walk that renormalized it would resample off the
+    # report's base by an ulp
+    monkeypatch.setattr(s2, "BRANCH_DISC_REL", 1e-3)
+    pair, base, start = _orbit_start(2, 2)
+    base = tuple(c * (1 + 2j) for c in base)
+    sampled, sample = [], s2.sample_fiber_point
+
+    def recorded(*args):
+        sampled.append(sample(*args))
+        return sampled[-1]
+
+    monkeypatch.setattr(s2, "sample_fiber_point", recorded)
+    rep = s2.fiber_orbit(S, pair, base, start, 2000, grid=8, rng=np.random.default_rng([9, 2]))
+    assert s2._normalize(rep.base) != rep.base
+    assert rep.resamples == len(sampled) == 1
+    assert sampled[0].coord(s2._pair_axes(pair)[2]) == rep.base
+    # and the walk is the frozen one point by point, through the resample
+    walks = [[(step, p.astuple()) for step, p in trace(S, pair, base, start, 2000,
+                                                       np.random.default_rng([9, 2]))]
+             for trace in (s2.orbit_trace, frozen_orbit_trace)]
+    assert walks[0] == walks[1]
+
+
 @pytest.mark.parametrize("pair_index, case, length, rel, hits, resamples", WALK_CASES)
 def test_orbit_trace_matches_frozen_point_by_point(pair_index, case, length, rel, hits,
                                                    resamples, monkeypatch):
