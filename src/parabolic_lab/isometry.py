@@ -22,7 +22,11 @@ with |lambda| > 1).  Classification here runs entirely on exact data:
   certified by M v = x v and q(v, v) = 0 mod f.
 
 Each isometry is classified once, on first use; :func:`classify` and
-:func:`limit_nef_class` both read the verdict it keeps.
+:func:`limit_nef_class` both read the verdict it keeps.  What depends on
+the charpoly alone (f, the order L, lambda's bracket and lambda, all
+conjugacy invariants) is computed once per distinct charpoly and kept in
+a memo of SPECTRUM_MEMO entries, so conjugate and inverse words share it;
+det is read off the charpoly.
 
 Floating point only ever appears when a loxodromic payload is rounded,
 never in the classification logic or its certificates, so spectra close
@@ -45,7 +49,7 @@ proportional to e modulo the radical of the form on e-perp.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import lcm
 from operator import mul
@@ -66,6 +70,7 @@ from .linalg_exact import (
     transpose,
 )
 from .polynomials import (
+    Poly,
     _divmod_monic,
     _homogeneous,
     charpoly,
@@ -76,6 +81,7 @@ from .polynomials import (
 IntMatrix = tuple[tuple[int, ...], ...]
 
 LOXODROMIC_EIGENVALUE_DPS = 50
+SPECTRUM_MEMO = 256  # distinct charpolys whose _spectrum is kept
 
 
 @dataclass(frozen=True)
@@ -97,15 +103,14 @@ class LatticeIsometry:
         pos, neg = self.lattice.signature
         if pos != 1 or neg < 1:
             raise PreconditionError(f"classification needs signature (1, n), n >= 1; got {(pos, neg)}")
-        det, time_ok = self.det, is_time_preserving(self)
+        p = charpoly(self.matrix)
+        det, time_ok = (-1) ** (len(p) - 1) * p[0], is_time_preserving(self)  # det = (-1)^n p(0)
         if det != 1 or not time_ok:
             return OutsideSOPlus(det=det, time_preserving=time_ok), None
-        p = charpoly(self.matrix)
-        rem, factors = strip_cyclotomic_factors(p)
-        if len(rem) != 1:
+        f, order, mid, lam = _spectrum(p)
+        if order is None:
             # not quasi-unipotent: some eigenvalue is off the unit circle
-            return _loxodromic_payload(self, p, rem), None
-        order = lcm(*factors)
+            return _loxodromic_payload(self, p, f, mid, lam), None
         nil = mat_sub(mat_pow(self.matrix, order), identity_matrix(len(self.matrix)))
         if not any(map(any, nil)):
             return Elliptic(order=order), None
@@ -211,22 +216,39 @@ def is_time_preserving(g: LatticeIsometry) -> bool:
     return g.lattice.bbf(g.apply(w), w) > 0
 
 
-def _loxodromic_payload(g: LatticeIsometry, p, f) -> Loxodromic:
-    """Eigenvalue > 1 and the two isotropic eigendirections, read off f.
+@lru_cache(maxsize=SPECTRUM_MEMO)
+def _spectrum(p: Poly) -> tuple[Poly, int | None, tuple[int, int] | None, mp.mpf | None]:
+    """(f, L, (num, den), lambda): what the verdict reads off the charpoly p alone.
 
-    p is g's charpoly and f its non-cyclotomic factor, whose roots include
-    lambda and 1/lambda: lambda is the midpoint num / den of f's isolating interval,
-    and one exact v(x) mod f (:func:`_eigenvector_mod_f`) is evaluated in ints there.
+    f is p stripped of its cyclotomic factors.  If f = 1, L is the lcm of their
+    indices and the rest is None; else L is None, num / den is the midpoint of
+    f's isolating interval above 1 and lambda that midpoint as an mpf.
+    Conjugate and inverse words share p, so this runs once per distinct p.
     """
+    f, factors = strip_cyclotomic_factors(p)
+    if len(f) == 1:
+        return f, lcm(*factors), None, None
     interval = isolate_largest_root_above(f)
     if interval is None:
         raise ContractError("loxodromic isometry with no real eigenvalue > 1 (bug)")
     num, den = (sum(interval) / 2).as_integer_ratio()
+    with mp.workdps(LOXODROMIC_EIGENVALUE_DPS):
+        lam = mp.mpf(num) / den  # f is monic, so den is a power of two: one rounding
+    return f, None, (num, den), lam
+
+
+def _loxodromic_payload(g: LatticeIsometry, p, f, mid: tuple[int, int], lam: mp.mpf) -> Loxodromic:
+    """lambda and the two isotropic eigendirections, read off f.
+
+    p is g's charpoly and f its non-cyclotomic factor, whose roots include
+    lambda and 1/lambda; mid = (num, den) is lambda's bracket midpoint from
+    :func:`_spectrum`, where one exact v(x) mod f (:func:`_eigenvector_mod_f`)
+    is evaluated in ints.
+    """
+    num, den = mid
     v = _eigenvector_mod_f(g, p, f)
     directions = [_sup_direction([_homogeneous(vi, x, y) for vi in v])
                   for x, y in ((num, den), (den, num))]  # den^k v(lambda), num^k v(1 / lambda)
-    with mp.workdps(LOXODROMIC_EIGENVALUE_DPS):
-        lam = mp.mpf(num) / den  # f is monic, so den is a power of two: one rounding
     return Loxodromic(lam, *directions)
 
 

@@ -102,6 +102,13 @@ def test_rank4_loxodromic_classify_artifact_is_pinned(tmp_path, monkeypatch, cap
     assert got == Path("tests/data/isometry_classify_loxodromic_rank4.json").read_bytes()
 
 
+def test_outside_so_plus_classify_artifact_is_pinned(tmp_path, monkeypatch, capsys):
+    # sigma_x* on the (2,2,2) surface's Neron-Severi lattice, a det -1 reflection:
+    # its det is read off the charpoly, and the verdict stays byte for byte as det_exact gave it
+    got = _classify_artifact("reflection_isometry_ns.json", tmp_path, monkeypatch)
+    assert got == Path("tests/data/isometry_classify_reflection_ns.json").read_bytes()
+
+
 @pytest.mark.parametrize("argv, name", [
     ("lattice seed --a-sq 2 --N 5", "lattice_seed_a2_N5.json"),
     ("isometry transvect -i tests/data/lattice_seed_a2_N5.json --e 0,0,1 --v 0,1,0",

@@ -44,6 +44,7 @@ from parabolic_lab.lattice import (
     e8_lattice,
     hyperbolic_plane,
 )
+from parabolic_lab.linalg_exact import det_exact
 from parabolic_lab.polynomials import (
     charpoly,
     degree,
@@ -77,6 +78,17 @@ def test_verify_isometry():
         LatticeIsometry(U, ((1, 1), (0, 1)))
 
 
+def _negated(g: LatticeIsometry) -> LatticeIsometry:
+    return LatticeIsometry(g.lattice, tuple(tuple(-x for x in row) for row in g.matrix))
+
+
+def _root_reflection(lat: QuadLattice, k: int) -> LatticeIsometry:
+    """x -> x + q(x, e_k) e_k, the reflection in a basis vector with q(e_k, e_k) = -2."""
+    n = lat.rank
+    return LatticeIsometry(lat, tuple(
+        tuple(int(i == j) + (i == k) * lat.gram[j][k] for j in range(n)) for i in range(n)))
+
+
 def test_classify_identity_and_swap():
     assert classify(LatticeIsometry(U, ((1, 0), (0, 1)))) == Elliptic(order=1)
     swap = classify(LatticeIsometry(U, ((0, 1), (1, 0))))
@@ -84,6 +96,23 @@ def test_classify_identity_and_swap():
     assert swap.det == -1 and swap.time_preserving
     minus = classify(LatticeIsometry(U, ((-1, 0), (0, -1))))
     assert isinstance(minus, OutsideSOPlus) and not minus.time_preserving
+    # det -1 and time-reversing words of rank 3 and 10: classify reads det off the charpoly
+    lox10 = _unimodular_word(1, [(0, 2, False), (1, 3, False), (0, 9, False)])
+    refl10 = _root_reflection(lox10.lattice, 4)
+    cases = [
+        (SIGMA["x"], -1, True),
+        (_negated(SIGMA["x"]), 1, False),
+        (_negated(compose(SIGMA["y"], SIGMA["z"])), -1, False),
+        (compose(_root_reflection(U2, 2), eichler_transvection(U2, (1, 0, 0), (0, 0, 1))), -1, True),
+        (refl10, -1, True),
+        (compose(refl10, lox10), -1, True),
+        (_negated(lox10), 1, False),
+        (_negated(refl10), -1, False),
+    ]
+    for g, det, time_ok in cases:
+        cls = classify(g)
+        assert cls == OutsideSOPlus(det=det, time_preserving=time_ok), (g.matrix, cls)
+        assert cls.det == det_exact(g.matrix) == g.det
 
 
 def test_classify_loxodromic_pell():
@@ -105,17 +134,56 @@ def test_classify_loxodromic_pell():
 
 
 def test_classify_computes_the_charpoly_once(monkeypatch):
-    calls = []
+    calls, det_calls = [], []
     monkeypatch.setattr(isometry, "charpoly", lambda m: calls.append(m) or charpoly(m))
+    monkeypatch.setattr(isometry, "det_exact", lambda m: det_calls.append(m) or det_exact(m))
     g = LatticeIsometry(PELL, ((3, 2), (4, 3)))
     assert isinstance(classify(g), Loxodromic) and len(calls) == 1
     # one trichotomy per isometry: limit_nef_class reads the verdict classify computed
     t = eichler_transvection(U2, (1, 0, 0), (0, 0, 1))
     assert isinstance(classify(t), Parabolic) and classify(t) is classify(t)
     assert limit_nef_class(t, (2, 1, 0)) == (1.0, 0.0, 0.0) and len(calls) == 2
+    # det comes off the charpoly too, also for a verdict outside SO+
+    assert isinstance(classify(LatticeIsometry(U, ((0, 1), (1, 0)))), OutsideSOPlus)
+    assert len(calls) == 3 and det_calls == []
     # the kept verdict is no field: eq, hash and repr see the matrix and lattice only
     fresh = LatticeIsometry(U2, t.matrix)
     assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+
+
+def test_spectrum_is_computed_once_per_charpoly(monkeypatch):
+    # g, a conjugate of g and g^-1 share one charpoly, so its cyclotomic stripping and
+    # lambda's bracket are computed for the first of them only
+    isometry._spectrum.cache_clear()
+    calls = []
+    for name in ("isolate_largest_root_above", "strip_cyclotomic_factors"):
+        def counted(*args, _fn=getattr(isometry, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(isometry, name, counted)
+    te = eichler_transvection(U2, (1, 0, 0), (0, 0, 1))
+    g = compose(te, eichler_transvection(U2, (0, 1, 0), (0, 0, 1)))
+    words = [g, compose(compose(te, g), inverse(te)), inverse(g)]
+    assert len({w.matrix for w in words}) == 3
+    verdicts = [classify(w) for w in words]
+    assert sorted(calls) == ["isolate_largest_root_above", "strip_cyclotomic_factors"]
+    assert isometry._spectrum.cache_parameters()["maxsize"] == isometry.SPECTRUM_MEMO
+    assert isometry._spectrum.cache_info().currsize == 1
+    for w, cls in zip(words, verdicts):
+        old = frozen_loxodromic_payload(w)
+        assert isinstance(cls, Loxodromic) and cls.eigenvalue._mpf_ == verdicts[0].eigenvalue._mpf_
+        assert cls.eigenvalue == old.eigenvalue
+        assert _same_direction(cls.expanding, old.expanding), (w.matrix, cls, old)
+        assert _same_direction(cls.contracting, old.contracting), (w.matrix, cls, old)
+    # a raise caches nothing: neither the verdict nor the charpoly's spectrum
+    isometry._spectrum.cache_clear()
+    monkeypatch.setattr(isometry, "isolate_largest_root_above", lambda f: None)
+    fresh = LatticeIsometry(U2, g.matrix)
+    with pytest.raises(ContractError, match="no real eigenvalue > 1"):
+        classify(fresh)
+    assert isometry._spectrum.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert classify(fresh) == verdicts[0]
 
 
 def test_classify_inverse_matches():
