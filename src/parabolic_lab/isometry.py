@@ -190,12 +190,14 @@ def compose(g: LatticeIsometry, h: LatticeIsometry) -> LatticeIsometry:
 
 
 def power(g: LatticeIsometry, k: int) -> LatticeIsometry:
-    """g^k.  For k < 0, M^T G M = G gives M^-1 = G^-1 M^T G: the lattice's
-    cached D = d G^-1 times M^T G, divided exactly by d."""
+    """g^k.  For k < 0, M^T G M = G gives M^-1 = G^-1 M^T G.  With the
+    lattice's cached D = d G^-1 (G and D symmetric), d M^-1 = D M^T G is
+    formed as the transpose of (G M) D, whose left factors G and G M are
+    sparse where D is not (`mat_mul` skips their zeros), then divided exactly by d."""
     m = g.matrix
     if k < 0:
         scaled_ginv, d = g.lattice.scaled_gram_inverse
-        dinv = mat_mul(scaled_ginv, mat_mul(transpose(m), g.lattice.gram))
+        dinv = transpose(mat_mul(mat_mul(g.lattice.gram, m), scaled_ginv))
         if any(x % d for row in dinv for x in row):
             raise ContractError("G^-1 M^T G is not integral (bug)")
         m = [[x // d for x in row] for row in dinv]

@@ -14,6 +14,12 @@ fraction-free LLL reduction (integer Gram-Schmidt determinants, exact
 divisions only).  For rational data elsewhere in the exact layer,
 `scaled_ints` clears denominators (by their lcm) and `_primitive`
 divides out the content.  No floating point is allowed in this module.
+
+`mat_mul` (and so `mat_pow`) skips the zero entries of its left factor,
+which are most entries of the lattice matrices it multiplies (Gram
+matrices of U + E8(-1)^k, transvections and their short words).  For int
+and Fraction entries a skipped term 0 * y is exactly 0, so the product is
+== the full sum of n^3 terms; with floats it would not be (0 * inf is nan).
 """
 
 from __future__ import annotations
@@ -37,8 +43,18 @@ def transpose(a) -> Matrix:
 
 
 def mat_mul(a, b) -> Matrix:
-    bt = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+    """a b row by row (Gustavson, ACM TOMS 4(3), 1978): row i is the sum of
+    x b[k] over the nonzero x = a[i][k], started as a fresh list (never a
+    row of b); an all-zero row of a gives [0] * width."""
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = None
+        for x, brow in zip(row, b):
+            if x:
+                acc = [x * y for y in brow] if acc is None else [s + x * y for s, y in zip(acc, brow)]
+        out.append([0] * width if acc is None else acc)
+    return out
 
 
 def mat_vec(a, v) -> list:

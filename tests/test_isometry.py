@@ -13,6 +13,7 @@ from helpers import (
     frozen_evaluate_matrix,
     frozen_inverse,
     frozen_loxodromic_payload,
+    frozen_mat_mul,
     frozen_mat_pow,
     frozen_poly_gcd,
     frozen_squarefree_part,
@@ -216,6 +217,48 @@ def test_inverse_through_the_gram_matrix():
         assert compose(g, inverse(g)).matrix == tuple(
             tuple(int(i == j) for j in range(n)) for i in range(n))
         assert compose(inverse(g), g) == compose(g, inverse(g))
+
+
+def _transvection_letters(lat, pairs):
+    """Each Eichler transvection t(e, v) of `pairs` and its inverse."""
+    letters = []
+    for e, v in pairs:
+        t = eichler_transvection(lat, e, v)
+        letters += [t, inverse(t)]
+    return letters
+
+
+def test_inverse_matches_the_frozen_gram_conjugate():
+    """inverse(g) is G^-1 M^T G on transvection letters, their words and a seed lattice with d > 1."""
+    families = []
+    for copies in (1, 2):
+        lat = U
+        for _ in range(copies):
+            lat = lat.direct_sum(e8_lattice())
+        n = lat.rank
+        unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        families.append(_transvection_letters(lat, [(unit[axis], unit[k]) for axis in (0, 1)
+                                                    for k in range(2, n)]))
+    marked = build_parabolic_seed_lattice(4, 3)
+    seed = marked.lattice
+    assert seed.scaled_gram_inverse[1] > 1
+    families.append(_transvection_letters(
+        seed, [(marked.y, (0, 1, 0)), (marked.y, (0, 1, 1)), ((1, 0, -2), (0, 1, 0))]))
+    rng = random.Random(2828)
+    cases = [g for letters in families for g in letters]
+    for _ in range(30):
+        letters = families[rng.randrange(len(families))]
+        a, b, c = (letters[rng.randrange(len(letters))] for _ in range(3))
+        cases.append(compose(compose(a, b), c))
+    ginv = {}
+    for g in cases:
+        lat, n = g.lattice, g.lattice.rank
+        if lat not in ginv:
+            ginv[lat] = frozen_inverse(lat.gram)
+        gram_conjugate = frozen_mat_mul(ginv[lat], frozen_mat_mul(list(zip(*g.matrix)), lat.gram))
+        assert [list(row) for row in inverse(g).matrix] == gram_conjugate
+        assert compose(g, inverse(g)).matrix == tuple(
+            tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def test_inverse_refuses_a_non_integral_quotient():

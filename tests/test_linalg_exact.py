@@ -89,6 +89,41 @@ def test_matrix_products_match_frozen():
     assert mat_pow(a, 1) == a and mat_pow(a, 1)[0] is not a[0]  # a copy, not the argument
 
 
+def _sparse_ints(rng, rows, cols, zero_share):
+    return [[0 if rng.random() < zero_share else rng.randint(-(2**80), 2**80) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def test_row_form_product_matches_frozen():
+    """mat_mul skips the zeros of its left factor; the product stays == the full sum."""
+    rng = random.Random(28)
+    for zero_share in (0.0, 0.4, 0.8, 1.0):
+        for n in range(1, 19):
+            a, b = _sparse_ints(rng, n, n, zero_share), _sparse_ints(rng, n, n, zero_share)
+            assert mat_mul(a, b) == frozen_mat_mul(a, b), (zero_share, n)
+    # Fraction(0) entries are skipped like int 0; an all-zero row gives a zero row
+    a = [[Fraction(0), 2, Fraction(0)], [0, 0, 0], [Fraction(1, 3), Fraction(0), -1],
+         [Fraction(0)] * 3]
+    b = [[Fraction(5, 2), 0], [1, Fraction(0)], [Fraction(0), 7]]
+    out = mat_mul(a, b)
+    assert out == frozen_mat_mul(a, b) and out[1] == out[3] == [0, 0]
+    # every output row is a fresh list: mutating one leaves b (and the other rows) unchanged
+    b = _sparse_ints(rng, 5, 5, 0.4)
+    saved = [row[:] for row in b]
+    perm = [[int(j == (i + 2) % 5) for j in range(5)] for i in range(5)]
+    for a in (identity_matrix(5), perm, [[0] * 5] * 5):
+        out = mat_mul(a, b)
+        assert out == frozen_mat_mul(a, b)
+        for row in out:
+            row[0] += 1
+        assert b == saved
+        assert len({id(row) for row in out}) == 5
+    a, b = _sparse_ints(rng, 2, 3, 0.4), _sparse_ints(rng, 3, 4, 0.4)
+    out = mat_mul(a, b)
+    assert out == frozen_mat_mul(a, b) and [len(row) for row in out] == [4, 4]
+    assert mat_mul([], []) == frozen_mat_mul([], []) == []
+
+
 def test_kernel_and_rank():
     assert kernel_basis([[1, 2, 3]]) == [[2, -1, 0], [3, 0, -1]]
     assert rank_exact([[1, 2], [2, 4], [0, 1]]) == 2
