@@ -25,9 +25,8 @@ per-task RNG streams derived from the master seed).  Exit codes: 0
 success, 1 usage or malformed input, 2 precondition violation, 3
 numerical-contract failure.
 
-Real-valued inputs accept exact expressions (rationals, sqrtD, sums,
-products, parenthesized groups), e.g. ``--coords "sqrt2,2*sqrt2"`` or
-``--grid "0,1/2,(sqrt5-1)/2"``.
+Real-valued inputs are exact expressions in the grammar of :mod:`.exact`,
+e.g. ``--coords "sqrt2,2*sqrt2"`` or ``--grid "0,1/2,(sqrt5-1)/2"``.
 """
 
 from __future__ import annotations
@@ -198,12 +197,17 @@ def _int_vector(text: str) -> tuple[int, ...]:
     return tuple(integral(p, "vector") for p in text.split(","))
 
 
-def _load_lattice(spec) -> QuadLattice:
+def _unwrap(spec, key: str, own: str):
+    """An input object, inline or from a file; a result that lacks the object's field `own`
+    and nests it under `key` (a `lattice seed` or `k3 sample` result) stands for it."""
     if isinstance(spec, str):
         spec = _load_json_file(spec)
-    if isinstance(spec, dict) and "gram" not in spec and "lattice" in spec:  # a `lattice seed` result
-        spec = spec["lattice"]
-    return QuadLattice.from_json_dict(spec)
+    nested = isinstance(spec, dict) and own not in spec and isinstance(spec.get(key), dict)
+    return spec[key] if nested else spec
+
+
+def _load_lattice(spec) -> QuadLattice:
+    return QuadLattice.from_json_dict(_unwrap(spec, "lattice", "gram"))
 
 
 def _load_isometry(path: str) -> tuple[QuadLattice, object]:
@@ -462,7 +466,7 @@ def cmd_hodge_amgm(args) -> dict:
 def _surface_from_args(args) -> s2.Surface222:
     s2.u64_seed(args.seed, "seed")
     if args.surface:
-        return s2.Surface222.from_json_dict(_load_json_file(args.surface))
+        return s2.Surface222.from_json_dict(_unwrap(args.surface, "surface", "coeffs"))
     return s2.random_surface(args.seed)
 
 
@@ -538,7 +542,7 @@ def _chart_coords(pair) -> tuple[int, float, float]:
 
 
 def cmd_k3_orbit(args) -> dict | Csv:
-    _require_counts(args, n=MAX_STEPS, fibers=MAX_POINTS, workers=MAX_WORKERS)
+    _require_counts(args, n=MAX_STEPS, fibers=MAX_POINTS, workers=MAX_WORKERS, grid=s2.MAX_GRID)
     surface = _surface_from_args(args)
     pair = tuple(args.pair)
     if args.format == "csv":

@@ -6,17 +6,21 @@ rational part).  Sums and products of such values stay in the ring, which is
 all the translation-vector and coefficient-family machinery needs; division
 is supported by rationals only.
 
-The module also provides a small expression parser so algebraic inputs such
-as ``"2*sqrt2"`` or ``"(sqrt5-1)/2"`` can be entered exactly on a command
-line.  Grammar (whitespace ignored)::
+The module also provides a recursive-descent parser so algebraic inputs
+such as ``"2*sqrt2"`` or ``"(sqrt5-1)/2"`` can be entered exactly on a
+command line.  Grammar (whitespace ignored)::
 
+    vector := expr (',' expr)*
     expr   := term (('+'|'-') term)*
-    term   := unary (('*' unary) | ('/' number))*
-    unary  := '-' unary | atom
+    term   := unary (('*'|'/') unary)*
+    unary  := ('-'|'+') unary | atom
     atom   := number | 'sqrt' digits | '(' expr ')'
-    number := digits ('/' digits)? | decimal literal
+    number := digits ('.' digits)?
 
-Decimal literals are converted exactly (``0.25`` means 1/4, not a float).
+:func:`parse_real_vector` reads a ``vector`` and :func:`parse_real` one
+``expr``, refusing a second.  ``*`` and ``/`` associate to the left, so
+``1/2/3`` is 1/6, and a divisor must be a nonzero rational (``1/sqrt2``
+is a ParseError).  Decimals are exact (``0.25`` is 1/4, not a float).
 The radicand of ``sqrt`` lies in [1, 10^12], since its squarefree part
 is found by trial division up to its square root.  A radicand outside,
 a numeral past the interpreter's digit limit (4300 by default) and
@@ -195,6 +199,9 @@ class QuadExpr:
             raise ZeroDivisionError("division by zero")
         return QuadExpr({d: c / q for d, c in self._terms.items()})
 
+    def __rtruediv__(self, other):
+        return QuadExpr.coerce(other) / self
+
     # -- predicates and conversions ---------------------------------------
 
     def is_zero(self) -> bool:
@@ -269,119 +276,70 @@ class QuadExpr:
         return float(self.to_mpf(80))
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<sqrt>sqrt\s*\d+)|(?P<num>\d+\.\d+|\d+)|(?P<op>[-+*/()]))"
-)
+# a token per match: (radicand, number, any other character); trailing whitespace matches none
+_TOKEN = re.compile(r"\s*(?:sqrt\s*(\d+)|(\d+(?:\.\d+)?)|(\S))")
 
 
-def _tokenize(text: str) -> list[str]:
-    pos, tokens = 0, []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            raise ParseError(f"bad character in expression at {text[pos:]!r}")
-        tokens.append(m.group(m.lastgroup).replace(" ", ""))
-        pos = m.end()
-    return tokens
+def parse_real_vector(text: str) -> tuple[QuadExpr, ...]:
+    """Parse a comma separated vector of exact real expressions such as ``"sqrt2, 2*sqrt2"``."""
+    tokens = _TOKEN.findall(text)[::-1]  # read by popping from the end
 
+    def take(*ops: str) -> str:
+        """Pop the next token and return it if it is one of the operators ops; else ''."""
+        return tokens.pop()[2] if tokens and tokens[-1][2] in ops else ""
 
-def parse_real(text: str) -> QuadExpr:
-    """Parse an exact real expression such as ``"(sqrt5-1)/2"``."""
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def advance():
-        nonlocal pos
-        pos += 1
-
-    def parse_atom() -> QuadExpr:
-        nonlocal pos
-        tok = peek()
-        if tok is None:
+    # a number stays a Fraction until it meets a sqrt, where QuadExpr's reflected operators act
+    def atom() -> QuadExpr | Fraction:
+        if not tokens:
             raise ParseError("unexpected end of expression")
-        if tok == "(":
-            advance()
-            value = parse_expr()
-            if peek() != ")":
-                raise ParseError("missing closing parenthesis")
-            advance()
-            return value
-        if tok.startswith("sqrt"):
-            advance()
-            return QuadExpr.sqrt(int(tok[4:]))
-        if tok[0].isdigit():
-            advance()
-            # Fraction("0.25") is exact in Python >= 3.2 via the decimal path
-            num = Fraction(tok)
-            if peek() == "/" and pos + 1 < len(tokens) and tokens[pos + 1][0].isdigit():
-                advance()
-                den = Fraction(tokens[pos])
-                advance()
-                if den == 0:
-                    raise ParseError("division by zero")
-                return QuadExpr.rational(num / den)
-            return QuadExpr.rational(num)
-        raise ParseError(f"unexpected token {tok!r}")
-
-    def parse_unary() -> QuadExpr:
-        if peek() == "-":
-            advance()
-            return -parse_unary()
-        if peek() == "+":
-            advance()
-            return parse_unary()
-        return parse_atom()
-
-    def parse_term() -> QuadExpr:
-        value = parse_unary()
-        while peek() in ("*", "/"):
-            op = peek()
-            advance()
-            if op == "*":
-                value = value * parse_unary()
-            else:
-                divisor = parse_unary()
-                try:
-                    value = value / divisor
-                except (TypeError, ZeroDivisionError) as exc:
-                    raise ParseError(str(exc)) from None
+        radicand, number, op = tokens.pop()
+        if radicand:
+            return QuadExpr.sqrt(int(radicand))
+        if number:
+            return Fraction(number)  # exact for decimals too: Fraction("0.25") is 1/4
+        if op != "(":
+            raise ParseError(f"unexpected character {op!r} in expression")
+        value = expr()
+        if not take(")"):
+            raise ParseError("missing closing parenthesis")
         return value
 
-    def parse_expr() -> QuadExpr:
-        value = parse_term()
-        while peek() in ("+", "-"):
-            op = peek()
-            advance()
-            rhs = parse_term()
+    def unary() -> QuadExpr | Fraction:
+        if op := take("-", "+"):
+            return -unary() if op == "-" else unary()
+        return atom()
+
+    def term() -> QuadExpr | Fraction:
+        value = unary()
+        while op := take("*", "/"):
+            rhs = unary()
+            try:
+                value = value * rhs if op == "*" else value / rhs
+            except (TypeError, ZeroDivisionError):  # only a division raises these
+                raise ParseError(f"a divisor must be a nonzero rational, got {rhs}") from None
+        return value
+
+    def expr() -> QuadExpr | Fraction:
+        value = term()
+        while op := take("+", "-"):
+            rhs = term()
             value = value + rhs if op == "+" else value - rhs
         return value
 
     try:
-        result = parse_expr()
+        values = [expr()]
+        while take(","):
+            values.append(expr())
     except (ValueError, RecursionError) as exc:  # digit limit, radicand bound, nesting depth
         raise ParseError(str(exc)) from None
-    if pos != len(tokens):
-        raise ParseError(f"trailing input {tokens[pos:]!r}")
-    return result
+    if tokens:
+        raise ParseError(f"expected ',' or the end after expression {len(values)}")
+    return tuple(QuadExpr.coerce(v) for v in values)
 
 
-def parse_real_vector(text: str) -> tuple[QuadExpr, ...]:
-    """Parse a comma separated vector of exact real expressions."""
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return tuple(parse_real(p) for p in parts)
+def parse_real(text: str) -> QuadExpr:
+    """Parse one exact real expression such as ``"(sqrt5-1)/2"``; a second one is a ParseError."""
+    values = parse_real_vector(text)
+    if len(values) != 1:
+        raise ParseError(f"expected one expression, got {len(values)}")
+    return values[0]

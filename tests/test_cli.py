@@ -135,6 +135,13 @@ def test_byte_identical_outputs(capsys):
     assert art["result"]["relations"] == [[2, -1, 0]]
 
 
+def test_torus_hull_divides_left_to_right(capsys):
+    # x1 = (sqrt5-1)/6, so 6*x1 - x2 = -1; reading x1 as 3(sqrt5-1)/2 gave [[2, -3, -1]]
+    code, out = run_cli(["torus", "hull", "--coords", "(sqrt5-1)/2/3,sqrt5"], capsys)
+    assert code == 0
+    assert json.loads(out)["result"]["relations"] == [[6, -1, -1]]
+
+
 def test_classify_pipeline(tmp_path, capsys):
     lat = {"rank": 3, "gram": [[0, 1, 0], [1, 0, 0], [0, 0, -2]]}
     lat_file = tmp_path / "lat.json"
@@ -532,6 +539,17 @@ def test_k3_seed_is_a_u64(argv, env, code, tmp_path, monkeypatch, capsys):
         assert err.startswith("precondition violation: seed must lie in [0, 2^64)")
 
 
+def test_k3_orbit_reads_a_sample_artifact_as_its_surface(capsys):
+    # `k3 sample` nests its surface under "surface"; the artifact loads as that surface
+    sample = str(Path(__file__).parent / "data" / "k3_sample_n50_seed5.json")
+    argv = ["k3", "orbit", "--n", "200", "--grid", "4", "--seed", "5"]
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    code, out_file = run_cli([*argv, "--surface", sample], capsys)
+    assert code == 0
+    assert json.loads(out_file)["result"] == json.loads(out)["result"]
+
+
 def test_k3_involve_cli(capsys, monkeypatch):
     code, out = run_cli(["k3", "involve", "--axis", "z", "--n", "5", "--seed", "3"], capsys)
     assert code == 0
@@ -641,6 +659,8 @@ def test_nonfinite_floats_are_strict_json():
     ["k3", "orbit", "--n", "10", "--workers", "-3"],
     ["k3", "orbit", "--n", "10", "--grid", str(s2.MAX_GRID + 1)],
     ["k3", "orbit", "--n", "10", "--grid", "100000"],
+    ["k3", "orbit", "--n", "10", "--grid", "100000", "--format", "csv"],
+    ["k3", "orbit", "--n", "10", "--grid", "0", "--format", "csv"],
     ["torus", "weyl", "--coords", "sqrt2,sqrt3", "--k", "1", "--n", "10"],
     ["torus", "weyl", "--coords", "sqrt2", "--k", "1,1", "--n", "10"],
 ], ids=["sample-n0", "involve-n0", "orbit-n0", "orbit-fibers0", "ergo-trials1", "ergo-l0",
@@ -648,7 +668,8 @@ def test_nonfinite_floats_are_strict_json():
         "hull-tol-nan", "hull-tol-inf", "amgm-tol-nan", "amgm-tol0", "amgm-tol-neg",
         "amgm-tol-inf", "seed-scan0", "seed-scan-neg", "seed-scan-past-max",
         "represent-bound0", "represent-bound-neg", "orbit-workers0", "orbit-workers-neg",
-        "orbit-grid-past-max", "orbit-grid-100000", "weyl-k-short", "weyl-k-long"])
+        "orbit-grid-past-max", "orbit-grid-100000", "orbit-csv-grid-100000", "orbit-csv-grid0",
+        "weyl-k-short", "weyl-k-long"])
 def test_degenerate_counts_are_preconditions(argv, tmp_path, monkeypatch, capsys):
     # an empty box, a box past MAX_SCAN (refused before the scan), a tolerance that
     # decides nothing, no worker, a probe grid past MAX_GRID (refused before it is
