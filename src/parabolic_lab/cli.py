@@ -38,6 +38,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -56,11 +57,8 @@ from .hodge import (
     hafnian,
 )
 from .isometry import (
-    Elliptic,
     LatticeIsometry,
     Loxodromic,
-    OutsideSOPlus,
-    Parabolic,
     classify,
     eichler_transvection,
     limit_nef_class,
@@ -293,10 +291,6 @@ def cmd_isometry_verify(args) -> dict:
 
 
 def _class_payload(cls) -> dict:
-    if isinstance(cls, Elliptic):
-        return {"tag": "Elliptic", "order": cls.order}
-    if isinstance(cls, Parabolic):
-        return {"tag": "Parabolic", "fixed_vector": list(cls.fixed_vector)}
     if isinstance(cls, Loxodromic):
         return {
             "tag": "Loxodromic",
@@ -304,13 +298,7 @@ def _class_payload(cls) -> dict:
             "expanding_direction": list(cls.expanding),
             "contracting_direction": list(cls.contracting),
         }
-    if isinstance(cls, OutsideSOPlus):
-        return {
-            "tag": "OutsideSOPlus",
-            "det": cls.det,
-            "time_preserving": cls.time_preserving,
-        }
-    raise ContractError(f"unknown classification {cls!r}")
+    return {"tag": cls.tag, **asdict(cls)}
 
 
 def cmd_isometry_classify(args) -> dict:
@@ -374,10 +362,17 @@ def cmd_torus_scan(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def _fraction(x, what: str) -> Fraction:
-    """A form constant as an exact Fraction; anything that is no number is a parse error."""
+    """A form constant as an exact Fraction: a JSON number as written, a string in the
+    grammar of :mod:`.exact`.  An irrational value is a precondition violation, and
+    anything else that is no number a parse error."""
+    if isinstance(x, str):
+        value = parse_real(x)
+        if not value.is_rational():
+            raise PreconditionError(f"{what} = {value} is not rational")
+        return value.as_fraction()
     try:
         return Fraction(str(x))
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise ParseError(f"{what} {x!r} is not a number") from None
 
 
@@ -471,12 +466,7 @@ def _surface_from_args(args) -> s2.Surface222:
 
 
 def _point_dict(p: s2.SurfacePoint) -> dict:
-    return {
-        "x": [[p.x[0].real, p.x[0].imag], [p.x[1].real, p.x[1].imag]],
-        "y": [[p.y[0].real, p.y[0].imag], [p.y[1].real, p.y[1].imag]],
-        "z": [[p.z[0].real, p.z[0].imag], [p.z[1].real, p.z[1].imag]],
-        "residual": p.residual,
-    }
+    return {axis: s2.complex_pairs(p.coord(axis)) for axis in s2.AXES} | {"residual": p.residual}
 
 
 def cmd_k3_sample(args) -> dict:

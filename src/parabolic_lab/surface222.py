@@ -64,7 +64,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, reduce
 from itertools import chain, islice, permutations
 from operator import add, itemgetter
@@ -96,6 +96,11 @@ TRANSLATION_TOL = 1e-6  # relative tolerance of translation_check
 COEFF_MIN, COEFF_MAX = 1e-50, 1e50
 
 REFERENCE_SEED = 20220222
+
+
+def complex_pairs(values) -> list[list[float]]:
+    """Complex numbers as [re, im] pairs, the form every artifact writes them in."""
+    return [[v.real, v.imag] for v in values]
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,13 +158,8 @@ class Surface222:
         return (Surface222, (self.coeffs, self.seed))
 
     def to_json_dict(self) -> dict:
-        flat = [
-            [float(self.coeffs[i, j, k].real), float(self.coeffs[i, j, k].imag)]
-            for i in range(3)
-            for j in range(3)
-            for k in range(3)
-        ]
-        d = {"coeffs": flat}
+        # C order, which the reshape(3, 3, 3) of from_json_dict reads back
+        d = {"coeffs": complex_pairs(self.coeffs.ravel().tolist())}
         if self.seed is not None:
             d["seed"] = self.seed
         return d
@@ -608,7 +608,10 @@ def fiber_cells(surface: Surface222, pair, base_pair, grid: int = 16) -> set:
 
 @dataclass(frozen=True)
 class FiberOrbitReport:
-    """Coverage statistics of one fiber orbit at one grid resolution."""
+    """Coverage statistics of one fiber orbit at one grid resolution.
+
+    Its artifact keys are its fields, the base written as [re, im] pairs.
+    """
 
     base: tuple[complex, complex]
     length: int
@@ -623,20 +626,7 @@ class FiberOrbitReport:
     mean_visits: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "base": [[self.base[0].real, self.base[0].imag],
-                     [self.base[1].real, self.base[1].imag]],
-            "length": self.length,
-            "grid": self.grid,
-            "cells_fiber": self.cells_fiber,
-            "cells_visited": self.cells_visited,
-            "coverage": self.coverage,
-            "interruptions": self.interruptions,
-            "nudges": self.nudges,
-            "resamples": self.resamples,
-            "min_visits": self.min_visits,
-            "mean_visits": self.mean_visits,
-        }
+        return {**asdict(self), "base": complex_pairs(self.base)}
 
 
 def _walk(step, recover, start: tuple, length: int, budget: int, stats: dict):

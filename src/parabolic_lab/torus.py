@@ -30,7 +30,7 @@ import mpmath as mp
 
 from .errors import ContractError, PrecisionError, PreconditionError
 from .exact import QuadExpr
-from .linalg_exact import hnf, kernel_basis, lll_reduce, rank_exact
+from .linalg_exact import hnf, kernel_basis, lll_reduce
 
 DEFAULT_PRECISION = 128
 DEFAULT_TOL = 1e-24
@@ -216,15 +216,13 @@ def rational_hull(
                 "canonicalized relation fails the residue contract; "
                 "tolerance admitted a spurious relation"
             )
-        x_parts = [r[:n] for r in relations]
-        if x_parts and rank_exact(x_parts) != len(relations):
+        subspace = kernel_basis([r[:n] for r in relations] or [[0] * n])
+        if n - len(subspace) != len(relations):
             raise ContractError(
                 "relation x-parts are dependent; tolerance admitted a spurious relation"
             )
-    dimension = n - len(relations)
-    subspace = kernel_basis(x_parts) if x_parts else kernel_basis([[0] * n])
     return RationalSubspace(
-        dimension=dimension,
+        dimension=len(subspace),
         relation_basis=tuple(tuple(r) for r in relations),
         subspace_basis=tuple(tuple(v) for v in subspace),
         tol=tol,

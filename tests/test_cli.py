@@ -109,6 +109,13 @@ def test_outside_so_plus_classify_artifact_is_pinned(tmp_path, monkeypatch, caps
     assert got == Path("tests/data/isometry_classify_reflection_ns.json").read_bytes()
 
 
+def test_elliptic_classify_artifact_is_pinned(tmp_path, monkeypatch, capsys):
+    # the order-4 rotation of the <-2>^2 summand of U + <-2>^2: an Elliptic verdict,
+    # written from its tag and fields like the Parabolic one of the transvect artifact
+    got = _classify_artifact("elliptic_isometry_rank4.json", tmp_path, monkeypatch)
+    assert got == Path("tests/data/isometry_classify_elliptic_rank4.json").read_bytes()
+
+
 @pytest.mark.parametrize("argv, name", [
     ("lattice seed --a-sq 2 --N 5", "lattice_seed_a2_N5.json"),
     ("isometry transvect -i tests/data/lattice_seed_a2_N5.json --e 0,0,1 --v 0,1,0",
@@ -363,15 +370,34 @@ def test_hodge_amgm_entries_must_be_numbers(h1, tmp_path, capsys):
     assert code == 0 and json.loads(out)["result"]["mean"] == 1.25
 
 
-@pytest.mark.parametrize("field,code", [({"n": 1.5}, 2), ({"c": "x"}, 1), ({"K": "x"}, 1)],
-                         ids=["n-fraction", "c-word", "K-word"])
+@pytest.mark.parametrize("field,code", [
+    ({"n": 1.5}, 2), ({"c": "x"}, 1), ({"K": "x"}, 1), ({"c": "sqrt2"}, 2), ({"K": "sqrt2/2"}, 2),
+    ({"c": "1e3"}, 1), ({"c": "1_000"}, 1), ({"K": "1/0"}, 1), ({"c": "1,2"}, 1), ({"c": True}, 1),
+], ids=["n-fraction", "c-word", "K-word", "c-irrational", "K-irrational", "c-exponent",
+        "c-underscore", "K-zero-divisor", "c-two-values", "c-bool"])
 def test_hodge_fujiki_form_fields(field, code, tmp_path, capsys):
-    # n is not truncated to 1, and a constant that is no number is a parse error
+    # n is not truncated to 1; a string constant is read by the exact grammar, so one
+    # outside it is a parse error and an irrational one a precondition violation
     f = tmp_path / "fujiki.json"
     f.write_text(json.dumps({"rank": 2, "gram": [[0, 1], [1, 0]], "n": 1, "c": "1", "K": "1",
                              **field}))
     assert main(["hodge", "fujiki", "-i", str(f), "--eta", "1,1"]) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,top", [
+    ({"c": "(1)/2"}, 1.0),
+    ({"c": "3/4*2"}, 3.0),
+    ({"c": " 0.25 "}, 0.5),
+    ({"c": 0.25}, 0.5),
+    ({"c": 3}, 6.0),
+], ids=["paren-half", "product", "spaced-decimal", "json-float", "json-int"])
+def test_hodge_fujiki_constants_are_read_exactly(field, top, tmp_path, capsys):
+    # a string c is an expression of the exact grammar, and a JSON number keeps its written value
+    f = tmp_path / "fujiki.json"
+    f.write_text(json.dumps({**_U_FORM, "n": 1, **field}))
+    code, out = run_cli(["hodge", "fujiki", "-i", str(f), "--eta", "1,1"], capsys)
+    assert code == 0 and json.loads(out)["result"]["top"] == top
 
 
 @pytest.mark.parametrize("entry", ["a", True, None, [1]], ids=["word", "bool", "null", "list"])
@@ -401,10 +427,10 @@ _U_FORM = {"rank": 2, "gram": [[0, 1], [1, 0]]}
                               [0, 0, 10**400, 0]]}),
     (["fujiki", "--eta", "3,5"], {**_U_FORM, "n": 600}),
     (["fujiki", "--eta", "3,5"], {**_U_FORM, "n": 100000}),
-    (["fujiki", "--eta", "3,5"], {**_U_FORM, "c": "1e400"}),
-    (["fujiki", "--etas", "3,5;3,5"], {**_U_FORM, "K": "1e400"}),
-    (["fujiki", "--eta", "1,1"], {**_U_FORM, "c": "1e-400"}),
-    (["fujiki", "--etas", "1,0;0,1"], {**_U_FORM, "K": "1e-400"}),
+    (["fujiki", "--eta", "3,5"], {**_U_FORM, "c": "1" + "0" * 400}),
+    (["fujiki", "--etas", "3,5;3,5"], {**_U_FORM, "K": "1" + "0" * 400}),
+    (["fujiki", "--eta", "1,1"], {**_U_FORM, "c": "1/1" + "0" * 400}),
+    (["fujiki", "--etas", "1,0;0,1"], {**_U_FORM, "K": "1/1" + "0" * 400}),
 ], ids=["hafnian-nan", "hafnian-inf", "hafnian-nan-result", "hafnian-int-overflow",
         "hafnian-26", "hafnian-asymmetric", "hafnian-float-underflow", "hafnian-wide-range",
         "hafnian-int-beside-float", "fujiki-n600",

@@ -12,7 +12,8 @@ from helpers import (
     frozen_project_to_hull,
     planted_relation_instance,
 )
-from parabolic_lab.errors import PrecisionError, PreconditionError
+from parabolic_lab import torus
+from parabolic_lab.errors import ContractError, PrecisionError, PreconditionError
 from parabolic_lab.exact import QuadExpr, parse_real
 from parabolic_lab.torus import (
     TranslationVector,
@@ -59,6 +60,14 @@ def test_rational_hull_examples():
     h = rational_hull((parse_real("sqrt2"), parse_real("sqrt3")))
     assert h.dimension == 2 and h.relation_basis == ()
     assert h.subspace_basis and len(h.subspace_basis) == 2
+
+
+def test_rational_hull_refuses_dependent_relation_x_parts(monkeypatch):
+    # relations whose x-parts are dependent would give a hull of the wrong dimension;
+    # both rows below hold exactly at x = 0, so only the dimension count refuses them
+    monkeypatch.setattr(torus, "hnf", lambda rows: [[1, 0], [2, 0]])
+    with pytest.raises(ContractError, match="x-parts are dependent"):
+        rational_hull((Fraction(0),))
 
 
 def test_rational_hull_affine_relation():
