@@ -36,7 +36,7 @@ from __future__ import annotations
 import numbers
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
 import mpmath as mp
 
@@ -204,6 +204,11 @@ class QuadExpr:
 
     # -- predicates and conversions ---------------------------------------
 
+    @property
+    def terms(self) -> dict[int, Fraction]:
+        """{d: c_d} over the squarefree d with c_d != 0, as a new dict."""
+        return dict(self._terms)
+
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -226,25 +231,28 @@ class QuadExpr:
             return +total
 
     def floor(self) -> int:
-        """Exact integer floor.
+        """Exact integer floor, in integers only.
 
-        Uses interval refinement: the floor of a value in this ring is
-        decidable because equality with an integer is exact.
+        Over one denominator r the value is (p + sum_d q_d sqrt d) / r; at
+        scale 2^k each q_d sqrt d lies in a unit bracket from
+        isqrt(q_d^2 d 4^k), and k doubles until the bracket sum holds no
+        multiple of r 2^k.  With no irrational term the bracket is exact;
+        with one the value is no integer (the sqrt d of squarefree d are
+        independent over Q), so the loop ends, with no precision cap.
         """
-        prec = 96
-        while prec <= 4096:
-            with mp.workprec(prec):
-                v = self.to_mpf(prec)
-                f = mp.floor(v)
-                # safe when v is comfortably separated from the integers
-                eps = mp.mpf(2) ** (8 - prec) * (1 + abs(v))
-                if v - f > eps and (f + 1) - v > eps:
-                    return int(f)
-                for m in (int(f), int(f) + 1):
-                    if (self - m).is_zero():
-                        return m
-            prec *= 2
-        raise ArithmeticError(f"could not determine floor of {self}")
+        r = lcm(*(c.denominator for c in self._terms.values()))
+        q = {d: c.numerator * (r // c.denominator) for d, c in self._terms.items()}
+        p = q.pop(1, 0)
+        k = 64
+        while True:
+            lo = hi = p << k
+            for d, c in q.items():
+                s = isqrt(c * c * d << 2 * k)  # floor(|c| sqrt(d) 2^k)
+                lo, hi = (lo + s, hi + s + 1) if c > 0 else (lo - s - 1, hi - s)
+            m = lo // (r << k)
+            if hi // (r << k) == m:
+                return m
+            k *= 2
 
     # -- protocol ----------------------------------------------------------
 

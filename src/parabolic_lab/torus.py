@@ -3,13 +3,14 @@
 Orbits of a translation x are dense exactly when x satisfies no integer
 relation; the orbit closure is a coset of a subtorus whose dimension is
 n minus the number of independent relations k in Z^(n+1) with
-k . (x_1, ..., x_n, 1) = 0.  :func:`rational_hull` detects those relations
-by lattice basis reduction on the augmented matrix [I | K x] with scale
-K = 1/tol: a reduced row is accepted as a relation iff its residue is
-below tol AND its height is below the bound.  That acceptance contract is
-explicit because floating inputs admit adversarial near-relations; exact
-inputs (values in Q[sqrt d]) bypass the issue entirely, since every
-candidate is re-verified with exact arithmetic.
+k . (x_1, ..., x_n, 1) = 0.  :func:`rational_hull` has two contracts.
+Exact inputs (values in Q[sqrt d]) give their whole relation lattice, in
+integers from one HNF (see `_exact_relations`); tol and height_bound are
+checked and recorded but do not enter.  Float inputs go through lattice
+basis reduction on the augmented matrix [I | K x] with scale K = 1/tol: a
+reduced row is accepted as a relation iff its residue is below tol AND its
+height is below the bound, a contract made explicit because floating
+inputs admit adversarial near-relations.
 
 Precision budget: with p-bit values, residues carry roundoff of order
 2^(1-p) * height * n, so tol must stay well above that; the default
@@ -30,7 +31,7 @@ import mpmath as mp
 
 from .errors import ContractError, PrecisionError, PreconditionError
 from .exact import QuadExpr
-from .linalg_exact import hnf, kernel_basis, lll_reduce
+from .linalg_exact import hnf, kernel_basis, lll_reduce, scaled_ints
 
 DEFAULT_PRECISION = 128
 DEFAULT_TOL = 1e-24
@@ -95,10 +96,10 @@ def as_translation_vector(x) -> TranslationVector:
 class RationalSubspace:
     """Smallest rational subspace data for a translation vector.
 
-    relation_basis: independent primitive rows k in Z^(n+1) (HNF
-    canonical) with |k . (x, 1)| below the tolerance.  subspace_basis: a
-    rational basis of {v in R^n : k_x . v = 0 for all relations}, the
-    tangent space of the orbit closure.
+    relation_basis: the HNF of the relation lattice, whose rows k in
+    Z^(n+1) have k . (x, 1) = 0 for exact x (all of them) or below the
+    tolerance for floats.  subspace_basis: a rational basis of {v in R^n :
+    k_x . v = 0 for all relations}, the tangent space of the orbit closure.
     """
 
     dimension: int
@@ -149,11 +150,47 @@ def _residue(k, vals) -> mp.mpf:
     return abs(mp.fsum(ki * v for ki, v in zip(k, vals)))
 
 
-def _exact_residue_zero(k, exact_vals) -> bool:
-    total = QuadExpr.rational(0)
-    for ki, v in zip(k, exact_vals):
-        total = total + QuadExpr.coerce(v) * ki
-    return total.is_zero()
+def _exact_relations(values) -> list[list[int]]:
+    """Generators of the integer relation lattice of exact values.
+
+    Over one denominator, value j has the integer radicand coefficients
+    C[:, j], and k is a relation iff C k = 0, since the sqrt d of distinct
+    squarefree d are linearly independent over Q (Besicovitch, J. London
+    Math. Soc. 15, 1940).  The HNF of the rows [C[:, j] | e_j] comes from
+    unimodular row operations, so the e-parts of its rows whose C part is 0
+    span that kernel, saturated (Cohen, GTM 138, 2.4).
+    """
+    terms = [v.terms for v in values]
+    radicands = sorted(set().union(*terms))
+    w, m = len(radicands), len(values)
+    flat = scaled_ints([t.get(d, 0) for t in terms for d in radicands])[0]
+    rows = [flat[j * w:(j + 1) * w] + [int(i == j) for i in range(m)] for j in range(m)]
+    return [row[w:] for row in hnf(rows) if not any(row[:w])]
+
+
+def _lll_relations(tv: TranslationVector, height_bound: int, tol: float) -> list[list[int]]:
+    """HNF of the rows of LLL on [I | round(x/tol)] within the height bound and tol."""
+    n = tv.n
+    with mp.workprec(tv.precision):
+        vals = list(tv.mpf_values()) + [mp.mpf(1)]
+        tolm = mp.mpf(tol)
+        scale = 1 / tolm
+        rows = [[int(i == j) for j in range(n + 1)] + [int(mp.nint(scale * v))]
+                for i, v in enumerate(vals)]
+        accepted = [k for k in (row[: n + 1] for row in lll_reduce(rows))
+                    if max(map(abs, k)) <= height_bound and _residue(k, vals) < tolm]
+        # the k-parts are rows of a unimodular transform (the input is [I | K x],
+        # and LLL only swaps rows and subtracts integer multiples), so the
+        # accepted ones span a saturated lattice and every HNF row is primitive
+        relations = hnf(accepted)
+        # HNF mixes accepted rows, so re-check the returned ones (combinations of
+        # true relations stay tiny, near-relations admitted by a loose tol do not)
+        if not all(_residue(k, vals) < tolm for k in relations):
+            raise ContractError(
+                "canonicalized relation fails the residue contract; "
+                "tolerance admitted a spurious relation"
+            )
+    return relations
 
 
 def rational_hull(
@@ -163,9 +200,11 @@ def rational_hull(
 ) -> RationalSubspace:
     """Detect integer relations of (x, 1) and return the rational hull.
 
-    See the module docstring for the acceptance contract.  Deterministic
-    for fixed precision and parameters.  Raises PrecisionError when tol
-    is below what the stored precision can resolve.
+    See the module docstring for the two contracts: exact values give
+    their whole relation lattice, floats the relations that pass tol and
+    height_bound.  Deterministic for fixed precision and parameters.
+    Raises PrecisionError when tol is below what the stored precision can
+    resolve, for exact values too.
     """
     if not 0 < tol < math.inf:
         raise PreconditionError(f"tol must be positive and finite, got {tol}")
@@ -173,54 +212,21 @@ def rational_hull(
         raise PreconditionError("height_bound must be >= 1")
     tv = as_translation_vector(x)
     n = tv.n
-    with mp.workprec(tv.precision):
-        vals = list(tv.mpf_values()) + [mp.mpf(1)]
-        tolm = mp.mpf(tol)
-        resolution = (
-            mp.mpf(2) ** (6 - tv.precision) * (n + 1) * height_bound
+    resolution = Fraction(2) ** (6 - tv.precision) * (n + 1) * height_bound
+    if tol <= resolution:
+        raise PrecisionError(
+            f"tol {tol} is below the representable resolution "
+            f"{float(resolution):.3g} at {tv.precision} bits"
         )
-        if tolm <= resolution:
-            raise PrecisionError(
-                f"tol {tol} is below the representable resolution "
-                f"{float(resolution):.3g} at {tv.precision} bits"
-            )
-        scale = 1 / tolm
-        rows = []
-        for i in range(n + 1):
-            row = [0] * (n + 1)
-            row[i] = 1
-            row.append(int(mp.nint(scale * vals[i])))
-            rows.append(row)
-        reduced = lll_reduce(rows)
-        exact = list(tv.values) + [1] if tv.is_exact else None
-
-        def holds(k) -> bool:
-            # the residue contract: exactly zero for exact values, below tol otherwise
-            return _exact_residue_zero(k, exact) if exact is not None else _residue(k, vals) < tolm
-
-        accepted = []
-        for row in reduced:
-            k = row[: n + 1]
-            # the float residue is a cheap screen before holds(), exact for exact values
-            if max(map(abs, k)) <= height_bound and _residue(k, vals) < tolm and holds(k):
-                accepted.append(k)
-        # the k-parts are rows of a unimodular transform (the input is [I | K x],
-        # and LLL only swaps rows and subtracts integer multiples), so the
-        # accepted ones span a saturated lattice and every HNF row is primitive
-        relations = hnf(accepted)
-        # the returned rows themselves must satisfy the residue contract;
-        # HNF mixes accepted rows, so re-verify (combinations of true
-        # relations stay tiny, near-relations admitted by a loose tol do not)
-        if not all(map(holds, relations)):
-            raise ContractError(
-                "canonicalized relation fails the residue contract; "
-                "tolerance admitted a spurious relation"
-            )
-        subspace = kernel_basis([r[:n] for r in relations] or [[0] * n])
-        if n - len(subspace) != len(relations):
-            raise ContractError(
-                "relation x-parts are dependent; tolerance admitted a spurious relation"
-            )
+    if tv.is_exact:
+        relations = hnf(_exact_relations(tv.values + (QuadExpr.rational(1),)))
+    else:
+        relations = _lll_relations(tv, height_bound, tol)
+    subspace = kernel_basis([r[:n] for r in relations] or [[0] * n])
+    if n - len(subspace) != len(relations):
+        raise ContractError(
+            "relation x-parts are dependent; tolerance admitted a spurious relation"
+        )
     return RationalSubspace(
         dimension=len(subspace),
         relation_basis=tuple(tuple(r) for r in relations),

@@ -56,6 +56,7 @@ import numpy as np
 
 from parabolic_lab import surface222 as s2
 from parabolic_lab.errors import BranchPointError, ContractError
+from parabolic_lab.exact import QuadExpr
 from parabolic_lab.lattice import QuadLattice, diagonal_lattice, hyperbolic_plane
 from parabolic_lab.isometry import (
     LOXODROMIC_EIGENVALUE_DPS,
@@ -352,6 +353,62 @@ def planted_relation_instance(rng: random.Random, max_n: int = 6, max_height: in
         if max(abs(c) for row in want for c in row) > max_height:
             continue
         return tuple(x), 160, want
+
+
+# primes for the free directions, and composite radicands they share
+EXACT_PLANT_PRIMES = (2, 3, 5, 7, 11, 13)
+EXACT_PLANT_SHARED = (6, 10, 15)
+
+
+def exact_planted_relation_instance(rng: random.Random, max_n: int = 6):
+    """(exact x in [0,1)^n, its relation lattice rows, HNF by frozen_hnf).
+
+    Free coordinate j carries its own sqrt p_j (distinct primes) beside a
+    rational part and a shared composite radicand, and each pivot
+    coordinate is an integer combination of the free ones plus an
+    integer.  A relation k must cancel every sqrt p_j, which leaves only
+    integer combinations of the planted rows, each with a unit in its own
+    pivot column: the planted rows span the whole relation lattice.  The
+    floors that reduce x to [0,1)^n are read off mpmath at 256 bits, and
+    the rows are sheared to match, as in planted_relation_instance.
+    """
+    n = rng.randint(2, max_n)
+    r = rng.randint(0, n - 1)
+    cols = list(range(n))
+    rng.shuffle(cols)
+    pivots, free = cols[:r], cols[r:]
+    primes = rng.sample(EXACT_PLANT_PRIMES, len(free))
+    x = [QuadExpr.rational(0)] * n
+    for j, p in zip(free, primes):
+        terms = {p: Fraction(rng.choice([-5, -3, -1, 1, 2, 4]), rng.randint(1, 6)),
+                 1: Fraction(rng.randint(-9, 9), rng.randint(1, 9))}
+        terms[rng.choice(EXACT_PLANT_SHARED)] = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        x[j] = QuadExpr(terms)
+    rows = []
+    for p in pivots:
+        # the row (.., 1 at p, .., -a_j at j, .., c) reads x_p = sum_j a_j x_j - c
+        row = [0] * (n + 1)
+        row[p], row[n] = 1, rng.randint(-7, 7)
+        x[p] = QuadExpr.rational(-row[n])
+        for j in free:
+            a = rng.randint(-7, 7)
+            row[j] = -a
+            x[p] = x[p] + x[j] * a
+        rows.append(row)
+    with mp.workprec(256):
+        shifts = [int(mp.floor(mp.fsum(mp.mpf(c.numerator) / c.denominator * mp.sqrt(d)
+                                       for d, c in v.terms.items()))) for v in x]
+    x = [v - s for v, s in zip(x, shifts)]
+    sheared = [row[:n] + [row[n] + sum(row[j] * shifts[j] for j in range(n))] for row in rows]
+    return tuple(x), sheared, frozen_hnf(sheared)
+
+
+def pell_power(m: int) -> tuple[int, int]:
+    """(a, b) with a + b sqrt2 = (1 + sqrt2)^m, by m exact steps."""
+    a, b = 1, 0
+    for _ in range(m):
+        a, b = a + 2 * b, a + b
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -863,6 +920,33 @@ def frozen_lll(rows, delta=Fraction(3, 4)):
                 mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
             k = max(k - 1, 1)
     return b
+
+
+def frozen_hnf(rows) -> list[list[int]]:
+    """Row HNF by least-remainder Euclid down each column (no extended gcd).
+
+    The nonzero rows of the result have positive pivots and the entries
+    above each pivot in [0, pivot), the library's normal form.
+    """
+    todo = [[int(x) for x in row] for row in rows if any(row)]
+    done = []
+    for col in range(len(todo[0]) if todo else 0):
+        live = [row for row in todo if row[col]]
+        while len(live) > 1:
+            piv = min(live, key=lambda row: abs(row[col]))
+            for row in live:
+                if row is not piv:
+                    q = row[col] // piv[col]
+                    row[:] = [x - q * y for x, y in zip(row, piv)]
+            live = [row for row in todo if row[col]]
+        if live:
+            todo = [row for row in todo if row is not live[0]]
+            piv = live[0] if live[0][col] > 0 else [-x for x in live[0]]
+            for row in done:
+                q = row[col] // piv[col]
+                row[:] = [x - q * y for x, y in zip(row, piv)]
+            done.append(piv)
+    return done
 
 
 @functools.lru_cache(maxsize=None)

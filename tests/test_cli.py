@@ -14,7 +14,7 @@ from parabolic_lab import surface222 as s2
 from parabolic_lab.cli import build_parser, main, render_json
 from parabolic_lab.hodge import hafnian
 
-from helpers import frozen_mc_space_average
+from helpers import frozen_mc_space_average, pell_power
 
 
 def run_cli(args, capsys):
@@ -147,6 +147,25 @@ def test_torus_hull_divides_left_to_right(capsys):
     code, out = run_cli(["torus", "hull", "--coords", "(sqrt5-1)/2/3,sqrt5"], capsys)
     assert code == 0
     assert json.loads(out)["result"]["relations"] == [[6, -1, -1]]
+
+
+def test_torus_hull_on_a_pell_coordinate(capsys):
+    # a + b sqrt2 = (1 + sqrt2)^3300 lies within 2^-4196 below the integer 2a, but is no integer
+    a, b = pell_power(3300)
+    assert main(["torus", "hull", "--coords", f"{a}+{b}*sqrt2"]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    result = json.loads(captured.out)["result"]
+    assert result["dim"] == 1 and result["relations"] == []
+
+
+def test_torus_hull_exact_relation_past_the_height_bound(capsys):
+    # exact coordinates give the whole relation lattice, whatever --height-bound says
+    code, out = run_cli(["torus", "hull", "--coords", "sqrt2,10000000*sqrt2"], capsys)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["dim"] == 1 and result["relations"] == [[10000000, -1, -4142135]]
+    assert result["height_bound"] == 10**6
 
 
 def test_classify_pipeline(tmp_path, capsys):

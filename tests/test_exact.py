@@ -3,8 +3,10 @@ import operator
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
+from helpers import pell_power
 from parabolic_lab.exact import ParseError, QuadExpr, parse_real, parse_real_vector, squarefree_decompose
 
 
@@ -42,6 +44,63 @@ def test_floor_exact():
     assert QuadExpr.rational(-3).floor() == -3
     # value extremely close to an integer but exactly rational
     assert QuadExpr.rational(Fraction(10**30 - 1, 10**30)).floor() == 0
+
+
+def _mp_floor(v: QuadExpr) -> int:
+    """floor(v) from mpmath at 4x the bits of v's coefficients, refused when undecided."""
+    bits = 64 + max(c.numerator.bit_length() + c.denominator.bit_length()
+                    for c in v.terms.values())
+    with mp.workprec(4 * bits):
+        x = mp.fsum(mp.mpf(c.numerator) / c.denominator * mp.sqrt(d) for d, c in v.terms.items())
+        f = mp.floor(x)
+        assert min(x - f, f + 1 - x) > mp.mpf(2) ** -bits
+        return int(f)
+
+
+def _powers(base: QuadExpr, count: int):
+    acc = QuadExpr.rational(1)
+    for _ in range(count):
+        acc = acc * base
+        yield acc
+
+
+def test_floor_matches_an_oversized_mpmath_floor():
+    r2, r3, r5 = QuadExpr.sqrt(2), QuadExpr.sqrt(3), QuadExpr.sqrt(5)
+    r6, r10, r15 = QuadExpr.sqrt(6), QuadExpr.sqrt(10), QuadExpr.sqrt(15)
+    rng = random.Random(12)
+    values = []
+    for p in _powers(r2 + r3, 40):  # odd powers a sqrt2 + b sqrt3, even ones a + b sqrt6
+        values += [p, -p]
+    for p in _powers(r3 - r2, 120):  # within (sqrt3 - sqrt2)^k of the integer m
+        m = rng.randint(-5, 5)
+        values += [p + m, m - p]
+    values += list(_powers(r2 + r3 + r5, 12))
+    tiny = []
+    for base in (r10 - 3, 4 - r15, 5 - 2 * r6, r5 - 2, r6 - r10 + r15 - 2):
+        for p in _powers(base, 40):
+            values += [p + rng.randint(-9, 9), -p / rng.randint(1, 9)]
+            tiny.append(p)
+    for _ in range(200):  # near-integers over three radicands, each term of either sign
+        p = rng.randint(-9, 9)
+        for t in rng.sample(tiny, 3):
+            p = p + rng.choice([-1, 1]) * t
+        values.append(p)
+    for _ in range(200):  # sums over several radicands with negative coefficients
+        terms = {d: Fraction(rng.randint(-99, 99), rng.randint(1, 40))
+                 for d in rng.sample([1, 2, 3, 5, 6, 7, 10, 15], rng.randint(1, 5))}
+        values.append(QuadExpr(terms))
+    for v in values:
+        if not v.is_rational():
+            assert v.floor() == _mp_floor(v), v
+
+
+def test_floor_of_a_pell_value():
+    # (1 + sqrt2)^3300 = a + b sqrt2 and (sqrt2 - 1)^3300 = a - b sqrt2 lies in (0, 2^-4196),
+    # so a + b sqrt2 = 2a - (a - b sqrt2) has floor 2a - 1
+    a, b = pell_power(3300)
+    assert (QuadExpr.sqrt(2) * b + a).floor() == 2 * a - 1
+    assert (QuadExpr.sqrt(2) * b - a).floor() == -1
+    assert (QuadExpr.sqrt(2) * -b + a).floor() == 0
 
 
 def test_to_mpf_accuracy():

@@ -7,6 +7,7 @@ import mpmath as mp
 import pytest
 
 from helpers import (
+    exact_planted_relation_instance,
     frozen_box_coverage,
     frozen_det,
     frozen_project_to_hull,
@@ -75,6 +76,29 @@ def test_rational_hull_affine_relation():
     # relation appears in its sheared, reduced-representative form
     h = rational_hull((parse_real("sqrt2"), parse_real("1+sqrt2")))
     assert h.dimension == 1 and h.relation_basis == ((1, -1, 0),)
+
+
+def test_exact_hull_keeps_relations_past_the_height_bound():
+    # 10^7 (sqrt2 - 1) - (10^7 sqrt2 - 14142135) = 4142135: exact values give the whole
+    # relation lattice, so the height bound that limits float inputs does not drop it
+    x = (parse_real("sqrt2"), parse_real("10000000*sqrt2"))
+    for height_bound in (1, torus.DEFAULT_HEIGHT_BOUND):
+        h = rational_hull(x, height_bound=height_bound)
+        assert h.relation_basis == ((10000000, -1, -4142135),) and h.dimension == 1
+        assert h.height_bound == height_bound and h.tol == torus.DEFAULT_TOL
+
+
+def test_exact_planted_relation_lattices():
+    # the planted rows span the whole relation lattice; want is their frozen HNF
+    rng = random.Random(31)
+    total = 0
+    for _ in range(40):
+        x, _, want = exact_planted_relation_instance(rng)
+        h = rational_hull(x)
+        assert [list(r) for r in h.relation_basis] == want
+        assert h.dimension == len(x) - len(want)
+        total += len(want)
+    assert total > 20
 
 
 def test_orbit_closure_dims():
