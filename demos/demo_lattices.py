@@ -15,13 +15,14 @@ from parabolic_lab import (
     represents_in_range,
     scan_orthogonal_negatives,
 )
+from parabolic_lab.linalg_exact import det_exact
 
 U = hyperbolic_plane()
 print("hyperbolic plane U:", U.gram, "signature", U.signature)
 
 K3 = k3_lattice()
 print("U^3 + E8(-1)^2: rank", K3.rank, "signature", K3.signature,
-      "determinant", K3.determinant)
+      "determinant", det_exact(K3.gram))
 
 print("\nisotropic vectors of U in the unit box:", find_isotropic(U, 1))
 print("diag(1,-3) represents 0 only trivially:", find_isotropic(diagonal_lattice(1, -3), 10))

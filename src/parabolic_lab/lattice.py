@@ -3,11 +3,12 @@
 A :class:`QuadLattice` is a symmetric integer Gram matrix; the bilinear
 form it carries plays the role of the Beauville-Bogomolov-Fujiki pairing
 on a Neron-Severi group.  Signatures, isotropic vectors and representation
-scans are all computed exactly (Python integers and Fractions, no floats),
-because they feed statements that are exact: a signature-(1, 2) sublattice
-with an isotropic vector orthogonal to a fixed negative vector of square
-at most -N certifies that no short negative class can sit orthogonal to
-the isotropic one.
+scans are all computed exactly in Python integers, with no floats (the
+signature and a positive vector by one fraction-free congruence
+diagonalization), because they feed statements that are exact: a
+signature-(1, 2) sublattice with an isotropic vector orthogonal to a fixed
+negative vector of square at most -N certifies that no short negative
+class can sit orthogonal to the isotropic one.
 
 The seed construction :func:`build_parabolic_seed_lattice` returns the
 rank-3 Gram
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import mul
@@ -64,10 +64,6 @@ class QuadLattice:
         return len(self.gram)
 
     @cached_property
-    def determinant(self) -> int:
-        return det_exact(self.gram)
-
-    @cached_property
     def scaled_gram_inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(D, d) with D = d G^-1 in integers, for inverting isometries."""
         scaled, d = scaled_inverse(self.gram)
@@ -89,16 +85,20 @@ class QuadLattice:
         return self.bbf(v, v)
 
     @cached_property
+    def _diagonalization(self) -> tuple[int, int, Vector | None]:
+        return _diagonalize(self.gram)
+
+    @property
     def signature(self) -> tuple[int, int]:
-        pos, neg, _ = _diagonalize(self.gram)
+        pos, neg, _ = self._diagonalization
         if pos + neg < self.rank:
             raise DegenerateLatticeError("lattice has a zero eigenvalue")
         return pos, neg
 
-    @cached_property
+    @property
     def positive_witness(self) -> Vector:
         """A primitive integer vector with q(v, v) > 0, from the diagonalization."""
-        _, _, witness = _diagonalize(self.gram)
+        _, _, witness = self._diagonalization
         if witness is None:
             raise PreconditionError("lattice has no positive directions")
         return witness
@@ -136,18 +136,41 @@ def _json_int(x: int):
 
 
 def _diagonalize(gram) -> tuple[int, int, Vector | None]:
-    """Exact congruence diagonalization; returns (pos, neg, positive witness)."""
-    n = len(gram)
-    m = [[Fraction(x) for x in row] for row in gram]
-    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    """Exact congruence diagonalization in integers; returns (pos, neg, positive witness).
 
-    def add_basis(i, j, f):
-        # e_i <- e_i + f e_j, updating the Gram congruently
-        for k in range(n):
-            m[i][k] += f * m[j][k]
-        for k in range(n):
-            m[k][i] += f * m[k][j]
-        basis[i] = [a + f * b for a, b in zip(basis[i], basis[j])]
+    Pivots run down the diagonal; a zero pivot is swapped with the first
+    later nonzero diagonal entry, and when there is none, e_i <- e_i + e_j
+    with the first j where q(e_i, e_j) != 0.  Elimination is fraction-free:
+    e_k <- |d| e_k - sgn(d) q(e_k, e_i) e_i for the pivot d = q(e_i, e_i),
+    after which each changed basis row (and its Gram row and column) is
+    divided by its content (Cohen, GTM 138, sections 2.4-2.6).  Every
+    basis row stays a positive multiple, num/den, of the row the same
+    steps give over Q, and e_i + e_j adds those rational rows, so the
+    pivot signs and the witness (the first positive pivot's row, made
+    primitive) are those of the rational elimination.
+    """
+    n = len(gram)
+    m = [list(row) for row in gram]
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    num = [1] * n
+    den = [1] * n
+
+    def combine(k, a, j, b):
+        # e_k <- (a e_k + b e_j) / content with a > 0; the Gram follows on the
+        # indices from min(k, j) on, the only ones later steps read, and its
+        # divisions by the content are exact because the new row is integral
+        mk, mj = m[k], m[j]
+        row = [a * x + b * y for x, y in zip(basis[k], basis[j])]
+        c = gcd(*row)
+        kk = (a * a * mk[k] + 2 * a * b * mk[j] + b * b * mj[j]) // (c * c)
+        for l in range(min(k, j), n):
+            if l != k:
+                mk[l] = m[l][k] = (a * mk[l] + b * mj[l]) // c
+        mk[k] = kk
+        basis[k] = [x // c for x in row]
+        p, q = num[k] * c, den[k] * a
+        g = gcd(p, q)
+        num[k], den[k] = p // g, q // g
 
     pos = neg = 0
     witness = None
@@ -158,12 +181,14 @@ def _diagonalize(gram) -> tuple[int, int, Vector | None]:
                 m[i], m[j] = m[j], m[i]
                 for row in m:
                     row[i], row[j] = row[j], row[i]
-                basis[i], basis[j] = basis[j], basis[i]
+                for v in (basis, num, den):
+                    v[i], v[j] = v[j], v[i]
             else:
                 j = next((k for k in range(i + 1, n) if m[i][k] != 0), None)
                 if j is None:
                     continue  # zero row: degenerate direction
-                add_basis(i, j, Fraction(1))
+                # the rational rows are (num/den) e: weigh e_i and e_j so that they add
+                combine(i, num[i] * den[j], j, num[j] * den[i])
         d = m[i][i]
         if d > 0:
             pos += 1
@@ -173,7 +198,7 @@ def _diagonalize(gram) -> tuple[int, int, Vector | None]:
             neg += 1
         for k in range(i + 1, n):
             if m[k][i]:
-                add_basis(k, i, -m[k][i] / d)
+                combine(k, abs(d), i, -m[k][i] if d > 0 else m[k][i])
     return pos, neg, witness
 
 

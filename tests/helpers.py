@@ -34,16 +34,19 @@ and they form each quadratic through a point's monomials as the library
 did before every surface bound one quadratic former per axis.
 The three lattice box scans are frozen as the whole-box loops they were
 before the library enumerated only the orthogonal complement of y and
-the sign-canonical half of the box.  The surface names only the tests
-use (the Fermat-like surface, the residual, the inverse fiber map, the
-coordinate replacement) live here too, and so do the two torus
-diagnostics only the tests use (the least-squares projection onto a hull
-and the box coverage of an orbit).
+the sign-canonical half of the box, and the lattice's signature and
+positive witness are frozen as the Fraction congruence diagonalization
+that gave them before the library ran it fraction-free in integers.  The
+surface names only the tests use (the Fermat-like surface, the residual,
+the inverse fiber map, the coordinate replacement) live here too, and so
+do the two torus diagnostics only the tests use (the least-squares
+projection onto a hull and the box coverage of an orbit).
 """
 
 from __future__ import annotations
 
 import cmath
+import collections
 import functools
 import itertools
 import math
@@ -516,6 +519,64 @@ def frozen_scan_orthogonal_negatives(marked, box_bound=10):
         if qv < 0:
             out.append((v, qv))
     return out
+
+
+def frozen_diagonalize(gram, steps=None):
+    """(pos, neg, positive witness) by congruence diagonalization over Fractions.
+
+    The pivot order, the swap with the first later nonzero diagonal entry
+    and the e_i <- e_i + e_j step for an all-zero remaining diagonal are
+    those of the library; `steps`, a Counter when given, counts the swaps
+    and the additions (and the additions after a first pivot).
+    """
+    n = len(gram)
+    m = [[Fraction(x) for x in row] for row in gram]
+    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    steps = collections.Counter() if steps is None else steps
+
+    def add_basis(i, j, f):
+        for k in range(n):
+            m[i][k] += f * m[j][k]
+        for k in range(n):
+            m[k][i] += f * m[k][j]
+        basis[i] = [a + f * b for a, b in zip(basis[i], basis[j])]
+
+    pos = neg = 0
+    witness = None
+    for i in range(n):
+        if m[i][i] == 0:
+            j = next((k for k in range(i + 1, n) if m[k][k] != 0), None)
+            if j is not None:
+                m[i], m[j] = m[j], m[i]
+                for row in m:
+                    row[i], row[j] = row[j], row[i]
+                basis[i], basis[j] = basis[j], basis[i]
+                steps["swap"] += 1
+            else:
+                j = next((k for k in range(i + 1, n) if m[i][k] != 0), None)
+                if j is None:
+                    continue
+                add_basis(i, j, Fraction(1))
+                steps["add"] += 1
+                steps["add after a pivot"] += pos + neg > 0
+        d = m[i][i]
+        if d > 0:
+            pos += 1
+            if witness is None:
+                witness = _frozen_primitive(basis[i])
+        else:
+            neg += 1
+        for k in range(i + 1, n):
+            if m[k][i]:
+                add_basis(k, i, -m[k][i] / d)
+    return pos, neg, witness
+
+
+def _frozen_primitive(v):
+    scale = math.lcm(*(x.denominator for x in v))
+    ints = [int(x * scale) for x in v]
+    g = gcd(*ints)
+    return _frozen_canonical_sign(tuple(x // g for x in ints))
 
 
 # ---------------------------------------------------------------------------

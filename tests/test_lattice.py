@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -25,6 +26,7 @@ from parabolic_lab.lattice import (
 )
 
 from helpers import (
+    frozen_diagonalize,
     frozen_find_isotropic,
     frozen_represents_in_range,
     frozen_scan_orthogonal_negatives,
@@ -86,6 +88,75 @@ def test_degenerate_detection():
         QuadLattice(((1, 0), (0, 0)))
     with pytest.raises(DegenerateLatticeError):
         QuadLattice(((1, 0, 0), (0, 0, 0), (0, 0, -1)))
+
+
+def _zero_diagonal_gram(rng):
+    n = rng.randint(1, 8)
+    zero_diagonal = rng.random()
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 0 if rng.random() < zero_diagonal else rng.randint(-5, 5)
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = 0 if rng.random() < 0.4 else rng.randint(-6, 6)
+    return g
+
+
+def _zero_schur_complement_gram(rng):
+    """Pivots -a_i^2, then a block whose Schur complement has a zero diagonal.
+
+    Entry (i, k) of the off-diagonal block is a_i w_ik and block diagonal
+    entry k is -sum_i w_ik^2, so after the first p pivots the e_i + e_j step
+    runs, before any positive pivot, on rows whose scales (products of
+    gcd(a_i, w_ik) / a_i) can differ.
+    """
+    p, q = rng.randint(1, 4), rng.randint(2, 4)
+    a = [rng.randint(1, 3) for _ in range(p)]
+    w = [[rng.randint(-3, 3) for _ in range(q)] for _ in range(p)]
+    g = [[0] * (p + q) for _ in range(p + q)]
+    for i in range(p):
+        g[i][i] = -a[i] ** 2
+        for k in range(q):
+            g[i][p + k] = g[p + k][i] = a[i] * w[i][k]
+    for k in range(q):
+        g[p + k][p + k] = -sum(w[i][k] ** 2 for i in range(p))
+        for j in range(k + 1, q):
+            g[p + k][p + j] = g[p + j][p + k] = rng.randint(-4, 4)
+    return g
+
+
+def test_diagonalize_matches_the_fraction_oracle_on_zero_diagonal_grams():
+    # many zero diagonal entries, degenerate Grams included, so that both the
+    # swap and the e_i + e_j step run, the latter also after earlier pivots
+    rng = random.Random(0)
+    steps = collections.Counter()
+    for make in (_zero_diagonal_gram, _zero_schur_complement_gram):
+        for _ in range(200):
+            g = make(rng)
+            assert lattice_module._diagonalize(g) == frozen_diagonalize(g, steps), g
+    assert steps["swap"] >= 100 and steps["add after a pivot"] >= 100, steps
+
+
+def test_signature_and_witness_match_the_fraction_oracle_on_stock_lattices():
+    e8 = e8_lattice()
+    lattices = [U, U.direct_sum(e8), U.direct_sum(e8).direct_sum(e8), k3_lattice()]
+    lattices += [build_parabolic_seed_lattice(a_sq, big_n).lattice
+                 for a_sq in (2, 4, 6, 8, 10) for big_n in (1, 2, 3, 4, 5)]
+    for lat in lattices:
+        assert (*lat.signature, lat.positive_witness) == frozen_diagonalize(lat.gram), lat.gram
+        assert lat.q(lat.positive_witness) > 0
+
+
+def test_signature_and_witness_share_one_diagonalization(monkeypatch):
+    diagonalize, calls = lattice_module._diagonalize, []
+
+    def counted(gram):
+        calls.append(gram)
+        return diagonalize(gram)
+
+    monkeypatch.setattr(lattice_module, "_diagonalize", counted)
+    lat = U.direct_sum(e8_lattice())
+    assert (lat.signature, lat.positive_witness, lat.signature) == ((1, 9), (1, 1) + (0,) * 8, (1, 9))
+    assert len(calls) == 1
 
 
 def test_isotropic_primitive_predicates():
