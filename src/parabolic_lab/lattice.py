@@ -32,7 +32,7 @@ from operator import mul
 
 from .errors import DegenerateLatticeError, DimensionMismatchError, PreconditionError
 from .exact import ParseError, integral, integral_rows
-from .linalg_exact import det_exact, mat_vec, primitive_vector, scaled_inverse
+from .linalg_exact import mat_vec, primitive_vector, scaled_inverse
 
 Vector = tuple[int, ...]
 
@@ -56,7 +56,8 @@ class QuadLattice:
             for j in range(i):
                 if g[i][j] != g[j][i]:
                     raise PreconditionError("gram matrix must be symmetric")
-        if det_exact(g) == 0:
+        # the diagonalization leaves a zero pivot exactly when the Gram is singular
+        if sum(self.signature) < n:
             raise DegenerateLatticeError("gram matrix is degenerate")
 
     @property
@@ -90,10 +91,7 @@ class QuadLattice:
 
     @property
     def signature(self) -> tuple[int, int]:
-        pos, neg, _ = self._diagonalization
-        if pos + neg < self.rank:
-            raise DegenerateLatticeError("lattice has a zero eigenvalue")
-        return pos, neg
+        return self._diagonalization[:2]
 
     @property
     def positive_witness(self) -> Vector:

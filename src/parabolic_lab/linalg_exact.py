@@ -265,32 +265,20 @@ def lll_reduce(rows) -> list[list[int]]:
     Cohen, GTM 138, Alg. 2.6.7 (de Weger 1989): with B_i = |b*_i|^2 and
     mu_ij the Gram-Schmidt coefficients, it keeps the integers
     D[0] = 1, D[i+1] = B_0 ... B_i and lam[i][j] = D[j+1] mu_ij, and every
-    division in the bootstrap and the swaps is exact.  The size-reduction
-    and Lovasz tests are the classical ones multiplied through by
-    positive D's, so the output is that of the rational algorithm.
-    The rows are read by :func:`exact.integral_rows` and must be linearly
-    independent; dependent rows are a PreconditionError.
+    division is exact.  The Gram-Schmidt data are incremental: row k's
+    lam[k] and D[k+1] are computed from the current basis the first time
+    k passes kmax, the largest row reached so far, and a swap at k updates
+    only the rows k < i <= kmax.  The size-reduction and Lovasz tests are
+    the classical ones multiplied through by positive D's, so the output
+    is that of the rational algorithm.  The rows are read by
+    :func:`exact.integral_rows` and must be linearly independent; a row in
+    the span of the rows before it is a PreconditionError, raised when the
+    reduction reaches it.
     """
     b = integral_rows(rows, "lll_reduce")
     n = len(b)
-
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
-    # integral Gram-Schmidt bootstrap
     D = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            u = dot(b[i], b[j])
-            for k in range(j):
-                u = (D[k + 1] * u - lam[i][k] * lam[j][k]) // D[k]
-            if j < i:
-                lam[i][j] = u
-            elif u == 0:
-                raise PreconditionError("lll_reduce requires linearly independent rows")
-            else:
-                D[i + 1] = u
 
     def size_reduce(k: int, l: int):
         d = D[l + 1]
@@ -302,8 +290,28 @@ def lll_reduce(rows) -> list[list[int]]:
                 lk[j] -= q * ll[j]
             lk[l] -= q * d
 
-    k = 1
+    def gram_schmidt(k: int):
+        # lam[k] and D[k + 1] of row k against the current rows 0..k
+        bk, lk = b[k], lam[k]
+        for j in range(k + 1):
+            u = sum(map(mul, bk, b[j]))
+            lj = lam[j]
+            for i in range(j):
+                u = (D[i + 1] * u - lk[i] * lj[i]) // D[i]
+            if j < k:
+                lk[j] = u
+            elif u == 0:
+                raise PreconditionError("lll_reduce requires linearly independent rows")
+            else:
+                D[k + 1] = u
+
+    if n:
+        gram_schmidt(0)
+    k, kmax = 1, 0
     while k < n:
+        if k > kmax:
+            kmax = k
+            gram_schmidt(k)
         size_reduce(k, k - 1)
         t = lam[k][k - 1]
         # B_k >= (3/4 - mu^2) B_{k-1}, times 4 D_k D_{k-1}
@@ -317,7 +325,7 @@ def lll_reduce(rows) -> list[list[int]]:
             for j in range(k - 1):
                 lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
             dk = (D[k - 1] * D[k + 1] + t * t) // D[k]
-            for i in range(k + 1, n):
+            for i in range(k + 1, kmax + 1):
                 li = lam[i]
                 s = li[k]
                 li[k] = (D[k + 1] * li[k - 1] - t * s) // D[k]

@@ -926,9 +926,13 @@ def frozen_isolate(p, lower=Fraction(1), bits=80):
     return lo, hi
 
 
-def frozen_lll(rows, delta=Fraction(3, 4)):
-    """LLL reduction with exact rational Gram-Schmidt data (mu and B as Fractions)."""
+def frozen_lll(rows, delta=Fraction(3, 4), steps=None):
+    """LLL reduction with exact rational Gram-Schmidt data (mu and B as Fractions).
+
+    `steps`, a Counter when given, counts the swaps.
+    """
     b = [[int(x) for x in row] for row in rows]
+    steps = collections.Counter() if steps is None else steps
     n = len(b)
     if n <= 1:
         return b
@@ -967,6 +971,7 @@ def frozen_lll(rows, delta=Fraction(3, 4)):
             k += 1
         else:
             # swap b_k and b_{k-1}, updating mu/B in place
+            steps["swap"] += 1
             m_ = mu[k][k - 1]
             B_ = B[k] + m_ * m_ * B[k - 1]
             mu[k][k - 1] = m_ * B[k - 1] / B_

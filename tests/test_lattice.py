@@ -26,6 +26,7 @@ from parabolic_lab.lattice import (
 )
 
 from helpers import (
+    frozen_det,
     frozen_diagonalize,
     frozen_find_isotropic,
     frozen_represents_in_range,
@@ -136,6 +137,22 @@ def test_diagonalize_matches_the_fraction_oracle_on_zero_diagonal_grams():
     assert steps["swap"] >= 100 and steps["add after a pivot"] >= 100, steps
 
 
+def test_degenerate_exactly_when_the_determinant_vanishes():
+    # construction reads degeneracy off the diagonalization: pos + neg < rank
+    rng = random.Random(0)
+    degenerate = 0
+    for make in (_zero_diagonal_gram, _zero_schur_complement_gram):
+        for _ in range(200):
+            g = make(rng)
+            if frozen_det(g) == 0:
+                degenerate += 1
+                with pytest.raises(DegenerateLatticeError, match="gram matrix is degenerate"):
+                    QuadLattice(g)
+            else:
+                assert sum(QuadLattice(g).signature) == len(g), g
+    assert degenerate >= 50, degenerate
+
+
 def test_signature_and_witness_match_the_fraction_oracle_on_stock_lattices():
     e8 = e8_lattice()
     lattices = [U, U.direct_sum(e8), U.direct_sum(e8).direct_sum(e8), k3_lattice()]
@@ -147,6 +164,8 @@ def test_signature_and_witness_match_the_fraction_oracle_on_stock_lattices():
 
 
 def test_signature_and_witness_share_one_diagonalization(monkeypatch):
+    # the summand is built first: its own construction diagonalizes too
+    e8 = e8_lattice()
     diagonalize, calls = lattice_module._diagonalize, []
 
     def counted(gram):
@@ -154,7 +173,7 @@ def test_signature_and_witness_share_one_diagonalization(monkeypatch):
         return diagonalize(gram)
 
     monkeypatch.setattr(lattice_module, "_diagonalize", counted)
-    lat = U.direct_sum(e8_lattice())
+    lat = U.direct_sum(e8)
     assert (lat.signature, lat.positive_witness, lat.signature) == ((1, 9), (1, 1) + (0,) * 8, (1, 9))
     assert len(calls) == 1
 

@@ -1,6 +1,7 @@
+import collections
 import random
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 import pytest
 
@@ -360,9 +361,32 @@ def _lll_bases(rng):
     return bases
 
 
+def _planted_relation_bases(rng):
+    """Rows [e_i | round(x_i 10^24)] shaped like the hull inputs of the benchmark.
+
+    x is n coordinates at 160 bits in [0, 1) (n = 2..6) with r planted
+    relations x_p = sum_j a_j x_j - floor(...) over the other coordinates,
+    followed by x_n = 1, so a basis has n + 1 rows of width n + 2.
+    """
+    bases = []
+    for n in range(2, 7):
+        for _ in range(12):
+            cols = rng.sample(range(n), n)
+            r = rng.randint(0, n - 1)
+            pivots, free = cols[:r], cols[r:]
+            x = [Fraction(rng.getrandbits(160), 2**160) for _ in range(n)]
+            for p in pivots:
+                y = sum(rng.randint(-7, 7) * x[j] for j in free)
+                x[p] = y - floor(y)
+            x.append(Fraction(1))
+            bases.append([[int(j == i) for j in range(n + 1)] + [round(v * 10**24)]
+                          for i, v in enumerate(x)])
+    return bases
+
+
 def test_lll_matches_frozen_fraction_lll():
-    bases = _lll_bases(random.Random(11))
-    assert len(bases) >= 500
+    bases = _lll_bases(random.Random(11)) + _planted_relation_bases(random.Random(12))
+    assert len(bases) >= 560
     for rows in bases:
         red = lll_reduce(rows)
         assert red == frozen_lll(rows), rows
@@ -387,6 +411,20 @@ def test_lll_input_contract():
     for dependent in ([[1, 2], [2, 4]], [[0, 0]], [[1, 0], [0, 1], [1, 1]]):
         with pytest.raises(PreconditionError, match="independent"):
             lll_reduce(dependent)
+    # relation-style bases whose last row is a combination of earlier ones: the
+    # reduction first works (and swaps) among the rows before it, then reaches it
+    rng, swapped = random.Random(13), 0
+    for m in (2, 3, 4, 5, 6):
+        rows = [[int(j == i) for j in range(m)] + [rng.getrandbits(40)] for i in range(m)]
+        coeffs = [rng.randint(-3, 3) for _ in range(m)]
+        coeffs[rng.randrange(m)] = 1
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(m + 1)])
+        steps = collections.Counter()
+        frozen_lll(rows[:-1], steps=steps)
+        swapped += steps["swap"] > 0
+        with pytest.raises(PreconditionError, match="independent"):
+            lll_reduce(rows)
+    assert swapped == 5
     with pytest.raises(ValueError):  # PreconditionError is a ValueError
         lll_reduce([[1, 2], [2, 4]])
     with pytest.raises(TypeError):
