@@ -84,8 +84,8 @@ SEED_ENV = "PARABOLIC_LAB_SEED"
 
 # Caps on the count options, refused with exit 2 before any work starts.  Each sits
 # above every value the README, tests, demos and CI use.  A point, an involution pair or
-# a fiber report costs 0.4-7 KB, a Monte Carlo sample about 0.15 KB at the draw's peak
-# (k3 ergo peaks at 0.35 GB resident at MAX_MC), and every worker is a process.
+# a fiber report costs 0.4-7 KB, a Monte Carlo sample about 0.11 KB at the draw's peak
+# (k3 ergo peaks at 0.26 GB resident at MAX_MC), and every worker is a process.
 MAX_POINTS = 10**5  # --n of torus orbit, k3 sample and k3 involve; k3 orbit --fibers
 MAX_STEPS = 10**6  # --n of torus weyl and k3 orbit; k3 ergo --l and --trials
 MAX_MC = 2 * 10**6  # k3 ergo --mc

@@ -81,14 +81,16 @@ SAMPLE_RESIDUAL_TOL = 1e-12
 BRANCH_DISC_REL = 1e-8
 LEAD_COEFF_REL = 1e-10
 MODERATE_CHART = 0.2  # |c0| below this means "too close to infinity" for affine work
-BIN_BLOCK = 1 << 16  # orbit points held for array cell binning at a time (~10 MB)
+# orbit points binned, or fiber_cells disc points probed in both charts, at a time
+# (~10 MB of orbit coordinates, ~50 MB of probe temporaries)
+BIN_BLOCK = 1 << 16
 WALK_BLOCK = 1 << 8  # trajectory points held for the test-function sums at a time
-MC_BLOCK = 1 << 14  # Monte Carlo samples whose temporaries are held at a time (~7 MB)
+MC_BLOCK = 1 << 13  # Monte Carlo samples whose temporaries are held at a time (~3 MB)
 BIRKHOFF_MEMO = 64  # Birkhoff runs a surface keeps, the oldest dropped first
 SAMPLE_TRIES = 64  # draws sample_point and sample_fiber_point make before a ContractError
 FIBER_REFINE = 6  # fiber_cells probes a FIBER_REFINE * G disc grid per chart
 MIN_HITS = 3  # probe hits that make a fiber cell (see fiber_cells)
-MAX_GRID = 128  # largest fiber_cells grid: (FIBER_REFINE * G)^2 probes, ~0.4 GB peak at 128
+MAX_GRID = 128  # largest fiber_cells grid: (FIBER_REFINE * G)^2 probes, ~65 MB peak at 128
 FD_STEP = 1e-6  # the central-difference step of fiber_derivative_ratio
 TRANSLATION_TOL = 1e-6  # relative tolerance of translation_check
 # the largest coefficient modulus a surface may have: past these, quadratics,
@@ -577,11 +579,13 @@ def fiber_cells(surface: Surface222, pair, base_pair, grid: int = 16) -> set:
     fiber coordinate, solves the quadratic for the other, and keeps the
     :func:`pair_cell` cells hit at least MIN_HITS times (cells grazed once
     or twice are corner clips an orbit may legitimately take very long to
-    visit).  All probes of one sweep are solved as arrays; probes that fail
-    the leading-coefficient or branch guard are skipped.  MIN_HITS = 3 was
-    calibrated on the fixed-seed reference surface: 10^5 iterates at
-    G = 16 then cover at least 95% of the tube on virtually every smooth
-    fiber.
+    visit).  The probes are solved as arrays, BIN_BLOCK disc points in
+    both charts at a time; probes that fail the leading-coefficient or
+    branch guard are skipped.  Each block's cell keys are counted with
+    np.unique and the integer counts of all blocks merged, so the cells
+    do not depend on BIN_BLOCK.  MIN_HITS = 3 was calibrated on the
+    fixed-seed reference surface: 10^5 iterates at G = 16 then cover at
+    least 95% of the tube on virtually every smooth fiber.
     """
     if not 1 <= grid <= MAX_GRID:
         raise PreconditionError(f"grid must be between 1 and {MAX_GRID}")
@@ -589,21 +593,26 @@ def fiber_cells(surface: Surface222, pair, base_pair, grid: int = 16) -> set:
     base_pair = _normalize(base_pair)
     m = FIBER_REFINE * grid
     u = 2 * (np.arange(m) + 0.5) / m - 1
-    cc = (u[:, None] + 1j * u).ravel()
-    cc = cc[np.abs(cc) <= 1]
-    ones = np.ones_like(cc)
-    moving = (np.concatenate([ones, cc]), np.concatenate([cc, ones]))  # both charts
-    keys = []
-    for sweep_axis, solve_axis in ((first, second), (second, first)):
-        i, j, k = _SLOTS[solve_axis]
-        parts = {base_axis: base_pair, sweep_axis: moving}
-        ok, roots = _guarded_roots(*surface._quads[i](parts[AXES[j]], parts[AXES[k]]))
-        swept = (moving[0][ok], moving[1][ok])
-        for root in roots:
-            coords = {sweep_axis: swept, solve_axis: root}
-            keys.append(_pair_keys(coords[first], coords[second], grid))
-    cells, hits = np.unique(np.concatenate(keys), return_counts=True)
-    return set(_key_cells(cells[hits >= MIN_HITS], grid))
+    disc = (u[:, None] + 1j * u).ravel()
+    disc = disc[np.abs(disc) <= 1]
+    blocks = []  # (keys, hits) of each block of probes
+    for lo in range(0, len(disc), BIN_BLOCK):
+        cc = disc[lo:lo + BIN_BLOCK]
+        ones = np.ones_like(cc)
+        moving = (np.concatenate([ones, cc]), np.concatenate([cc, ones]))  # both charts
+        keys = []
+        for sweep_axis, solve_axis in ((first, second), (second, first)):
+            i, j, k = _SLOTS[solve_axis]
+            parts = {base_axis: base_pair, sweep_axis: moving}
+            ok, roots = _guarded_roots(*surface._quads[i](parts[AXES[j]], parts[AXES[k]]))
+            swept = (moving[0][ok], moving[1][ok])
+            for root in roots:
+                coords = {sweep_axis: swept, solve_axis: root}
+                keys.append(_pair_keys(coords[first], coords[second], grid))
+        blocks.append(np.unique(np.concatenate(keys), return_counts=True))
+    keys, hits = map(np.concatenate, zip(*blocks))
+    cells, index = np.unique(keys, return_inverse=True)
+    return set(_key_cells(cells[np.bincount(index, hits) >= MIN_HITS], grid))
 
 
 @dataclass(frozen=True)
@@ -840,14 +849,15 @@ def eval_test_function(fid: str, point: SurfacePoint) -> float:
 
 
 def _fs_ratios(rng, samples: int):
-    """(t, ok) over the columns of one (4, samples) Gaussian draw g.
+    """(t, ok) over the columns of a Gaussian draw g, its four rows drawn in turn.
 
     t = (g0 + i g1) / (g2 + i g3) is a Fubini-Study-uniform point of the
-    affine chart; ok marks the columns with |g2 + i g3| > 1e-8.
+    affine chart; ok marks the columns with |g2 + i g3| > 1e-8.  Row by row,
+    rng yields the stream one (4, samples) draw takes.
     """
-    g = rng.normal(size=(4, samples))
-    den = g[2] + 1j * g[3]
-    return (g[0] + 1j * g[1]) / den, np.abs(den) > 1e-8
+    num = rng.normal(size=samples) + 1j * rng.normal(size=samples)
+    den = rng.normal(size=samples) + 1j * rng.normal(size=samples)
+    return num / den, np.abs(den) > 1e-8
 
 
 def _mc_draw(surface: Surface222, samples: int, rng):
@@ -856,10 +866,12 @@ def _mc_draw(surface: Surface222, samples: int, rng):
     Proposal: Fubini-Study-uniform (x, y), both z roots; weight
     (1 + |x|^2)^2 (1 + |y|^2)^2 / |dF/dz|^2 per root.  The (x, y) ratios
     are formed over the whole draw; the quadratics, their guard and roots,
-    the weights and the sphere coordinates over MC_BLOCK kept columns at a
-    time, written into arrays that hold the whole draw.  Each list holds
-    one entry per root: its weights, and its sphere coordinates by axis
-    (x and y are the same arrays for both roots).
+    the weights and the sphere coordinates over MC_BLOCK columns at a time.
+    A block's kept x and y sphere coordinates overwrite the x and y ratios
+    at or below the block's start, which no later block reads, so the draw
+    holds its x and y once.  The weights come back as one array, root 0's
+    then root 1's; spheres holds one dict per root of its sphere
+    coordinates by axis (x and y are the same arrays for both roots).
 
     The quadratics are formed here, not by the surface's z former
     (:func:`_quadratic`): on the affine chart each term is grouped as
@@ -871,11 +883,12 @@ def _mc_draw(surface: Surface222, samples: int, rng):
     x, xok = _fs_ratios(rng, samples)
     y, yok = _fs_ratios(rng, samples)
     keep = xok & yok
-    x, y = x[keep], y[keep]
-    weights, wz = np.empty((2, len(x))), np.empty((2, len(x)), complex)
-    wx, wy = np.empty_like(x), np.empty_like(y)
+    if not keep.all():
+        x, y = x[keep], y[keep]
+    total = len(x)
+    weights, wz = np.empty(2 * total), np.empty((2, total), complex)
     n = 0
-    for lo in range(0, len(x), MC_BLOCK):
+    for lo in range(0, total, MC_BLOCK):
         bx, by = x[lo:lo + MC_BLOCK], y[lo:lo + MC_BLOCK]
         mx = np.stack([np.ones_like(bx), bx, bx * bx])
         my = np.stack([np.ones_like(by), by, by * by])
@@ -890,18 +903,20 @@ def _mc_draw(surface: Surface222, samples: int, rng):
             abc.append(acc)
         cc, bb, aa = abc
         ok, roots = _guarded_roots(aa, bb, cc)
-        bx, by, aa, bb = bx[ok], by[ok], aa[ok], bb[ok]
+        if not ok.all():
+            bx, by, aa, bb = bx[ok], by[ok], aa[ok], bb[ok]
         hi = n + len(bx)
         fs_weight = (1 + np.abs(bx) ** 2) ** 2 * (1 + np.abs(by) ** 2) ** 2
-        wx[n:hi] = bx / (1 + np.abs(bx) ** 2)
-        wy[n:hi] = by / (1 + np.abs(by) ** 2)
-        for w, z, (r0, r1) in zip(weights, wz, roots):
+        x[n:hi] = bx / (1 + np.abs(bx) ** 2)
+        y[n:hi] = by / (1 + np.abs(by) ** 2)
+        for w, z, (r0, r1) in zip(weights.reshape(2, total), wz, roots):
             tz = r1 / r0
             fz = 2 * aa * tz + bb
             w[n:hi] = fs_weight / np.abs(fz) ** 2
             z[n:hi] = tz / (1 + np.abs(tz) ** 2)
         n = hi
-    return list(weights[:, :n]), [{"x": wx[:n], "y": wy[:n], "z": z} for z in wz[:, :n]]
+    weights[n:2 * n] = weights[total:total + n]  # root 1's kept weights follow root 0's
+    return weights[:2 * n], [{"x": x[:n], "y": y[:n], "z": z[:n]} for z in wz]
 
 
 def _mc_space_averages(surface: Surface222, fids, samples: int, rng) -> dict:
@@ -909,24 +924,36 @@ def _mc_space_averages(surface: Surface222, fids, samples: int, rng) -> dict:
 
     The self-normalized importance-sampling estimate of each test
     function's space average; the draw, its weights and its effective
-    sample size are shared by all `fids`.  The sums run over the whole
-    draw, root 0's entries then root 1's, so the floats do not depend on
-    MC_BLOCK.  ContractError when the weights sum to 0 (every draw refused).
+    sample size are shared by all `fids`.  Each sum runs over one array
+    that holds the whole draw, root 0's entries then root 1's, so the
+    floats do not depend on MC_BLOCK.  A function's values are written
+    into one buffer, and written again for the standard error rather
+    than kept.  ContractError when the weights sum to 0 (every draw
+    refused).
     """
-    weights, spheres = _mc_draw(surface, samples, rng)
-    w = np.concatenate(weights)
+    w, spheres = _mc_draw(surface, samples, rng)
     wsum = float(np.sum(w))
     if wsum == 0:
         raise ContractError(f"no weight among {samples} Monte Carlo draws; space average undefined")
-    ess = wsum**2 / float(np.sum(w**2))
-    zero = np.zeros_like(weights[0])  # both roots carry one weight per kept (x, y)
+    v = np.empty_like(w)
+    ess = wsum**2 / float(np.sum(np.square(w, out=v)))
+
+    def fill(fid):
+        """Write fn at every entry of the draw into v; a constant fn fills it."""
+        axis, fn = TEST_FUNCTIONS[fid]
+        for root, sphere in zip(v.reshape(2, -1), spheres):
+            root[...] = fn(sphere.get(axis))
+
     averages = {}
     for fid in fids:
-        axis, fn = TEST_FUNCTIONS[fid]
-        v = np.concatenate([np.real(fn(sphere.get(axis)) + zero) for sphere in spheres])
-        avg = float(np.sum(w * v) / wsum)
+        fill(fid)
+        v *= w
+        avg = float(np.sum(v) / wsum)
         # delta-method standard error of the self-normalized estimator
-        se = float(np.sqrt(np.sum((w * (v - avg)) ** 2)) / wsum)
+        fill(fid)
+        v -= avg
+        v *= w
+        se = float(np.sqrt(np.sum(np.square(v, out=v))) / wsum)
         averages[fid] = (avg, se, ess)
     return averages
 
