@@ -20,8 +20,8 @@ the seed.  The configuration is derived in one place: ``{"subcommand":
 records its ``start`` default of zeros, and ``k3 ergo --contrast``
 records the ``trials`` and ``mc`` it never reads as null).  Floats are
 rendered with 17 significant digits, so identical configurations produce
-byte-identical outputs (multi-worker runs merge in task order and use
-per-task RNG streams derived from the master seed).  Exit codes: 0
+byte-identical outputs (``k3 orbit --workers`` gives the one-worker
+reports, see :func:`.surface222.fiber_orbits`).  Exit codes: 0
 success, 1 usage or malformed input, 2 precondition violation, 3
 numerical-contract failure.
 
@@ -32,7 +32,6 @@ e.g. ``--coords "sqrt2,2*sqrt2"`` or ``--grid "0,1/2,(sqrt5-1)/2"``.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -73,6 +72,8 @@ from .lattice import (
     scan_orthogonal_negatives,
 )
 from .torus import (
+    DEFAULT_HEIGHT_BOUND,
+    DEFAULT_TOL,
     TranslationVector,
     iterate,
     rational_hull,
@@ -508,20 +509,6 @@ def cmd_k3_involve(args) -> dict:
     }
 
 
-def _fiber_start(surface, pair, seed: int, index: int):
-    """Base point, start point and orbit rng of fiber `index`, from the master seed."""
-    rng = np.random.default_rng([seed, 0x0F, index])
-    base = s2._fs_pair(rng)
-    start = s2.sample_fiber_point(surface, pair, base, rng)
-    return base, start, np.random.default_rng([seed, 0x0E, index])
-
-
-def _orbit_task(payload):
-    index, surface, pair, n, grid, seed = payload
-    base, start, rng = _fiber_start(surface, pair, seed, index)
-    return s2.fiber_orbit(surface, pair, base, start, n, grid, rng=rng).to_json_dict()
-
-
 def _chart_coords(pair) -> tuple[int, float, float]:
     c0, c1 = pair
     if abs(c1) <= abs(c0):
@@ -537,7 +524,8 @@ def cmd_k3_orbit(args) -> dict | Csv:
     pair = tuple(args.pair)
     if args.format == "csv":
         # orbit trace dump for the first fiber: chart coordinates + flags
-        base, start, rng = _fiber_start(surface, pair, args.seed, 0)
+        base, start = s2.fiber_start(surface, pair, [args.seed, 0x0F, 0])
+        rng = np.random.default_rng([args.seed, 0x0E, 0])
         first, second = pair
         rows = []
         for step, pt in s2.orbit_trace(surface, pair, base, start, args.n, rng=rng):
@@ -551,12 +539,9 @@ def cmd_k3_orbit(args) -> dict | Csv:
             f"chart_{first}", f"chart_{second}",
         ]
         return Csv(header, rows)
-    payloads = [(i, surface, pair, args.n, args.grid, args.seed) for i in range(args.fibers)]
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            reports = list(pool.map(_orbit_task, payloads))
-    else:
-        reports = [_orbit_task(p) for p in payloads]
+    seeds = [([args.seed, 0x0F, i], [args.seed, 0x0E, i]) for i in range(args.fibers)]
+    reports = [r.to_json_dict() for r in
+               s2.fiber_orbits(surface, pair, seeds, args.n, args.grid, args.workers)]
     coverages = [r["coverage"] for r in reports]
     return {
         "reports": reports,
@@ -640,8 +625,8 @@ COMMANDS = {
     ]),
     ("torus", "hull"): (cmd_torus_hull, [
         _opt("--coords", required=True),
-        _opt("--height-bound", type=integer, default=10**6),
-        _opt("--tol", type=float, default=1e-24),
+        _opt("--height-bound", type=integer, default=DEFAULT_HEIGHT_BOUND),
+        _opt("--tol", type=float, default=DEFAULT_TOL),
     ]),
     ("torus", "weyl"): (cmd_torus_weyl, [
         _opt("--coords", required=True),
@@ -651,8 +636,8 @@ COMMANDS = {
     ("torus", "scan"): (cmd_torus_scan, [
         _opt("--family", required=True, help="JSON file with coords coefficient lists"),
         _opt("--grid", required=True, help="comma separated exact expressions"),
-        _opt("--height-bound", type=integer, default=10**6),
-        _opt("--tol", type=float, default=1e-24),
+        _opt("--height-bound", type=integer, default=DEFAULT_HEIGHT_BOUND),
+        _opt("--tol", type=float, default=DEFAULT_TOL),
     ]),
     ("hodge", "fujiki"): (cmd_hodge_fujiki, [
         _opt("-i", "--input", required=True, help="lattice JSON with n, c, K fields"),

@@ -46,6 +46,7 @@ trajectories; past it, ContractError (CLI exit code 3).  Birkhoff calls
 on one surface that differ only in the test function share one run, one
 walk and one Monte Carlo draw for every function; the surface memoizes
 the last BIRKHOFF_MEMO runs by their arguments and thresholds.
+Seeded fiber orbits fan out in one place, :func:`fiber_orbits`.
 The sampling retries, the fiber-cell probe grid and hit count, the 1-form
 check's step and tolerance and a random word's two maps are module
 constants (SAMPLE_TRIES, FIBER_REFINE, MIN_HITS, FD_STEP,
@@ -65,7 +66,7 @@ import cmath
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import chain, islice, permutations
 from operator import add, itemgetter
 
@@ -764,6 +765,35 @@ def fiber_orbit(
         min_visits=min(ref_visits),
         mean_visits=sum(ref_visits) / len(ref_visits),
     )
+
+
+def fiber_start(surface: Surface222, pair, seed) -> tuple[tuple[complex, complex], SurfacePoint]:
+    """A Fubini-Study base and a point on its fiber, both drawn from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    base = _fs_pair(rng)
+    return base, sample_fiber_point(surface, pair, base, rng)
+
+
+def _seeded_fiber_orbit(surface: Surface222, pair, length: int, grid: int, seeds):
+    base, start = fiber_start(surface, pair, seeds[0])
+    return fiber_orbit(surface, pair, base, start, length, grid, np.random.default_rng(seeds[1]))
+
+
+def fiber_orbits(surface: Surface222, pair, seeds, length: int, grid: int = 16,
+                 workers: int = 1) -> list[FiberOrbitReport]:
+    """The :func:`fiber_orbit` report of each (start_seed, walk_seed) of `seeds`, in order;
+    start_seed feeds :func:`fiber_start`, walk_seed the walk's recoveries.  A report reads
+    only its own seeds, so `workers` > 1 spawned processes (one per fiber at most) agree;
+    a script that calls it with them runs its work under ``if __name__ == "__main__"``."""
+    if workers < 1:
+        raise PreconditionError(f"workers must be >= 1, got {workers}")
+    task = partial(_seeded_fiber_orbit, surface, pair, length, grid)
+    if workers == 1:
+        return list(map(task, seeds))
+    from concurrent.futures import ProcessPoolExecutor  # here, not at import: it costs ms
+    from multiprocessing import get_context
+    with ProcessPoolExecutor(workers, get_context("spawn")) as pool:  # numpy's BLAS has threads
+        return list(pool.map(task, seeds))
 
 
 # ---------------------------------------------------------------------------

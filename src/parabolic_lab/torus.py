@@ -203,8 +203,8 @@ def rational_hull(
     See the module docstring for the two contracts: exact values give
     their whole relation lattice, floats the relations that pass tol and
     height_bound.  Deterministic for fixed precision and parameters.
-    Raises PrecisionError when tol is below what the stored precision can
-    resolve, for exact values too.
+    Raises PrecisionError when the tol of float values is below what their
+    precision can resolve; exact values read neither.
     """
     if not 0 < tol < math.inf:
         raise PreconditionError(f"tol must be positive and finite, got {tol}")
@@ -212,15 +212,15 @@ def rational_hull(
         raise PreconditionError("height_bound must be >= 1")
     tv = as_translation_vector(x)
     n = tv.n
-    resolution = Fraction(2) ** (6 - tv.precision) * (n + 1) * height_bound
-    if tol <= resolution:
-        raise PrecisionError(
-            f"tol {tol} is below the representable resolution "
-            f"{float(resolution):.3g} at {tv.precision} bits"
-        )
     if tv.is_exact:
         relations = hnf(_exact_relations(tv.values + (QuadExpr.rational(1),)))
     else:
+        resolution = Fraction(2) ** (6 - tv.precision) * (n + 1) * height_bound
+        if tol <= resolution:
+            raise PrecisionError(
+                f"tol {tol} is below the representable resolution "
+                f"{float(resolution):.3g} at {tv.precision} bits"
+            )
         relations = _lll_relations(tv, height_bound, tol)
     subspace = kernel_basis([r[:n] for r in relations] or [[0] * n])
     if n - len(subspace) != len(relations):

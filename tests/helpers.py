@@ -32,6 +32,8 @@ loops they were before the library shared one walker, together with the
 involution and root sampling that wrote out their own branch guards,
 and they form each quadratic through a point's monomials as the library
 did before every surface bound one quadratic former per axis.
+``k3 orbit``'s per-fiber seeding is frozen as the command's own two
+helpers, as they were before the library held the one fan-out.
 The three lattice box scans are frozen as the whole-box loops they were
 before the library enumerated only the orthogonal complement of y and
 the sign-canonical half of the box, and the lattice's signature and
@@ -1180,6 +1182,21 @@ def frozen_fiber_orbit(surface, pair, base_pair, start, length, grid, rng, min_h
         "min_visits": min(ref_visits),
         "mean_visits": sum(ref_visits) / len(ref_visits),
     }
+
+
+def frozen_fiber_start(surface, pair, seed, index):
+    """Base point, start point and orbit rng of fiber `index`, from the master seed."""
+    rng = np.random.default_rng([seed, 0x0F, index])
+    base = s2._fs_pair(rng)
+    start = s2.sample_fiber_point(surface, pair, base, rng)
+    return base, start, np.random.default_rng([seed, 0x0E, index])
+
+
+def frozen_orbit_task(payload):
+    """One fiber's report as ``k3 orbit`` wrote it, from (index, surface, pair, n, grid, seed)."""
+    index, surface, pair, n, grid, seed = payload
+    base, start, rng = frozen_fiber_start(surface, pair, seed, index)
+    return s2.fiber_orbit(surface, pair, base, start, n, grid, rng=rng).to_json_dict()
 
 
 # the test functions as functions of all three sphere coordinates, the

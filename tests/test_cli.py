@@ -168,6 +168,18 @@ def test_torus_hull_exact_relation_past_the_height_bound(capsys):
     assert result["height_bound"] == 10**6
 
 
+@pytest.mark.parametrize("option,value", [("--tol", 1e-60), ("--height-bound", 10**30)],
+                         ids=["tol-1e-60", "height-bound-10^30"])
+def test_torus_hull_exact_coords_past_the_float_resolution(option, value, capsys):
+    # the float path's resolution guard reads tol against the precision and the height
+    # bound; exact coordinates read neither, so they keep their relations
+    code, out = run_cli(["torus", "hull", "--coords", "sqrt2,2*sqrt2", option, str(value)],
+                        capsys)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["relations"] == [[2, -1, 0]] and result[option[2:].replace("-", "_")] == value
+
+
 def test_classify_pipeline(tmp_path, capsys):
     lat = {"rank": 3, "gram": [[0, 1, 0], [1, 0, 0], [0, 0, -2]]}
     lat_file = tmp_path / "lat.json"
@@ -283,7 +295,7 @@ def test_malformed_lattice_json_is_a_parse_error(text, tmp_path, capsys):
         assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["lattice", "signature", "-i", str(bad)]) == 1
@@ -292,9 +304,11 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
-    # precision below resolution: numerical contract failure
-    assert main(["torus", "hull", "--coords", "sqrt2", "--tol", "1e-60"]) == 3
-    capsys.readouterr()
+    # a branch guard that refuses every step exhausts the walk's budget: numerical
+    # contract failure
+    monkeypatch.setattr(s2, "BRANCH_DISC_REL", 1.0)
+    assert main(["k3", "orbit", "--n", "100", "--grid", "4"]) == 3
+    assert "numerical contract failure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("coords,code", [
@@ -666,6 +680,17 @@ def test_console_script_installed():
     assert json.loads(proc.stdout)["result"]["verification"]["signature"] == [1, 2]
 
 
+def test_cli_import_loads_no_process_pool():
+    # fiber_orbits imports the pool when it starts one, so no other command pays for it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import parabolic_lab.cli, sys; "
+         "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
 def _no_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -853,9 +878,10 @@ _LEGAL = {
     ("lattice", "seed"): {"--N": {_BIG}},
     ("lattice", "represent"): {"--lo": {"0", "-1"}, "--hi": {"0", "-1", _BIG}},
     ("torus", "orbit"): {"--coords": _REALS, "--start": _REALS},
-    ("torus", "hull"): {"--coords": _REALS, "--tol": {"1.5", _BIG}},
+    # every CLI coordinate is exact, so no height bound is past the float resolution
+    ("torus", "hull"): {"--coords": _REALS, "--tol": {"1.5", _BIG}, "--height-bound": {_BIG}},
     ("torus", "weyl"): {"--coords": _REALS, "--k": {"-1", _BIG}},
-    ("torus", "scan"): {"--grid": _REALS, "--tol": {"1.5", _BIG}},
+    ("torus", "scan"): {"--grid": _REALS, "--tol": {"1.5", _BIG}, "--height-bound": {_BIG}},
     ("hodge", "amgm"): {"--tol": {"1.5", _BIG}},
 }
 

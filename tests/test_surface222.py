@@ -25,6 +25,7 @@ from helpers import (
     frozen_guard,
     frozen_involution,
     frozen_mc_space_average,
+    frozen_orbit_task,
     frozen_orbit_trace,
     frozen_parabolic_map,
     frozen_quad,
@@ -390,6 +391,21 @@ def test_fiber_orbit_matches_frozen_binning(monkeypatch):
         frozen = frozen_fiber_orbit(S, pair, base, start, 2000, 8,
                                     np.random.default_rng([9, i]))
         assert {k: getattr(rep, k) for k in frozen} == frozen
+
+
+@pytest.mark.parametrize("pair", [("y", "z"), ("x", "z")], ids=["yz", "xz"])
+def test_fiber_orbits_match_the_frozen_fan_out(pair):
+    # k3 orbit's streams at seed 4: fiber i starts on [4, 0x0F, i] and recovers on
+    # [4, 0x0E, i]; one worker and a pool of two give the frozen reports in fiber order
+    frozen = [frozen_orbit_task((i, S, pair, 500, 8, 4)) for i in range(3)]
+    assert len({str(r["base"]) for r in frozen}) == 3
+    seeds = [([4, 0x0F, i], [4, 0x0E, i]) for i in range(3)]
+    for workers in (1, 2):
+        reports = s2.fiber_orbits(S, pair, seeds, 500, grid=8, workers=workers)
+        assert [r.to_json_dict() for r in reports] == frozen
+    for workers in (0, -1):
+        with pytest.raises(PreconditionError, match="workers"):
+            s2.fiber_orbits(S, pair, seeds, 500, grid=8, workers=workers)
 
 
 ORBIT_FIELDS = ("cells_fiber", "cells_visited", "coverage", "interruptions",

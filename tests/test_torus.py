@@ -80,12 +80,15 @@ def test_rational_hull_affine_relation():
 
 def test_exact_hull_keeps_relations_past_the_height_bound():
     # 10^7 (sqrt2 - 1) - (10^7 sqrt2 - 14142135) = 4142135: exact values give the whole
-    # relation lattice, so the height bound that limits float inputs does not drop it
+    # relation lattice, so the height bound that limits float inputs does not drop it; nor
+    # do a tol and a height bound past the float resolution, which exact values never read
     x = (parse_real("sqrt2"), parse_real("10000000*sqrt2"))
-    for height_bound in (1, torus.DEFAULT_HEIGHT_BOUND):
-        h = rational_hull(x, height_bound=height_bound)
+    cases = [(1, torus.DEFAULT_TOL), (torus.DEFAULT_HEIGHT_BOUND, torus.DEFAULT_TOL),
+             (10**30, torus.DEFAULT_TOL), (torus.DEFAULT_HEIGHT_BOUND, 1e-60)]
+    for height_bound, tol in cases:
+        h = rational_hull(x, height_bound=height_bound, tol=tol)
         assert h.relation_basis == ((10000000, -1, -4142135),) and h.dimension == 1
-        assert h.height_bound == height_bound and h.tol == torus.DEFAULT_TOL
+        assert h.height_bound == height_bound and h.tol == tol
 
 
 def test_exact_planted_relation_lattices():
@@ -108,8 +111,11 @@ def test_orbit_closure_dims():
 
 
 def test_precision_guard():
+    # float values: a tol at or below 2^(6 - precision) * (n + 1) * height_bound is refused
     with pytest.raises(PrecisionError):
         rational_hull((0.5,), tol=1e-60)
+    with pytest.raises(PrecisionError):
+        rational_hull((0.5,), height_bound=10**30)
     for tol in (-1, math.nan, math.inf):
         with pytest.raises(PreconditionError):
             rational_hull((0.5,), tol=tol)
